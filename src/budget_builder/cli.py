@@ -197,10 +197,16 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
         elif key in ("n_list", "target", "adversary", "out", "regime", "graph", "pattern"):
             setattr(args, key, raw)
-        elif any(ch in raw for ch in ".eE") and raw.strip("-+.eE0123456789") == "":
-            setattr(args, key, float(raw))
         else:
-            setattr(args, key, int(raw))
+            try:
+                if any(ch in raw for ch in ".eE") and raw.strip("-+.eE0123456789") == "":
+                    setattr(args, key, float(raw))
+                else:
+                    setattr(args, key, int(raw))
+            except ValueError:
+                raise ConfigurationError(
+                    f"--config {args.config}: {key} needs a number, got {raw!r}"
+                ) from None
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:

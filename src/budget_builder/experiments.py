@@ -77,7 +77,6 @@ class ProbeRecord:
     fan3_centers: int
     scale_triangle: float
     scale_c4: float
-    scale_p4: float
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -207,19 +206,14 @@ def _sweep_cell(args) -> PhasePoint:
     # Nested split (master, n, x, y) -> cell, (cell, i) -> trial keeps cells
     # independently reproducible and a single-cell sweep identical to a
     # plain trial batch started from the cell seed.
-    cell_seed = derive_seed(master_seed, n, x, y)
-    successes = 0
-    for i in range(trials):
-        cfg = ProcessConfig(n=n, t=t, b=b, seed=derive_seed(cell_seed, i))
-        rec = run_one_trial(target, cfg, spec, early_stop=early_stop)
-        successes += rec.success
+    base = ProcessConfig(n=n, t=t, b=b, seed=derive_seed(master_seed, n, x, y))
     return PhasePoint(
         n=n,
         x=x,
         y=y,
         t=t,
         b=b,
-        estimate=estimate_from_counts(successes, trials),
+        estimate=run_trials(target, base, spec, trials, early_stop=early_stop),
         y_star_pred=predicted_log_threshold(target, x),
         t_clamped=t != t_raw,
     )
@@ -244,6 +238,8 @@ def sweep_grid(
     """
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
+    if jobs < 1:
+        raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     for x in x_grid:
         if not X_RANGE[0] <= x <= X_RANGE[1]:
             raise ConfigurationError(f"x={x} outside {X_RANGE}")
@@ -346,7 +342,6 @@ def _probe_trial(args) -> ProbeRecord:
     spec = StrategySpec(_PROBE_SPECS[adversary])
     cfg = ProcessConfig(n=n, t=t, b=b, seed=seed)
     strategy = build_strategy(spec, cfg)
-    rec_graph = BuilderGraph(n)
     # Detection stays off: probes consume the full (t, b) process.
     record = run_strategy(
         cfg,
@@ -356,24 +351,22 @@ def _probe_trial(args) -> ProbeRecord:
         early_stop=False,
         keep_graph=True,
     )
-    for u, v in record.purchased_edges:
-        rec_graph.insert_edge(u, v)
-    fans = fan_center_counts(rec_graph, 3)
+    graph = record.purchased
+    fans = fan_center_counts(graph, 3)
     return ProbeRecord(
         n=n,
         t=t,
         b=b,
         adversary=adversary,
-        triangles=count_pattern(rec_graph, TRIANGLE),
-        c4=count_pattern(rec_graph, C4),
-        paw=count_pattern(rec_graph, PAW),
-        p4=count_pattern(rec_graph, P4),
+        triangles=count_pattern(graph, TRIANGLE),
+        c4=count_pattern(graph, C4),
+        paw=count_pattern(graph, PAW),
+        p4=count_pattern(graph, P4),
         fan1_centers=fans[0],
         fan2_centers=fans[1],
         fan3_centers=fans[2],
         scale_triangle=b * t**2 / n**3,
         scale_c4=b * t**3 / n**4,
-        scale_p4=b * t**2 / n**2,
     )
 
 
@@ -394,6 +387,8 @@ def probe_counts(
         )
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
+    if jobs < 1:
+        raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     items = [
         (n, t, b, adversary, derive_seed(master_seed, n, i)) for i in range(trials)
     ]

@@ -55,12 +55,11 @@ class ProcessState:
     clock: int = 0
     budget_used: int = 0
     purchased: BuilderGraph = None  # type: ignore[assignment]
-    revealed: set = field(default_factory=set)  # pair codes
+    drawn: set = field(default_factory=set)  # codes revealed or queued in _buffer
     _rng: np.random.Generator = None  # type: ignore[assignment]
     _offsets: np.ndarray = None  # type: ignore[assignment]
     _buffer: list = field(default_factory=list)  # decoded (u, v), FIFO
     _buffer_pos: int = 0
-    _pending: set = field(default_factory=set)  # codes queued in _buffer
     _exact_tail: bool = False
 
 
@@ -88,32 +87,30 @@ def _refill(state: ProcessState) -> None:
     need = cfg.t - state.clock - (len(state._buffer) - state._buffer_pos)
     if need <= 0:
         return
-    drawn = len(state.revealed) + len(state._pending)
+    drawn = state.drawn
     rng = state._rng
     # Rejection sampling is O(1) expected while fewer than half the pairs
     # are spoken for; past that point, lay out the exact remainder once.
-    while need > 0 and drawn < n_pairs // 2 and not state._exact_tail:
+    while need > 0 and len(drawn) < n_pairs // 2 and not state._exact_tail:
         batch = rng.integers(0, n_pairs, size=max(64, need + (need >> 2) + 8))
         fresh = []
         for code in batch.tolist():
-            if code in state.revealed or code in state._pending:
+            if code in drawn:
                 continue
-            state._pending.add(code)
+            drawn.add(code)
             fresh.append(code)
             need -= 1
-            drawn += 1
             if need <= 0:
                 break
         if fresh:
             state._buffer.extend(_decode(state, np.asarray(fresh, dtype=np.int64)))
     if need > 0:
         state._exact_tail = True
-        taken = state.revealed | state._pending
         remaining = np.array(
-            [c for c in range(n_pairs) if c not in taken], dtype=np.int64
+            [c for c in range(n_pairs) if c not in drawn], dtype=np.int64
         )
         order = rng.permutation(remaining)
-        state._pending.update(order.tolist())
+        drawn.update(order.tolist())
         state._buffer.extend(_decode(state, order))
 
 
@@ -126,9 +123,6 @@ def next_edge(state: ProcessState) -> Edge:
         _refill(state)
     u, v = state._buffer[state._buffer_pos]
     state._buffer_pos += 1
-    code = int(state._offsets[u]) + v - u - 1
-    state._pending.discard(code)
-    state.revealed.add(code)
     state.clock += 1
     return Edge(u, v)
 
@@ -149,7 +143,7 @@ class TrialRecord:
     edges_bought: int
     clock_at_stop: int
     phase_stats: dict
-    purchased_edges: Optional[list] = None
+    purchased: Optional[BuilderGraph] = None  # the live graph, with keep_graph
 
 
 def run_strategy(
@@ -204,5 +198,5 @@ def run_strategy(
         edges_bought=state.budget_used,
         clock_at_stop=state.clock,
         phase_stats=strategy.stats(),
-        purchased_edges=state.purchased.edges() if keep_graph else None,
+        purchased=state.purchased if keep_graph else None,
     )

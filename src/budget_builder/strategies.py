@@ -44,7 +44,6 @@ class StrategyParams:
     per_vertex_cap: int = 0
     phase_budgets: tuple = ()  # per-phase purchase caps, in phase order
     k: int = 0
-    regime_override: Optional[str] = None  # "short" | "long"
 
 
 @dataclass(frozen=True)
@@ -55,16 +54,6 @@ class StrategySpec:
     @property
     def name(self) -> str:
         return self.kind.value
-
-
-_KIND_BY_NAME = {kind.value: kind for kind in StrategyKind}
-
-
-def kind_from_name(name: str) -> StrategyKind:
-    try:
-        return _KIND_BY_NAME[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown strategy {name!r}") from None
 
 
 def _geomean_seed_set(lo_log: float, hi_log: float, n: int) -> int:
@@ -98,7 +87,6 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
             params = StrategyParams(
                 phase_length=t // 2,
                 phase_budgets=(b // 2, b // 2),
-                regime_override=regime,
             )
             kind = StrategyKind.DIAMOND_LONG
         else:
@@ -113,7 +101,6 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
                 seed_set_size=r,
                 per_vertex_cap=math.ceil(3 * phase_length / n),
                 phase_budgets=(b // 3, b // 2, b),
-                regime_override=regime,
             )
             kind = StrategyKind.DIAMOND_SHORT
     elif target.tag == "fan":
@@ -124,7 +111,6 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
                 phase_length=t // 2,
                 phase_budgets=(b // 2, b // 2),
                 k=k,
-                regime_override=regime,
             )
             kind = StrategyKind.FAN_LONG
         else:
@@ -146,19 +132,26 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
                 per_vertex_cap=cap,
                 phase_budgets=(k * b // (k + 1),) + (b // (k + 1),) * k,
                 k=k,
-                regime_override=regime,
             )
             kind = StrategyKind.FAN_SHORT
     else:
         raise UnsupportedPattern(f"no strategy for target {target}")
     for key, value in overrides.items():
-        if value is not None:
-            params = replace(params, **{key: value})
+        if value is None:
+            continue
+        if key == "seed_set_size" and not 1 <= value <= n:
+            raise ConfigurationError(
+                f"seed set size must lie in [1, n={n}], got {value}"
+            )
+        if key == "per_vertex_cap" and value < 1:
+            raise ConfigurationError(f"per-vertex cap must be >= 1, got {value}")
+        params = replace(params, **{key: value})
     return StrategySpec(kind, params)
 
 
 class _Base:
-    name = "base"
+    """Shared budget check; `name` (the StrategyKind value) is set by
+    build_strategy."""
 
     def __init__(self, config: ProcessConfig, params: StrategyParams, rng):
         self.config = config
@@ -177,23 +170,17 @@ class _Base:
 
 
 class BuyAll(_Base):
-    name = "buy-all"
-
     def decide(self, state: ProcessState, e: Edge) -> bool:
         return self._budget_left(state)
 
 
 class NeverBuy(_Base):
-    name = "never-buy"
-
     def decide(self, state: ProcessState, e: Edge) -> bool:
         return False
 
 
 class Connectivity(_Base):
     """Buy an edge iff it joins two purchased-graph components."""
-
-    name = "connectivity"
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
@@ -221,8 +208,6 @@ class DegreeGreedy(_Base):
     prefix (stand-in for the high-degree prefix, since degrees concentrate)
     while budget lasts."""
 
-    name = "degree-greedy"
-
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.h = min(6 * config.b * config.n // max(config.t, 1), config.n)
@@ -236,20 +221,14 @@ class DegreeGreedy(_Base):
         return {"budget_skips": self.budget_skips, "prefix_size": self.h}
 
 
-class DiamondShort(_Base):
-    """Three-phase diamond builder for the short-time regime.
+class _SeedPhaseBuilder(_Base):
+    """Seed phase and neighborhood freeze shared by the short-time builders.
 
-    Phase 1 (first T reveals): buy edges meeting the seed set R, capped per
-    seed vertex and by the phase budget. Phase 2 (next T): buy edges lying
-    inside a frozen seed neighborhood, up to half the budget; such an edge
-    closes a triangle, and a second one sharing a vertex in the same
-    neighborhood (or one lying in two neighborhoods) already completes the
-    diamond. Phase 3 (rest): buy only edges from the candidate set, i.e.
-    pairs that extend a phase-2 triangle to a diamond and were not revealed
-    during phase 1.
+    During the seed phase (the first T reveals) an edge meeting the seed set
+    R = {0, ..., r-1} is bought for the first endpoint in R whose per-vertex
+    cap is not yet reached, while the phase-0 budget lasts. At the end of
+    the phase each seed's purchased neighborhood is frozen.
     """
-
-    name = "k4m-short"
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
@@ -257,15 +236,27 @@ class DiamondShort(_Base):
         self.r = params.seed_set_size
         self.cap = params.per_vertex_cap
         self.p_caps = params.phase_budgets
-        self.p_bought = [0, 0, 0]
-        self.cap_skips = 0
+        self.p_bought = [0] * len(self.p_caps)
         self.attr_count = [0] * self.r
-        self.phase1_revealed: set[tuple[int, int]] = set()
+        self.cap_skips = 0
         self.frozen_nbrs: Optional[list] = None  # per seed vertex, set(N(v))
         self.member_of: Optional[list] = None  # vertex -> seed vertices
-        self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
-        self.candidates: Optional[set] = None
-        self.max_multiplicity = 0
+
+    def _seed_decide(self, state: ProcessState, u: int, v: int) -> bool:
+        holder = -1
+        if u < self.r and self.attr_count[u] < self.cap:
+            holder = u
+        elif v < self.r and self.attr_count[v] < self.cap:
+            holder = v
+        if holder < 0:
+            if u < self.r or v < self.r:
+                self.cap_skips += 1
+            return False
+        if self.p_bought[0] >= self.p_caps[0] or not self._budget_left(state):
+            return False
+        self.attr_count[holder] += 1
+        self.p_bought[0] += 1
+        return True
 
     def _freeze(self, state: ProcessState) -> None:
         g = state.purchased
@@ -276,6 +267,26 @@ class DiamondShort(_Base):
                 member_of[x].append(v)
         self.member_of = member_of
 
+
+class DiamondShort(_SeedPhaseBuilder):
+    """Three-phase diamond builder for the short-time regime.
+
+    Phase 1 (first T reveals): the seed phase. Phase 2 (next T): buy edges
+    lying inside a frozen seed neighborhood, up to half the budget; such an
+    edge closes a triangle, and a second one sharing a vertex in the same
+    neighborhood (or one lying in two neighborhoods) already completes the
+    diamond. Phase 3 (rest): buy only edges from the candidate set, i.e.
+    pairs that extend a phase-2 triangle to a diamond and were not revealed
+    during phase 1.
+    """
+
+    def __init__(self, config, params, rng):
+        super().__init__(config, params, rng)
+        self.phase1_revealed: set[tuple[int, int]] = set()
+        self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
+        self.candidates: Optional[set] = None
+        self.max_multiplicity = 0
+
     def _neighborhoods_containing(self, u: int, v: int) -> list[int]:
         return [w for w in self.member_of[u] if v in self.frozen_nbrs[w]]
 
@@ -284,23 +295,10 @@ class DiamondShort(_Base):
         u, v = e
         if clock <= self.T:
             self.phase1_revealed.add((u, v))
-            holder = -1
-            if u < self.r and self.attr_count[u] < self.cap:
-                holder = u
-            elif v < self.r and self.attr_count[v] < self.cap:
-                holder = v
-            if holder < 0:
-                if u < self.r or v < self.r:
-                    self.cap_skips += 1
-                return False
-            if self.p_bought[0] >= self.p_caps[0] or not self._budget_left(state):
-                return False
-            self.attr_count[holder] += 1
-            self.p_bought[0] += 1
-            return True
+            return self._seed_decide(state, u, v)
+        if self.frozen_nbrs is None:
+            self._freeze(state)
         if clock <= 2 * self.T:
-            if self.frozen_nbrs is None:
-                self._freeze(state)
             holders = self._neighborhoods_containing(u, v)
             if not holders:
                 return False
@@ -311,8 +309,6 @@ class DiamondShort(_Base):
             self.phase2_edges.append((holders[0], u, v))
             self.p_bought[1] += 1
             return True
-        if self.frozen_nbrs is None:
-            self._freeze(state)
         if self.candidates is None:
             self._build_candidates()
         if (u, v) not in self.candidates:
@@ -355,8 +351,6 @@ class AnchorNeighborhood(_Base):
     incremental detector picks either up.
     """
 
-    name = "anchor"
-
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.T = params.phase_length
@@ -392,41 +386,22 @@ class AnchorNeighborhood(_Base):
         }
 
 
-class DiamondLong(AnchorNeighborhood):
-    name = "k4m-long"
-
-
-class FanLong(AnchorNeighborhood):
-    name = "tk-long"
-
-
-class FanShort(_Base):
+class FanShort(_SeedPhaseBuilder):
     """Seed-and-rounds fan builder for the short-time regime.
 
-    Phase 0 (first T reveals): buy edges meeting the seed set, capped per
-    seed vertex. Rounds 1..k (T reveals each): buy an edge lying inside a
-    surviving seed's frozen neighborhood when it is vertex-disjoint from
-    the edges already bought inside that neighborhood; at each round
-    boundary only seeds whose neighborhood gained an edge survive. A seed
-    that collects k disjoint inside edges is the center of a k-fan.
+    Phase 0 (first T reveals): the seed phase. Rounds 1..k (T reveals
+    each): buy an edge lying inside a surviving seed's frozen neighborhood
+    when it is vertex-disjoint from the edges already bought inside that
+    neighborhood; at each round boundary only seeds whose neighborhood
+    gained an edge survive. A seed that collects k disjoint inside edges is
+    the center of a k-fan. Phase budgets and purchases are indexed
+    (phase 0, round 1, ..., round k).
     """
-
-    name = "tk-short"
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.k = params.k
-        self.T = params.phase_length
-        self.r = params.seed_set_size
-        self.cap = params.per_vertex_cap
-        self.p_caps = params.phase_budgets  # (phase 0, round 1, ..., round k)
-        self.attr_count = [0] * self.r
-        self.cap_skips = 0
-        self.phase0_bought = 0
-        self.round_bought = 0
         self.current_round = 0
-        self.frozen_nbrs: Optional[list] = None
-        self.member_of: Optional[list] = None
         self.matched: Optional[list] = None  # per seed, vertices covered inside N
         self.survivors: set = set()
         self.gained: set = set()
@@ -439,13 +414,8 @@ class FanShort(_Base):
         return min((clock - 1) // self.T, self.k + 1)
 
     def _freeze(self, state: ProcessState) -> None:
+        super()._freeze(state)
         g = state.purchased
-        self.frozen_nbrs = [set(g.neighbors(v)) for v in range(self.r)]
-        member_of = [[] for _ in range(self.config.n)]
-        for v in range(self.r):
-            for x in self.frozen_nbrs[v]:
-                member_of[x].append(v)
-        self.member_of = member_of
         # Purchases already sitting inside a neighborhood block the vertices
         # they cover (phase-0 edges between two members count).
         matched = [set() for _ in range(self.r)]
@@ -469,26 +439,12 @@ class FanShort(_Base):
                 self.gained = set()
                 self.survivor_history.append(len(self.survivors))
                 self.survivor_sets.append(frozenset(self.survivors))
-            self.round_bought = 0
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         u, v = e
         rnd = self._round_of(state.clock)
         if rnd == 0:
-            holder = -1
-            if u < self.r and self.attr_count[u] < self.cap:
-                holder = u
-            elif v < self.r and self.attr_count[v] < self.cap:
-                holder = v
-            if holder < 0:
-                if u < self.r or v < self.r:
-                    self.cap_skips += 1
-                return False
-            if self.phase0_bought >= self.p_caps[0] or not self._budget_left(state):
-                return False
-            self.attr_count[holder] += 1
-            self.phase0_bought += 1
-            return True
+            return self._seed_decide(state, u, v)
         if rnd > self.k:
             return False
         if self.frozen_nbrs is None:
@@ -507,20 +463,20 @@ class FanShort(_Base):
         ]
         if not placeable:
             return False
-        if self.round_bought >= self.p_caps[rnd] or not self._budget_left(state):
+        if self.p_bought[rnd] >= self.p_caps[rnd] or not self._budget_left(state):
             return False
         for w in hosts:
             self.matched[w].add(u)
             self.matched[w].add(v)
             self.gained.add(w)
-        self.round_bought += 1
+        self.p_bought[rnd] += 1
         return True
 
     def stats(self) -> dict:
         return {
             "budget_skips": self.budget_skips,
             "cap_skips": self.cap_skips,
-            "phase0_bought": self.phase0_bought,
+            "phase0_bought": self.p_bought[0],
             "seed_set_size": self.r,
             "survivor_history": tuple(self.survivor_history),
         }
@@ -532,13 +488,16 @@ _BUILDERS = {
     StrategyKind.CONNECTIVITY: Connectivity,
     StrategyKind.DEGREE_GREEDY: DegreeGreedy,
     StrategyKind.DIAMOND_SHORT: DiamondShort,
-    StrategyKind.DIAMOND_LONG: DiamondLong,
+    StrategyKind.DIAMOND_LONG: AnchorNeighborhood,
     StrategyKind.FAN_SHORT: FanShort,
-    StrategyKind.FAN_LONG: FanLong,
+    StrategyKind.FAN_LONG: AnchorNeighborhood,
 }
 
 
 def build_strategy(spec: StrategySpec, config: ProcessConfig):
     """Fresh strategy instance with its own RNG substream for this trial."""
-    cls = _BUILDERS[spec.kind]
-    return cls(config, spec.params, substream(config.seed, STREAM_STRATEGY))
+    strategy = _BUILDERS[spec.kind](
+        config, spec.params, substream(config.seed, STREAM_STRATEGY)
+    )
+    strategy.name = spec.name
+    return strategy

@@ -165,7 +165,7 @@ def test_criterion_3_budget_contract_and_confirmed_successes(
                 if rec.edges_bought > b:
                     over_budget += 1
                 g = BuilderGraph(rec.n)
-                for u, v in rec.purchased_edges:
+                for u, v in rec.purchased.edges():
                     g.insert_edge(u, v)
                 contained = (
                     contains_diamond(g)

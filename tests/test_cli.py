@@ -252,3 +252,32 @@ def test_diagnostics_flag_reports_multiplicity(tmp_path, capsys):
     )
     assert code == 0
     assert "max neighborhoods sharing one pair" in capsys.readouterr().err
+
+
+_RUN_N50 = ["run", "--target", "k4m", "--n", "50", "--t", "150", "--b", "40",
+            "--trials", "2"]
+_SWEEP_N40 = ["sweep", "--target", "k4m", "--n-list", "40", "--x-min", "1.2",
+              "--x-max", "1.2", "--x-step", "0.1", "--y-min", "0.4", "--y-max",
+              "0.4", "--y-step", "0.1", "--trials", "2", "--seed", "1"]
+_PROBE_N40 = ["probe", "--n-list", "40", "--t-exp", "1.3", "--b-exp", "1.1",
+              "--trials", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _RUN_N50 + ["--seed", "1", "--r-override", "100"],
+        _RUN_N50 + ["--seed", "1", "--r-override", "-3"],
+        _RUN_N50 + ["--seed", "1", "--per-vertex-cap", "0"],
+        _SWEEP_N40 + ["--jobs", "0"],
+        _PROBE_N40 + ["--jobs", "0"],
+        _RUN_N50 + ["--config", "{config}"],  # the file sets seed = abc
+    ],
+)
+def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("seed = abc\n")
+    argv = [arg.format(config=config) for arg in argv]
+    assert parse_and_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

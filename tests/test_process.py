@@ -27,7 +27,7 @@ def test_new_process_initial_state():
     assert state.clock == 0
     assert state.budget_used == 0
     assert state.purchased.edge_count == 0
-    assert state.revealed == set()
+    assert state.drawn == set()
 
 
 def test_new_process_rejects_too_many_edges():
