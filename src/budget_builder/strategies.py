@@ -150,19 +150,30 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
 
 
 class _Base:
-    """Shared budget check; `name` (the StrategyKind value) is set by
-    build_strategy."""
+    """Shared budget check and per-phase purchase caps; `name` (the
+    StrategyKind value) is set by build_strategy."""
 
     def __init__(self, config: ProcessConfig, params: StrategyParams, rng):
         self.config = config
         self.params = params
         self.rng = rng
         self.budget_skips = 0
+        self.T = params.phase_length
+        self.p_caps = params.phase_budgets
+        self.p_bought = [0] * len(self.p_caps)
 
     def _budget_left(self, state: ProcessState) -> bool:
         if state.budget_used >= self.config.b:
             self.budget_skips += 1
             return False
+        return True
+
+    def _phase_buy(self, state: ProcessState, i: int) -> bool:
+        """Buy in phase i unless its cap is reached or the budget is spent
+        (the cap is checked first, so only budget refusals are counted)."""
+        if self.p_bought[i] >= self.p_caps[i] or not self._budget_left(state):
+            return False
+        self.p_bought[i] += 1
         return True
 
     def stats(self) -> dict:
@@ -245,11 +256,8 @@ class _SeedPhaseBuilder(_Base):
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
-        self.T = params.phase_length
         self.r = params.seed_set_size
         self.cap = params.per_vertex_cap
-        self.p_caps = params.phase_budgets
-        self.p_bought = [0] * len(self.p_caps)
         self.attr_count = [0] * self.r
         self.cap_skips = 0
         self.frozen_nbrs: Optional[list] = None  # per seed vertex, set(N(v))
@@ -265,10 +273,9 @@ class _SeedPhaseBuilder(_Base):
             if u < self.r or v < self.r:
                 self.cap_skips += 1
             return False
-        if self.p_bought[0] >= self.p_caps[0] or not self._budget_left(state):
+        if not self._phase_buy(state, 0):
             return False
         self.attr_count[holder] += 1
-        self.p_bought[0] += 1
         return True
 
     def _freeze(self, state: ProcessState) -> None:
@@ -313,23 +320,15 @@ class DiamondShort(_SeedPhaseBuilder):
             self._freeze(state)
         if clock <= 2 * self.T:
             holders = self._neighborhoods_containing(u, v)
-            if not holders:
-                return False
-            if self.p_bought[1] >= self.p_caps[1] or not self._budget_left(state):
+            if not holders or not self._phase_buy(state, 1):
                 return False
             if len(holders) > self.max_multiplicity:
                 self.max_multiplicity = len(holders)
             self.phase2_edges.append((holders[0], u, v))
-            self.p_bought[1] += 1
             return True
         if self.candidates is None:
             self._build_candidates()
-        if (u, v) not in self.candidates:
-            return False
-        if self.p_bought[2] >= self.p_caps[2] or not self._budget_left(state):
-            return False
-        self.p_bought[2] += 1
-        return True
+        return (u, v) in self.candidates and self._phase_buy(state, 2)
 
     def _build_candidates(self) -> None:
         cand = set()
@@ -366,9 +365,6 @@ class AnchorNeighborhood(_Base):
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
-        self.T = params.phase_length
-        self.p_caps = params.phase_budgets
-        self.p_bought = [0, 0]
         self.anchor = 0
         self.frozen: Optional[set] = None
 
@@ -376,20 +372,10 @@ class AnchorNeighborhood(_Base):
         clock = state.clock
         u, v = e
         if clock <= self.T:
-            if u != self.anchor and v != self.anchor:
-                return False
-            if self.p_bought[0] >= self.p_caps[0] or not self._budget_left(state):
-                return False
-            self.p_bought[0] += 1
-            return True
+            return (u == self.anchor or v == self.anchor) and self._phase_buy(state, 0)
         if self.frozen is None:
             self.frozen = set(state.purchased.neighbors(self.anchor))
-        if u not in self.frozen or v not in self.frozen:
-            return False
-        if self.p_bought[1] >= self.p_caps[1] or not self._budget_left(state):
-            return False
-        self.p_bought[1] += 1
-        return True
+        return u in self.frozen and v in self.frozen and self._phase_buy(state, 1)
 
     def stats(self) -> dict:
         return {
@@ -474,15 +460,12 @@ class FanShort(_SeedPhaseBuilder):
         placeable = [
             w for w in hosts if u not in self.matched[w] and v not in self.matched[w]
         ]
-        if not placeable:
-            return False
-        if self.p_bought[rnd] >= self.p_caps[rnd] or not self._budget_left(state):
+        if not placeable or not self._phase_buy(state, rnd):
             return False
         for w in hosts:
             self.matched[w].add(u)
             self.matched[w].add(v)
             self.gained.add(w)
-        self.p_bought[rnd] += 1
         return True
 
     def stats(self) -> dict:
