@@ -450,19 +450,16 @@ class FanShort(_SeedPhaseBuilder):
             self._freeze(state)
         if self.current_round < rnd:
             self._advance_round(rnd)
-        hosts = [
+        # Only a surviving host whose link matching the edge grows is credited.
+        placeable = [
             w
             for w in self.member_of[u]
             if w in self.survivors and v in self.frozen_nbrs[w]
-        ]
-        if not hosts:
-            return False
-        placeable = [
-            w for w in hosts if u not in self.matched[w] and v not in self.matched[w]
+            and u not in self.matched[w] and v not in self.matched[w]
         ]
         if not placeable or not self._phase_buy(state, rnd):
             return False
-        for w in hosts:
+        for w in placeable:
             self.matched[w].add(u)
             self.matched[w].add(v)
             self.gained.add(w)

@@ -9,6 +9,7 @@ from budget_builder.detect import (
     detector_for,
     diamond_completing_check,
     fan,
+    matching_within,
 )
 from budget_builder.errors import UnsupportedPattern
 from budget_builder.process import ProcessConfig, run_strategy
@@ -266,6 +267,28 @@ def test_fan_short_completes_fan_via_disjoint_rounds():
     assert decisions[7] is False
     assert decisions[8] is True
     assert contains_fan(state.purchased, 2)
+
+
+def test_fan_short_round_survivors_hold_a_link_matching_of_their_round():
+    # T = 7, seeds {0, 1}: N(0) = {5,6,8,9}, N(1) = {5,6,7}. Round 1 buys
+    # (6,7) in N(1) and (8,9) in N(0). Round 2's (5,6) lies in both, but
+    # only grows N(0)'s matching: 6 is already covered inside N(1).
+    config = ProcessConfig(n=16, t=21, b=12, seed=0)
+    strat = _fan_short(config, 2, seed_set_size=2, per_vertex_cap=4)
+    assert strat.T == 7
+    outside = [(2, 3), (2, 4), (3, 4), (10, 11), (10, 12), (11, 12),
+               (12, 13), (13, 14), (14, 15), (2, 10), (3, 11)]
+    edges = (
+        [(0, 5), (0, 6), (0, 8), (0, 9), (1, 5), (1, 6), (1, 7)]  # phase 0
+        + [(6, 7), (8, 9)] + outside[:5]                          # round 1
+        + [(5, 6)] + outside[5:]                                  # round 2
+    )
+    _, state = drive(strat, 16, edges, config.b)
+    rounds = list(strat.survivor_sets[1:]) + [frozenset(strat.gained)]
+    for i, survivors in enumerate(rounds, start=1):
+        for w in survivors:
+            assert matching_within(state.purchased, strat.frozen_nbrs[w], 2) >= i
+    assert rounds == [{0, 1}, {0}]
 
 
 def test_fan_short_survivor_sets_nested():
