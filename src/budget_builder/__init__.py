@@ -1,7 +1,7 @@
 """Budget-restricted random graph process: simulator, builder strategies,
 and a Monte Carlo harness for the diamond / k-fan budget thresholds."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .detect import (  # noqa: F401
     C4,

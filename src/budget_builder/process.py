@@ -55,63 +55,32 @@ class ProcessState:
     clock: int = 0
     budget_used: int = 0
     purchased: BuilderGraph = None  # type: ignore[assignment]
-    drawn: set = field(default_factory=set)  # codes revealed or queued in _buffer
-    _rng: np.random.Generator = None  # type: ignore[assignment]
-    _offsets: np.ndarray = None  # type: ignore[assignment]
-    _buffer: list = field(default_factory=list)  # decoded (u, v), FIFO
-    _buffer_pos: int = 0
-    _exact_tail: bool = False
+    _order: list = field(default_factory=list)  # all t reveals, drawn at the first
 
 
 def new_process(config: ProcessConfig) -> ProcessState:
     config.validate()
     state = ProcessState(config=config)
     state.purchased = BuilderGraph(config.n)
-    state._rng = substream(config.seed, STREAM_EDGES)
-    n = config.n
-    rows = np.arange(n, dtype=np.int64)
-    # _offsets[u] = first pair code of row u in the (u < v) enumeration.
-    state._offsets = rows * (2 * n - rows - 1) // 2
     return state
 
 
-def _decode(state: ProcessState, codes: np.ndarray) -> list[tuple[int, int]]:
-    us = np.searchsorted(state._offsets, codes, side="right") - 1
-    vs = codes - state._offsets[us] + us + 1
+def _draw_order(config: ProcessConfig) -> list[tuple[int, int]]:
+    """The whole stream: one uniform ordered sample of t distinct pairs.
+
+    `choice(..., replace=False)` draws the t pair codes with Floyd's
+    algorithm, or by a partial shuffle of all C(n,2) codes once t exceeds
+    C(n,2)/50; either way memory stays O(t + n). Codes enumerate the pairs
+    u < v row by row.
+    """
+    n = config.n
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2  # first pair code of row u
+    rng = substream(config.seed, STREAM_EDGES)
+    codes = rng.choice(config.num_pairs, size=config.t, replace=False)
+    us = np.searchsorted(offsets, codes, side="right") - 1
+    vs = codes - offsets[us] + us + 1
     return list(zip(us.tolist(), vs.tolist()))
-
-
-def _refill(state: ProcessState) -> None:
-    cfg = state.config
-    n_pairs = cfg.num_pairs
-    need = cfg.t - state.clock - (len(state._buffer) - state._buffer_pos)
-    if need <= 0:
-        return
-    drawn = state.drawn
-    rng = state._rng
-    # Rejection sampling is O(1) expected while fewer than half the pairs
-    # are spoken for; past that point, lay out the exact remainder once.
-    while need > 0 and len(drawn) < n_pairs // 2 and not state._exact_tail:
-        batch = rng.integers(0, n_pairs, size=max(64, need + (need >> 2) + 8))
-        fresh = []
-        for code in batch.tolist():
-            if code in drawn:
-                continue
-            drawn.add(code)
-            fresh.append(code)
-            need -= 1
-            if need <= 0:
-                break
-        if fresh:
-            state._buffer.extend(_decode(state, np.asarray(fresh, dtype=np.int64)))
-    if need > 0:
-        state._exact_tail = True
-        remaining = np.array(
-            [c for c in range(n_pairs) if c not in drawn], dtype=np.int64
-        )
-        order = rng.permutation(remaining)
-        drawn.update(order.tolist())
-        state._buffer.extend(_decode(state, order))
 
 
 def next_edge(state: ProcessState) -> Edge:
@@ -119,12 +88,12 @@ def next_edge(state: ProcessState) -> Edge:
     cfg = state.config
     if state.clock >= cfg.t:
         raise StreamExhausted(f"all {cfg.t} edges already revealed")
-    if state._buffer_pos >= len(state._buffer):
-        _refill(state)
-    u, v = state._buffer[state._buffer_pos]
-    state._buffer_pos += 1
+    if not state._order:
+        state._order = _draw_order(cfg)
+    # Built per reveal: an early stop leaves most of the order unread.
+    e = Edge._make(state._order[state.clock])
     state.clock += 1
-    return Edge(u, v)
+    return e
 
 
 @dataclass

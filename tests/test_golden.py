@@ -14,7 +14,7 @@ import pytest
 from budget_builder import __version__
 from budget_builder.cli import parse_and_dispatch
 
-GOLDEN_VERSION = "0.2.0"
+GOLDEN_VERSION = "0.3.0"
 GOLDEN_DIR = Path(__file__).parent / "data" / f"golden-{GOLDEN_VERSION}"
 
 RUNS = {

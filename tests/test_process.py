@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def test_new_process_initial_state():
     assert state.clock == 0
     assert state.budget_used == 0
     assert state.purchased.edge_count == 0
-    assert state.drawn == set()
+    assert state._order == []  # nothing is drawn before the first reveal
 
 
 def test_new_process_rejects_too_many_edges():
@@ -74,6 +76,19 @@ def test_full_reveal_k30_distinct():
     assert len(seen) == 435
     with pytest.raises(StreamExhausted):
         next_edge(state)
+
+
+def test_stream_memory_is_linear_in_t_and_n():
+    # A C(n,2)-sized code array would take ~96 MiB here; the stream should
+    # hold only its t pairs and the n row offsets.
+    tracemalloc.start()
+    try:
+        state = new_process(ProcessConfig(n=5000, t=1000, b=0, seed=4))
+        next_edge(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_stream_determinism_and_seed_sensitivity():
