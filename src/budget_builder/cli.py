@@ -18,6 +18,7 @@ from .errors import (
     DetectorMismatch,
 )
 from .experiments import (
+    cell_from_exponents,
     estimate_from_counts,
     grid_values,
     probe_counts,
@@ -31,28 +32,12 @@ from .process import ProcessConfig
 from .strategies import select_strategy
 
 
-def _default_seed() -> int:
-    env = os.environ.get("BB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError(f"BB_SEED must be an integer, got {env!r}")
-    return 0
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _parse_target(name: str, k: int | None) -> Pattern:
     if name == "k4m":
         return DIAMOND
-    if name == "tk":
-        if k is None or k < 1:
-            raise ConfigurationError("--target tk requires --k >= 1")
-        return fan(k)
-    raise ConfigurationError(f"--target must be k4m or tk, got {name!r}")
+    if k is None or k < 1:
+        raise ConfigurationError("--target tk requires --k >= 1")
+    return fan(k)
 
 
 def _parse_detect_pattern(text: str) -> Pattern:
@@ -87,9 +72,26 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key=value file; '#' comments allowed; flags win over the file."""
-    values = {}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise, so the CLI reports them as one line with exit 2."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
+def _config_tokens(path: str, verb: str, verbs: dict) -> list[str]:
+    """Flag tokens for a flat key=value file; '#' comments allowed.
+
+    A true boolean gives its bare flag and a false one nothing. Keys of
+    other verbs are skipped, so one file can serve run and sweep; a key no
+    verb has is rejected. The tokens go before the explicit flags, which
+    therefore win.
+    """
+    tokens = []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -101,126 +103,95 @@ def _load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            if flag == "--config":
+                continue
+            if not any(flag in p._option_string_actions for p in verbs.values()):
+                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            action = verbs[verb]._option_string_actions.get(flag)
+            if action is None:
+                continue
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in _TRUE:
+                tokens.append(flag)
+            elif value.lower() not in _FALSE:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key} needs true or false, got {value!r}"
+                )
+    return tokens
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its verb subparsers, each with only the flags it reads."""
+    parser = _Parser(
         prog="budget-builder",
         description="Budget-restricted random graph process simulator",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    run = sub.add_parser("run", help="fixed (n, t, b) trial batch")
+    sweep = sub.add_parser("sweep", help="phase-diagram grid in exponents")
+    probe = sub.add_parser("probe", help="adversarial counting probe")
+    detect = sub.add_parser("detect", help="pattern containment on an edge list")
 
-    def add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--config", type=str, default=None)
+    for p in (run, sweep):
+        p.add_argument("--target", choices=("k4m", "tk"), required=True)
+        p.add_argument("--k", type=int, default=None)
+    run.add_argument("--n", type=int, required=True)
+    run.add_argument("--t", type=int, required=True)
+    run.add_argument("--b", type=int, required=True)
+    for p in (sweep, probe):
+        p.add_argument("--n-list", required=True)
+    for name in ("--x-min", "--x-max", "--x-step", "--y-min", "--y-max", "--y-step"):
+        sweep.add_argument(name, type=float, required=True)
+    probe.add_argument("--adversary", default="degree-greedy")
+    probe.add_argument("--t-exp", type=float, required=True)
+    probe.add_argument("--b-exp", type=float, required=True)
+    for p in (run, sweep, probe):
+        p.add_argument("--trials", type=int, required=True)
+        # argparse converts a string default with type=int, so a bad
+        # BB_SEED is a parse error too, reported only when --seed is absent.
+        p.add_argument("--seed", type=int, default=os.environ.get("BB_SEED", "0"))
+        p.add_argument("--out", default=None)
+        p.add_argument("--config", default=None)
+    for p in (sweep, probe):
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    for p in (run, sweep):
         p.add_argument("--no-early-stop", action="store_true")
-        p.add_argument("--diagnostics", action="store_true")
         p.add_argument("--r-override", type=int, default=None)
         p.add_argument("--per-vertex-cap", type=int, default=None)
         p.add_argument("--regime", choices=("short", "long"), default=None)
+    run.add_argument("--diagnostics", action="store_true")
 
-    # Required values are validated after the --config merge so that a
-    # config file can supply any of them; explicit flags still win.
-    run = sub.add_parser("run", help="fixed (n, t, b) trial batch")
-    run.add_argument("--target")
-    run.add_argument("--k", type=int, default=None)
-    run.add_argument("--n", type=int)
-    run.add_argument("--t", type=int)
-    run.add_argument("--b", type=int)
-    run.add_argument("--trials", type=int)
-    add_common(run)
-
-    sweep = sub.add_parser("sweep", help="phase-diagram grid in exponents")
-    sweep.add_argument("--target")
-    sweep.add_argument("--k", type=int, default=None)
-    sweep.add_argument("--n-list")
-    sweep.add_argument("--x-min", type=float)
-    sweep.add_argument("--x-max", type=float)
-    sweep.add_argument("--x-step", type=float)
-    sweep.add_argument("--y-min", type=float)
-    sweep.add_argument("--y-max", type=float)
-    sweep.add_argument("--y-step", type=float)
-    sweep.add_argument("--trials", type=int)
-    add_common(sweep)
-
-    probe = sub.add_parser("probe", help="adversarial counting probe")
-    probe.add_argument("--adversary", default="degree-greedy")
-    probe.add_argument("--n-list")
-    probe.add_argument("--t-exp", type=float)
-    probe.add_argument("--b-exp", type=float)
-    probe.add_argument("--trials", type=int)
-    add_common(probe)
-
-    detect = sub.add_parser("detect", help="pattern containment on an edge list")
-    detect.add_argument("--graph")
-    detect.add_argument("--pattern")
-
-    return parser
+    detect.add_argument("--graph", required=True)
+    detect.add_argument("--pattern", required=True)
+    return parser, sub.choices
 
 
-_REQUIRED = {
-    "run": ("target", "n", "t", "b", "trials"),
-    "sweep": ("target", "n_list", "x_min", "x_max", "x_step",
-              "y_min", "y_max", "y_step", "trials"),
-    "probe": ("n_list", "t_exp", "b_exp", "trials"),
-    "detect": ("graph", "pattern"),
-}
-
-
-def _check_required(args: argparse.Namespace) -> None:
-    for field in _REQUIRED[args.verb]:
-        if getattr(args, field) is None:
-            raise ConfigurationError(
-                f"--{field.replace('_', '-')} is required for '{args.verb}'"
-            )
-
-
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    file_values = _load_config_file(args.config)
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in file_values.items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif key in ("n_list", "target", "adversary", "out", "regime", "graph", "pattern"):
-            setattr(args, key, raw)
-        else:
-            try:
-                if any(ch in raw for ch in ".eE") and raw.strip("-+.eE0123456789") == "":
-                    setattr(args, key, float(raw))
-                else:
-                    setattr(args, key, int(raw))
-            except ValueError:
-                raise ConfigurationError(
-                    f"--config {args.config}: {key} needs a number, got {raw!r}"
-                ) from None
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse once, with the --config file's tokens inserted after the verb."""
+    parser, verbs = _build_parser()
+    if argv and argv[0] in verbs and "--config" in verbs[argv[0]]._option_string_actions:
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        if path is not None:
+            argv = [argv[0], *_config_tokens(path, argv[0], verbs), *argv[1:]]
+    return parser.parse_args(argv)
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
     return {
-        "seed_set_size": getattr(args, "r_override", None),
-        "per_vertex_cap": getattr(args, "per_vertex_cap", None),
-        "regime_override": getattr(args, "regime", None),
+        "seed_set_size": args.r_override,
+        "per_vertex_cap": args.per_vertex_cap,
+        "regime_override": args.regime,
     }
 
 
 def _cmd_run(args) -> int:
     target = _parse_target(args.target, args.k)
-    seed = args.seed if args.seed is not None else _default_seed()
-    base = ProcessConfig(n=args.n, t=args.t, b=args.b, seed=seed)
+    base = ProcessConfig(n=args.n, t=args.t, b=args.b, seed=args.seed)
     base.validate()
     spec = select_strategy(target, args.n, args.t, args.b, _overrides_from(args))
     records = run_trial_batch(
@@ -228,7 +199,7 @@ def _cmd_run(args) -> int:
     )
     estimate = estimate_from_counts(sum(r.success for r in records), args.trials)
     if args.out:
-        write_trials_csv(args.out, records, seed)
+        write_trials_csv(args.out, records, args.seed)
     print(
         f"{spec.name}: {estimate.successes}/{estimate.trials} successes, "
         f"p_hat={estimate.p_hat:.4f} "
@@ -245,8 +216,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     target = _parse_target(args.target, args.k)
-    seed = args.seed if args.seed is not None else _default_seed()
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.x_min > args.x_max:
         raise ConfigurationError("--x-min exceeds --x-max")
     if args.y_min > args.y_max:
@@ -257,30 +226,26 @@ def _cmd_sweep(args) -> int:
         grid_values(args.x_min, args.x_max, args.x_step),
         grid_values(args.y_min, args.y_max, args.y_step),
         args.trials,
-        seed,
-        jobs=jobs,
+        args.seed,
+        jobs=args.jobs,
         early_stop=not args.no_early_stop,
         overrides=_overrides_from(args),
     )
     if args.out:
-        write_sweep_csv(args.out, target, points, seed)
+        write_sweep_csv(args.out, target, points, args.seed)
     print(f"sweep: {len(points)} cells, {args.trials} trials each")
     return 0
 
 
 def _cmd_probe(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     all_records = []
     for n in _parse_n_list(args.n_list):
-        n_pairs = n * (n - 1) // 2
-        t = min(max(int(round(n ** args.t_exp)), 1), n_pairs)
-        b = int(round(n ** args.b_exp))
+        t, b, _ = cell_from_exponents(n, args.t_exp, args.b_exp)
         all_records.extend(
-            probe_counts(n, t, b, args.adversary, args.trials, seed, jobs=jobs)
+            probe_counts(n, t, b, args.adversary, args.trials, args.seed, jobs=args.jobs)
         )
     if args.out:
-        write_probe_csv(args.out, all_records, seed)
+        write_probe_csv(args.out, all_records, args.seed)
     print(f"probe: {len(all_records)} records")
     return 0
 
@@ -304,15 +269,11 @@ _COMMANDS = {
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config_file(args, argv)
-        _check_required(args)
+        args = _parse(argv)
         return _COMMANDS[args.verb](args)
+    except SystemExit as exc:  # -h/--help; parse errors raise instead
+        return int(exc.code or 0)
     except (ConfigurationError, CrossoverNotEstimable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

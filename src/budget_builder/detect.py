@@ -208,16 +208,7 @@ def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
     endpoints inside N(v); a k-fan centered at v exists iff this matching
     reaches k.
     """
-    nbrs = g.adj[v]
-    if len(nbrs) < 2:
-        return 0
-    inside = set(nbrs)
-    link_edges = []
-    for x in nbrs:
-        for y in g.adj[x]:
-            if y > x and y in inside:
-                link_edges.append((x, y))
-    return _max_matching_edges(link_edges, cap)
+    return matching_within(g, g.adj[v], cap)
 
 
 def contains_fan(g: BuilderGraph, k: int) -> bool:
@@ -244,10 +235,14 @@ def contains_p3_within(g: BuilderGraph, vertices) -> bool:
 
 
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
-    """Maximum matching size of the subgraph induced on the set, capped."""
+    """Maximum matching size of the subgraph induced on the vertices, capped.
+
+    `vertices` is a collection, read twice; the branching visits the induced
+    edges in the order of their lower endpoint in it.
+    """
     inside = set(vertices)
     edges = []
-    for x in inside:
+    for x in vertices:
         for y in g.adj[x]:
             if y > x and y in inside:
                 edges.append((x, y))

@@ -10,7 +10,6 @@ of execution order or worker count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -196,12 +195,17 @@ X_RANGE = (1.0, 2.0)
 Y_RANGE = (0.0, 1.5)
 
 
+def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int, bool]:
+    """(t, b, t_clamped) for t = n^x and b = n^y, rounded, with t clamped
+    to [1, C(n, 2)]; t_clamped says whether the clamp moved t."""
+    t_raw = int(round(n ** x))
+    t = min(max(t_raw, 1), n * (n - 1) // 2)
+    return t, int(round(n ** y)), t != t_raw
+
+
 def _sweep_cell(args) -> PhasePoint:
     (target, n, x, y, trials, master_seed, early_stop, overrides) = args
-    n_pairs = n * (n - 1) // 2
-    t_raw = int(round(n ** x))
-    t = min(max(t_raw, 1), n_pairs)
-    b = int(round(n ** y))
+    t, b, t_clamped = cell_from_exponents(n, x, y)
     spec = select_strategy(target, n, t, b, overrides)
     # Nested split (master, n, x, y) -> cell, (cell, i) -> trial keeps cells
     # independently reproducible and a single-cell sweep identical to a
@@ -215,7 +219,7 @@ def _sweep_cell(args) -> PhasePoint:
         b=b,
         estimate=run_trials(target, base, spec, trials, early_stop=early_stop),
         y_star_pred=predicted_log_threshold(target, x),
-        t_clamped=t != t_raw,
+        t_clamped=t_clamped,
     )
 
 
@@ -415,12 +419,25 @@ def _fmt(value: float) -> str:
 
 
 def _open_csv(path, columns: str, master_seed: int):
-    """Append mode; header comment and column line only on a fresh file."""
-    fresh = not (os.path.exists(path) and os.path.getsize(path) > 0)
-    fh = open(path, "a", encoding="utf-8", newline="\n")
-    if fresh:
-        fh.write(f"# budget-builder v{__version__}, seed {master_seed}\n")
-        fh.write(columns + "\n")
+    """Append mode. A fresh file gets the header comment and column line; an
+    existing one must start with exactly those two lines, so every row below
+    them was written by the same version and master seed, in these columns.
+    Undecodable bytes read as U+FFFD, which no header contains."""
+    header = f"# budget-builder v{__version__}, seed {master_seed}\n{columns}\n"
+    try:
+        fh = open(path, "a+", encoding="utf-8", errors="replace", newline="\n")
+    except OSError as exc:
+        raise ConfigurationError(f"--out {path}: {exc}")
+    fh.seek(0)
+    existing = fh.readline() + fh.readline()
+    if not existing:
+        fh.write(header)
+    elif existing != header:
+        fh.close()
+        raise ConfigurationError(
+            f"--out {path}: its header is not this write's "
+            f"(v{__version__}, seed {master_seed}, columns {columns})"
+        )
     return fh
 
 

@@ -263,6 +263,15 @@ _PROBE_N40 = ["probe", "--n-list", "40", "--t-exp", "1.3", "--b-exp", "1.1",
               "--trials", "2", "--seed", "1"]
 
 
+_FILES = {
+    "bad.cfg": b"seed = abc\n",
+    "float-n.cfg": b"n = 40.0\n",
+    "float-seed.cfg": b"seed = 1e3\n",
+    "typo.cfg": b"trails = 5\n",
+    "binary.csv": b"\xff\xfe\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -271,13 +280,38 @@ _PROBE_N40 = ["probe", "--n-list", "40", "--t-exp", "1.3", "--b-exp", "1.1",
         _RUN_N50 + ["--seed", "1", "--per-vertex-cap", "0"],
         _SWEEP_N40 + ["--jobs", "0"],
         _PROBE_N40 + ["--jobs", "0"],
-        _RUN_N50 + ["--config", "{config}"],  # the file sets seed = abc
+        _RUN_N50 + ["--config", "{tmp}/bad.cfg"],
+        ["run", "--target", "k4m", "--n", "abc", "--t", "150", "--b", "40",
+         "--trials", "2"],
+        ["run", "--target", "k4m", "--t", "150", "--b", "40", "--trials", "2",
+         "--seed", "1", "--config", "{tmp}/float-n.cfg"],
+        _RUN_N50 + ["--config", "{tmp}/float-seed.cfg"],
+        _RUN_N50 + ["--seed", "1", "--config", "{tmp}/typo.cfg"],
+        _RUN_N50 + ["--seed", "1", "--jobs", "2"],
+        _PROBE_N40 + ["--regime", "long"],
+        _RUN_N50 + ["--seed", "1", "--out", "{tmp}/no-such-dir/trials.csv"],
+        _RUN_N50 + ["--seed", "1", "--out", "{tmp}/binary.csv"],
     ],
 )
 def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("seed = abc\n")
-    argv = [arg.format(config=config) for arg in argv]
+    for name, data in _FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert parse_and_dispatch(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_appends_only_under_its_own_header(tmp_path):
+    out = tmp_path / "sweep.csv"
+    sweep = _SWEEP_N40 + ["--jobs", "1", "--out", str(out)]
+    assert parse_and_dispatch(sweep) == 0
+    first = out.read_bytes()
+    # another master seed, or another file kind, would put rows under a
+    # header that does not describe them
+    assert parse_and_dispatch(sweep + ["--seed", "5"]) == 2
+    assert parse_and_dispatch(_RUN_N50 + ["--seed", "1", "--out", str(out)]) == 2
+    assert out.read_bytes() == first
+    assert parse_and_dispatch(sweep) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 2 and lines[2] == lines[3]
