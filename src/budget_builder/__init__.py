@@ -14,7 +14,6 @@ from .detect import (  # noqa: F401
     Pattern,
     contains_diamond,
     contains_fan,
-    contains_p3_within,
     contains_pattern,
     count_pattern,
     diamond_completing_check,

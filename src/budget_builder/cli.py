@@ -18,7 +18,11 @@ from .errors import (
     DetectorMismatch,
 )
 from .experiments import (
+    PROBE_COLUMNS,
+    SWEEP_COLUMNS,
+    TRIALS_COLUMNS,
     cell_from_exponents,
+    check_csv_out,
     estimate_from_counts,
     grid_values,
     probe_counts,
@@ -86,10 +90,11 @@ class _Parser(argparse.ArgumentParser):
 def _config_tokens(path: str, verb: str, verbs: dict) -> list[str]:
     """Flag tokens for a flat key=value file; '#' comments allowed.
 
-    A true boolean gives its bare flag and a false one nothing. Keys of
-    other verbs are skipped, so one file can serve run and sweep; a key no
-    verb has is rejected. The tokens go before the explicit flags, which
-    therefore win.
+    A true boolean gives its bare flag and a false one nothing; any other
+    value must pass the flag's own type and choices check, and a failure
+    names the file and line. Keys of other verbs are skipped, so one file
+    can serve run and sweep; a key no verb has is rejected. The tokens go
+    before the explicit flags, which therefore win.
     """
     tokens = []
     try:
@@ -109,10 +114,15 @@ def _config_tokens(path: str, verb: str, verbs: dict) -> list[str]:
                 continue
             if not any(flag in p._option_string_actions for p in verbs.values()):
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            action = verbs[verb]._option_string_actions.get(flag)
+            parser = verbs[verb]
+            action = parser._option_string_actions.get(flag)
             if action is None:
                 continue
             if action.nargs != 0:
+                try:
+                    parser._check_value(action, parser._get_value(action, value))
+                except argparse.ArgumentError as exc:
+                    raise ConfigurationError(f"{path}:{lineno}: {exc}")
                 tokens.append(f"{flag}={value}")
             elif value.lower() in _TRUE:
                 tokens.append(flag)
@@ -150,9 +160,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     probe.add_argument("--b-exp", type=float, required=True)
     for p in (run, sweep, probe):
         p.add_argument("--trials", type=int, required=True)
-        # argparse converts a string default with type=int, so a bad
-        # BB_SEED is a parse error too, reported only when --seed is absent.
-        p.add_argument("--seed", type=int, default=os.environ.get("BB_SEED", "0"))
+        # None falls back to BB_SEED after parsing (see _parse).
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
     for p in (sweep, probe):
@@ -178,7 +187,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         path = pre.parse_known_args(argv[1:])[0].config
         if path is not None:
             argv = [argv[0], *_config_tokens(path, argv[0], verbs), *argv[1:]]
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if vars(args).get("seed", 0) is None:  # neither a flag nor a config line
+        raw = os.environ.get("BB_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"BB_SEED: invalid int value: {raw!r}")
+    return args
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
@@ -190,6 +206,8 @@ def _overrides_from(args: argparse.Namespace) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if args.out:
+        check_csv_out(args.out, TRIALS_COLUMNS, args.seed)
     target = _parse_target(args.target, args.k)
     base = ProcessConfig(n=args.n, t=args.t, b=args.b, seed=args.seed)
     base.validate()
@@ -215,6 +233,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.out:
+        check_csv_out(args.out, SWEEP_COLUMNS, args.seed)
     target = _parse_target(args.target, args.k)
     if args.x_min > args.x_max:
         raise ConfigurationError("--x-min exceeds --x-max")
@@ -238,6 +258,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.out:
+        check_csv_out(args.out, PROBE_COLUMNS, args.seed)
     all_records = []
     for n in _parse_n_list(args.n_list):
         t, b, _ = cell_from_exponents(n, args.t_exp, args.b_exp)

@@ -221,19 +221,6 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
     return False
 
 
-def contains_p3_within(g: BuilderGraph, vertices) -> bool:
-    """True iff some vertex of the set has two neighbors inside the set."""
-    inside = set(vertices)
-    for v in inside:
-        count = 0
-        for w in g.adj[v]:
-            if w in inside:
-                count += 1
-                if count >= 2:
-                    return True
-    return False
-
-
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
     """Maximum matching size of the subgraph induced on the vertices, capped.
 

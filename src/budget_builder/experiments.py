@@ -10,6 +10,7 @@ of execution order or worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -418,26 +419,44 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _open_csv(path, columns: str, master_seed: int):
-    """Append mode. A fresh file gets the header comment and column line; an
-    existing one must start with exactly those two lines, so every row below
-    them was written by the same version and master seed, in these columns.
-    Undecodable bytes read as U+FFFD, which no header contains."""
+def check_csv_out(path, columns: str, master_seed: int) -> str:
+    """Refuse an --out path before any work is done; writes nothing.
+
+    A missing file needs an existing directory; an existing one must start
+    with exactly this write's header comment and column line, so every row
+    below them was written by the same version and master seed, in these
+    columns. Undecodable bytes read as U+FFFD, which no header contains.
+    Returns the header.
+    """
     header = f"# budget-builder v{__version__}, seed {master_seed}\n{columns}\n"
     try:
-        fh = open(path, "a+", encoding="utf-8", errors="replace", newline="\n")
+        with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
+            existing = fh.readline() + fh.readline()
+    except FileNotFoundError:
+        existing = ""
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise ConfigurationError(f"--out {path}: no directory {folder}")
     except OSError as exc:
         raise ConfigurationError(f"--out {path}: {exc}")
-    fh.seek(0)
-    existing = fh.readline() + fh.readline()
-    if not existing:
-        fh.write(header)
-    elif existing != header:
-        fh.close()
+    if existing and existing != header:
         raise ConfigurationError(
             f"--out {path}: its header is not this write's "
             f"(v{__version__}, seed {master_seed}, columns {columns})"
         )
+    return header
+
+
+def _open_csv(path, columns: str, master_seed: int):
+    """Append mode, under the header `check_csv_out` accepts; a fresh or
+    empty file gets that header first."""
+    header = check_csv_out(path, columns, master_seed)
+    try:
+        fh = open(path, "a", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigurationError(f"--out {path}: {exc}")
+    if fh.tell() == 0:
+        fh.write(header)
     return fh
 
 

@@ -3,6 +3,24 @@
 Reveals the edges of K_n in uniformly random order, lets an online strategy
 irrevocably buy at most b of the first t, and watches the purchased graph
 with an incremental target detector.
+
+The stream is one array of t pair codes (`pair_code`), drawn at the first
+reveal. `run_strategy` drives a trial by one of two loops:
+
+- the per-reveal loop calls `next_edge` and `decide` on every reveal; it
+  serves every strategy without a `windows` method;
+- the event-driven loop serves a strategy with a `windows(state)`
+  generator. At each phase start the generator does that phase's set-up
+  (a freeze, a candidate build, a round advance) and then yields the
+  sorted stream indices of the reveals `decide` must see. Only those rows
+  are decoded; every other reveal is skipped unread.
+
+The `windows` contract: yield every index where `decide` could buy or
+change a stat. Both loops share the budget check, the insert and the
+incremental detector call, end in the same `confirm` check, and set
+`state.clock` to the position of each reveal `decide` sees (index + 1),
+so for a given seed they give identical `TrialRecord`s, `phase_stats`
+included.
 """
 
 from __future__ import annotations
@@ -55,7 +73,9 @@ class ProcessState:
     clock: int = 0
     budget_used: int = 0
     purchased: BuilderGraph = None  # type: ignore[assignment]
-    _order: list = field(default_factory=list)  # all t reveals, drawn at the first
+    codes: Optional[np.ndarray] = None  # the t pair codes in reveal order
+    _us: list = field(default_factory=list)  # decoded codes, for next_edge
+    _vs: list = field(default_factory=list)
 
 
 def new_process(config: ProcessConfig) -> ProcessState:
@@ -65,35 +85,49 @@ def new_process(config: ProcessConfig) -> ProcessState:
     return state
 
 
-def _draw_order(config: ProcessConfig) -> list[tuple[int, int]]:
-    """The whole stream: one uniform ordered sample of t distinct pairs.
+def pair_code(n: int, u, v):
+    """Code of the pair u < v: pairs are numbered row by row, so row u
+    starts at u(2n-u-1)/2. Works elementwise on int64 arrays; the first
+    code of row r is pair_code(n, r, r + 1), for every r <= n."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
 
-    `choice(..., replace=False)` draws the t pair codes with Floyd's
-    algorithm, or by a partial shuffle of all C(n,2) codes once t exceeds
-    C(n,2)/50; either way memory stays O(t + n). Codes enumerate the pairs
-    u < v row by row.
+
+def decode(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(us, vs) of an int64 code array: the row u solves a quadratic, and
+    one step each way corrects a float rounding at a row start."""
+    m = 2 * n - 1
+    us = ((m - np.sqrt(m * m - 8 * codes)) // 2).astype(np.int64)
+    us -= us * (m - us) // 2 > codes
+    us += (us + 1) * (m - us - 1) // 2 <= codes
+    return us, codes - us * (m - us) // 2 + us + 1
+
+
+def draw_codes(config: ProcessConfig) -> np.ndarray:
+    """The whole stream: one uniform ordered sample of t distinct pair codes.
+
+    `choice(..., replace=False)` draws with Floyd's algorithm, or by a
+    partial shuffle of all C(n,2) codes once t exceeds C(n,2)/50; either
+    way memory stays O(t + n).
     """
-    n = config.n
-    rows = np.arange(n, dtype=np.int64)
-    offsets = rows * (2 * n - rows - 1) // 2  # first pair code of row u
     rng = substream(config.seed, STREAM_EDGES)
-    codes = rng.choice(config.num_pairs, size=config.t, replace=False)
-    us = np.searchsorted(offsets, codes, side="right") - 1
-    vs = codes - offsets[us] + us + 1
-    return list(zip(us.tolist(), vs.tolist()))
+    return rng.choice(config.num_pairs, size=config.t, replace=False)
+
+
+_new_edge = tuple.__new__  # Edge._make without its length check
 
 
 def next_edge(state: ProcessState) -> Edge:
     """Reveal the next edge, uniform over the not-yet-revealed pairs."""
     cfg = state.config
-    if state.clock >= cfg.t:
+    c = state.clock
+    if c >= cfg.t:
         raise StreamExhausted(f"all {cfg.t} edges already revealed")
-    if not state._order:
-        state._order = _draw_order(cfg)
-    # Built per reveal: an early stop leaves most of the order unread.
-    e = Edge._make(state._order[state.clock])
-    state.clock += 1
-    return e
+    if state.codes is None:
+        state.codes = draw_codes(cfg)
+        us, vs = decode(cfg.n, state.codes)
+        state._us, state._vs = us.tolist(), vs.tolist()
+    state.clock = c + 1
+    return _new_edge(Edge, (state._us[c], state._vs[c]))
 
 
 @dataclass
@@ -115,6 +149,49 @@ class TrialRecord:
     purchased: Optional[BuilderGraph] = None  # the live graph, with keep_graph
 
 
+def _buy(state: ProcessState, strategy, detector, e: Edge, watching: bool) -> bool:
+    """The buy step of both loops: the budget check, the insert, then the
+    incremental detector while `watching`. True iff the buy is a hit."""
+    if state.budget_used >= state.config.b:
+        raise BudgetContractViolation(
+            f"{strategy.name} bought edge {tuple(e)} at clock "
+            f"{state.clock} with budget {state.config.b} exhausted"
+        )
+    state.purchased.insert_edge(e.u, e.v)
+    state.budget_used += 1
+    return watching and detector.after_insert(state.purchased, e.u, e.v)
+
+
+def _per_reveal(state: ProcessState, strategy, detector, early_stop: bool):
+    hit_time = None
+    while state.clock < state.config.t:
+        e = next_edge(state)
+        if strategy.decide(state, e) and _buy(state, strategy, detector, e,
+                                              hit_time is None):
+            hit_time = state.clock
+            if early_stop:
+                break
+    return hit_time
+
+
+def _event_driven(state: ProcessState, strategy, detector, early_stop: bool):
+    cfg = state.config
+    codes = state.codes = draw_codes(cfg)
+    hit_time = None
+    for idx in strategy.windows(state):
+        us, vs = decode(cfg.n, codes[idx])
+        for i, u, v in zip(idx.tolist(), us.tolist(), vs.tolist()):
+            state.clock = i + 1
+            e = _new_edge(Edge, (u, v))
+            if strategy.decide(state, e) and _buy(state, strategy, detector, e,
+                                                  hit_time is None):
+                hit_time = state.clock
+                if early_stop:
+                    return hit_time
+    state.clock = cfg.t
+    return hit_time
+
+
 def run_strategy(
     config: ProcessConfig,
     strategy,
@@ -130,24 +207,12 @@ def run_strategy(
     The strategy sees only the revealed prefix and its own state; a buy
     with the budget already spent is a contract violation, never a silent
     clamp. The incremental hit flag is cross-checked against batch
-    containment on the final purchased graph.
+    containment on the final purchased graph. A strategy with `windows`
+    takes the event-driven loop, any other the per-reveal loop.
     """
     state = new_process(config)
-    hit_time: Optional[int] = None
-    while state.clock < config.t:
-        e = next_edge(state)
-        if strategy.decide(state, e):
-            if state.budget_used >= config.b:
-                raise BudgetContractViolation(
-                    f"{strategy.name} bought edge {tuple(e)} at clock "
-                    f"{state.clock} with budget {config.b} exhausted"
-                )
-            state.purchased.insert_edge(e.u, e.v)
-            state.budget_used += 1
-            if hit_time is None and detector.after_insert(state.purchased, e.u, e.v):
-                hit_time = state.clock
-                if early_stop:
-                    break
+    loop = _event_driven if hasattr(strategy, "windows") else _per_reveal
+    hit_time = loop(state, strategy, detector, early_stop)
     success = hit_time is not None
     if success != detector.confirm(state.purchased):
         raise DetectorMismatch(

@@ -9,6 +9,14 @@ degree greedy) support calibration and the counting probes.
 Decisions depend only on the revealed prefix, the strategy's own state,
 and its own RNG substream; every strategy refuses to buy once the global
 budget is spent (degrading to skips that are counted in its stats).
+
+The phased builders (`DiamondShort`, `AnchorNeighborhood`, `FanShort`)
+also have `windows(state)` for the event-driven loop (contract in
+`process`): at each phase start it does the set-up `decide` would do at
+that phase's first reveal, then yields the indices in `state.codes` of
+that phase's reveals where `decide` could buy or change a stat. Seed-set
+edges are found from their codes, edges inside the frozen neighborhoods by
+decoding the window, candidate pairs in a sorted code array.
 """
 
 from __future__ import annotations
@@ -16,11 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .detect import Pattern
 from .errors import ConfigurationError, UnsupportedPattern
-from .process import Edge, ProcessConfig, ProcessState
+from .process import Edge, ProcessConfig, ProcessState, decode, pair_code
 from .rng import STREAM_STRATEGY, substream
 
 
@@ -245,6 +256,27 @@ class DegreeGreedy(_Base):
         return {"budget_skips": self.budget_skips, "prefix_size": self.h}
 
 
+def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int) -> np.ndarray:
+    """Stream indices in [lo, hi) of the edges meeting {0, ..., r-1}: as
+    u < v, those whose code lies below the first of row r."""
+    return np.flatnonzero(codes[lo:hi] < pair_code(n, r, r + 1)) + lo
+
+
+def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices) -> np.ndarray:
+    """Stream indices in [lo, hi) of the edges with both ends in `vertices`."""
+    member = np.zeros(n, dtype=bool)
+    member[list(vertices)] = True
+    us, vs = decode(n, codes[lo:hi])
+    return np.flatnonzero(member[us] & member[vs]) + lo
+
+
+def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
+    """Mask of the codes that occur in the sorted array."""
+    if sorted_codes.size == 0:
+        return np.zeros(codes.shape, dtype=bool)
+    return sorted_codes.take(np.searchsorted(sorted_codes, codes), mode="clip") == codes
+
+
 class _SeedPhaseBuilder(_Base):
     """Seed phase and neighborhood freeze shared by the short-time builders.
 
@@ -302,9 +334,9 @@ class DiamondShort(_SeedPhaseBuilder):
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
-        self.phase1_revealed: set[tuple[int, int]] = set()
         self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
         self.candidates: Optional[set] = None
+        self.candidate_codes: Optional[np.ndarray] = None  # sorted
         self.max_multiplicity = 0
 
     def _neighborhoods_containing(self, u: int, v: int) -> list[int]:
@@ -314,7 +346,6 @@ class DiamondShort(_SeedPhaseBuilder):
         clock = state.clock
         u, v = e
         if clock <= self.T:
-            self.phase1_revealed.add((u, v))
             return self._seed_decide(state, u, v)
         if self.frozen_nbrs is None:
             self._freeze(state)
@@ -327,20 +358,38 @@ class DiamondShort(_SeedPhaseBuilder):
             self.phase2_edges.append((holders[0], u, v))
             return True
         if self.candidates is None:
-            self._build_candidates()
+            self._build_candidates(state.codes[: self.T])
         return (u, v) in self.candidates and self._phase_buy(state, 2)
 
-    def _build_candidates(self) -> None:
+    def windows(self, state: ProcessState):
+        codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
+        yield _seed_edges(codes, 0, min(T, t), n, self.r)
+        if t <= T:
+            return
+        self._freeze(state)
+        yield _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs))
+        if t <= 2 * T:
+            return
+        self._build_candidates(codes[:T])
+        yield np.flatnonzero(_in_sorted(codes[2 * T:], self.candidate_codes)) + 2 * T
+
+    def _build_candidates(self, phase1_codes) -> None:
+        """The pairs that extend a phase-2 triangle to a diamond and were
+        not revealed in phase 1 (`phase1_codes`)."""
         cand = set()
         for seed, x, y in self.phase2_edges:
             for z in self.frozen_nbrs[seed]:
                 if z == x or z == y:
                     continue
                 for a in (x, y):
-                    pair = (a, z) if a < z else (z, a)
-                    if pair not in self.phase1_revealed:
-                        cand.add(pair)
+                    cand.add((a, z) if a < z else (z, a))
+        ends = np.fromiter(chain.from_iterable(cand), np.int64, 2 * len(cand))
+        codes = pair_code(self.config.n, ends[0::2], ends[1::2])
+        seen = _in_sorted(codes, np.sort(phase1_codes))
+        us, vs = decode(self.config.n, codes[seen])
+        cand.difference_update(zip(us.tolist(), vs.tolist()))
         self.candidates = cand
+        self.candidate_codes = np.sort(codes[~seen])
 
     def stats(self) -> dict:
         return {
@@ -376,6 +425,15 @@ class AnchorNeighborhood(_Base):
         if self.frozen is None:
             self.frozen = set(state.purchased.neighbors(self.anchor))
         return u in self.frozen and v in self.frozen and self._phase_buy(state, 1)
+
+    def windows(self, state: ProcessState):
+        codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
+        # The anchor is vertex 0, so its edges are those meeting {0}.
+        yield _seed_edges(codes, 0, min(T, t), n, 1)
+        if t <= T:
+            return
+        self.frozen = set(state.purchased.neighbors(self.anchor))
+        yield _inside(codes, T, t, n, self.frozen)
 
     def stats(self) -> dict:
         return {
@@ -464,6 +522,21 @@ class FanShort(_SeedPhaseBuilder):
             self.matched[w].add(v)
             self.gained.add(w)
         return True
+
+    def windows(self, state: ProcessState):
+        codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
+        if T == 0:
+            return  # every reveal falls after the last round
+        yield _seed_edges(codes, 0, min(T, t), n, self.r)
+        for rnd in range(1, self.k + 1):
+            lo = rnd * T
+            if lo >= t:
+                return
+            if rnd == 1:
+                self._freeze(state)
+            self._advance_round(rnd)
+            live = set().union(*(self.frozen_nbrs[w] for w in self.survivors))
+            yield _inside(codes, lo, min(lo + T, t), n, live)
 
     def stats(self) -> dict:
         return {

@@ -35,16 +35,18 @@ class FakeState:
         self.clock = 0
         self.budget_used = 0
         self.purchased = BuilderGraph(n)
+        self.codes = []  # pair codes of the reveals so far
 
 
 def drive(strategy, n, edges, budget):
     """Feed a fixed edge sequence to a strategy; returns (decisions, state)."""
-    from budget_builder.process import Edge
+    from budget_builder.process import Edge, pair_code
 
     state = FakeState(n)
     decisions = []
     for u, v in edges:
         state.clock += 1
+        state.codes.append(pair_code(n, u, v))
         buy = strategy.decide(state, Edge(u, v))
         decisions.append(buy)
         if buy:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they complete. The heavy Monte Carlo fixtures are module-scoped
-and shared between criteria.
+and shared between criteria; the tests that use them are marked `slow`.
 """
 
 import math
@@ -147,6 +147,7 @@ def test_criterion_2_incremental_soundness():
     _gate(2, mismatches == 0, f"500 insertion sequences, {mismatches} mismatches")
 
 
+@pytest.mark.slow
 def test_criterion_3_budget_contract_and_confirmed_successes(
     diamond_short_batches, diamond_long_batches, fan_short_batches
 ):
@@ -182,6 +183,7 @@ def test_criterion_3_budget_contract_and_confirmed_successes(
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_diamond_short_one_statement(diamond_short_batches):
     start = time.time()
     high = _estimate(diamond_short_batches[2560])
@@ -202,6 +204,7 @@ def test_criterion_4_diamond_short_one_statement(diamond_short_batches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_runtime(diamond_short_batches):
     start = time.time()
     _batch(DIAMOND, 400, 2000, 2560, trials=200)
@@ -209,6 +212,7 @@ def test_criterion_4_runtime(diamond_short_batches):
     assert elapsed < 120, f"criterion 4 batch took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_5_diamond_long_one_statement(diamond_long_batches):
     high = _estimate(diamond_long_batches[80])
     low = _estimate(diamond_long_batches[5])
@@ -225,6 +229,7 @@ def test_criterion_5_diamond_long_one_statement(diamond_long_batches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_two_fan_one_statement(fan_short_batches):
     # The 10x margin of the threshold (b = 512) tops out near p ~ 0.28 at
     # this scale, so the calibrated 32x margin is used per the widening
@@ -245,6 +250,7 @@ def test_criterion_6_two_fan_one_statement(fan_short_batches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_crossover_exponents(crossover_sweep):
     points, elapsed = crossover_sweep
     crossings = {}
@@ -266,6 +272,7 @@ def test_criterion_7_crossover_exponents(crossover_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_success_nondecreasing_in_budget(crossover_sweep):
     # Monotonicity of the estimated success probability in b at fixed (n, x),
     # with the stated Monte Carlo slack.

@@ -315,3 +315,45 @@ def test_out_appends_only_under_its_own_header(tmp_path):
     assert parse_and_dispatch(sweep) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 + 2 and lines[2] == lines[3]
+
+
+@pytest.mark.parametrize("entry, argv, columns", [
+    ("run_trial_batch", _RUN_N50 + ["--seed", "1"], "trials"),
+    ("sweep_grid", _SWEEP_N40 + ["--jobs", "1"], "sweep"),
+    ("probe_counts", _PROBE_N40 + ["--jobs", "1"], "probe"),
+])
+@pytest.mark.parametrize("out", ["other.csv", "no-such-dir/out.csv"])
+def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp_path,
+                                                  monkeypatch, capsys):
+    import budget_builder.cli as cli_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, entry, must_not_run)
+    (tmp_path / "other.csv").write_text(f"# budget-builder v0.0.0, seed 1\n{columns}\n")
+    assert parse_and_dispatch(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+
+
+def test_config_value_error_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    for lines, bad_line in ((["# cell", "t = 150", "n = 40.0"], 3),
+                            (["regime = medium", "n = 50"], 1)):
+        cfg.write_text("\n".join(lines) + "\n")
+        code = parse_and_dispatch(["run", "--target", "k4m", "--t", "150", "--b", "40",
+                                   "--n", "50", "--trials", "2", "--seed", "1",
+                                   "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{bad_line}: ") and err.count("\n") == 1
+
+
+def test_bad_bb_seed_names_its_source(monkeypatch, capsys):
+    monkeypatch.setenv("BB_SEED", "abc")
+    assert parse_and_dispatch(_RUN_N50) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BB_SEED") and err.count("\n") == 1
+    # a seed from the command line leaves BB_SEED unread
+    assert parse_and_dispatch(_RUN_N50 + ["--seed", "1"]) == 0

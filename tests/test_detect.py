@@ -11,7 +11,6 @@ from budget_builder.detect import (
     BuilderGraph,
     contains_diamond,
     contains_fan,
-    contains_p3_within,
     count_pattern,
     diamond_completing_check,
     fan,
@@ -20,7 +19,13 @@ from budget_builder.detect import (
     read_edge_list,
 )
 from budget_builder.errors import DuplicateEdgeError, UnsupportedPattern
-from budget_builder.oracle import SmallGraph, brute_contains, brute_count, brute_max_matching
+from budget_builder.oracle import (
+    SmallGraph,
+    brute_contains,
+    brute_count,
+    brute_max_matching,
+    contains_p3_within,
+)
 
 from conftest import builder_from, gnm_edges, gnp_edges
 

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,10 @@ from budget_builder.detect import DIAMOND, TRIANGLE, detector_for, fan
 from budget_builder.errors import (
     BudgetContractViolation,
     ConfigurationError,
+    DetectorMismatch,
     StreamExhausted,
 )
+from budget_builder.experiments import cell_from_exponents, grid_values
 from budget_builder.oracle import SmallGraph, brute_contains
 from budget_builder.process import (
     Edge,
@@ -17,10 +20,15 @@ from budget_builder.process import (
     next_edge,
     run_strategy,
 )
+from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
+    AnchorNeighborhood,
+    DiamondShort,
+    FanShort,
     StrategyKind,
     StrategySpec,
     build_strategy,
+    select_strategy,
 )
 
 
@@ -29,7 +37,7 @@ def test_new_process_initial_state():
     assert state.clock == 0
     assert state.budget_used == 0
     assert state.purchased.edge_count == 0
-    assert state._order == []  # nothing is drawn before the first reveal
+    assert state.codes is None  # nothing is drawn before the first reveal
 
 
 def test_new_process_rejects_too_many_edges():
@@ -207,3 +215,190 @@ def test_early_stop_records_hit_time():
     full = _record(StrategyKind.BUY_ALL, config, TRIANGLE, early_stop=False)
     assert full.success and full.clock_at_stop == 66
     assert full.hit_time == rec.hit_time
+
+
+# -- event-driven trials -----------------------------------------------------
+
+
+class _PerReveal:
+    """Forwards decide and stats only: without `windows`, run_strategy takes
+    the per-reveal loop."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.decide = inner.decide
+        self.stats = inner.stats
+
+
+def _phase_starts(strategy) -> list[int]:
+    """Stream index of each phase start, in the order `windows` reaches them."""
+    T = strategy.T
+    if isinstance(strategy, DiamondShort):
+        return [0, T, 2 * T]
+    if isinstance(strategy, AnchorNeighborhood):
+        return [0, T]
+    assert isinstance(strategy, FanShort)
+    return [r * T for r in range(strategy.k + 1)] if T else []
+
+
+class _SkipChecker:
+    """A per-reveal run that checks the `windows` contract as it goes.
+
+    At each phase start it advances the inner strategy's `windows` one step,
+    which does that phase's set-up; every reveal outside the yielded indices
+    must then leave `decide` False and `stats()` unchanged.
+    """
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.stats = inner.stats
+        self._inner = inner
+        self._starts = _phase_starts(inner)
+        self._windows = None
+        self._yielded = set()
+        self.skipped = 0
+
+    def decide(self, state, e):
+        i = state.clock - 1
+        if self._windows is None:
+            self._windows = self._inner.windows(state)
+        for _ in range(self._starts.count(i)):
+            self._yielded.update(next(self._windows, np.empty(0, np.int64)).tolist())
+        if i in self._yielded:
+            return self._inner.decide(state, e)
+        before = self._inner.stats()
+        assert not self._inner.decide(state, e), f"skipped reveal {i} bought {e}"
+        assert self._inner.stats() == before, f"skipped reveal {i} changed a stat"
+        self.skipped += 1
+        return False
+
+
+def _c7_cells():
+    xs, ys = grid_values(1.25, 1.35, 0.05), grid_values(0.4, 1.4, 0.1)
+    return [(DIAMOND, 800, *cell_from_exponents(800, x, y)[:2], None)
+            for x in xs for y in ys]
+
+
+# (target, n, t, b, regime): the reference cells, then small cells in both
+# regimes, including ones whose phases outrun t.
+_REFERENCE_CELLS = [
+    (DIAMOND, 400, 2000, 2560, None),
+    (DIAMOND, 400, 20000, 80, None),
+    (fan(2), 400, 2000, 1638, None),
+    (fan(2), 400, 3000, 512, None),
+    (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2)[:2], None),
+]
+_SMALL_CELLS = [
+    (target, n, t, b, regime)
+    for target in (DIAMOND, fan(1), fan(2), fan(3))
+    for n, t, b in ((60, 300, 40), (30, 100, 30), (50, 1225, 1225), (8, 28, 5),
+                    (5, 3, 2), (6, 4, 0))
+    for regime in ("short", "long")
+    if target.num_vertices <= n
+]
+
+
+def _trial(cell, seed, early_stop, wrap=lambda s: s):
+    """(record, strategy as run) of one trial; `wrap` may hide `windows`."""
+    target, n, t, b, regime = cell
+    spec = select_strategy(target, n, t, b, {"regime_override": regime})
+    config = ProcessConfig(n, t, b, seed=seed)
+    inner = build_strategy(spec, config)
+    assert hasattr(inner, "windows"), spec.name
+    strategy = wrap(inner)
+    rec = run_strategy(config, strategy, detector_for(target),
+                       early_stop=early_stop, keep_graph=True)
+    for value in (rec.hit_time, rec.edges_bought, rec.clock_at_stop,
+                  *rec.phase_stats.values()):
+        for x in value if isinstance(value, tuple) else (value,):
+            assert x is None or type(x) is int, (spec.name, rec.phase_stats)
+    return rec, strategy
+
+
+_ALL_KINDS = {"k4m-short", "k4m-long", "tk-short", "tk-long"}
+
+
+@pytest.mark.parametrize(
+    "cells, seeds, kinds",
+    [(_REFERENCE_CELLS, 10, _ALL_KINDS), (_c7_cells(), 4, {"k4m-short"}),
+     (_SMALL_CELLS, 20, _ALL_KINDS)],
+    ids=["reference", "criterion-7", "small"],
+)
+def test_event_driven_and_per_reveal_records_are_identical(cells, seeds, kinds):
+    seen = set()
+    for cell in cells:
+        for j in range(seeds):
+            seed = derive_seed(11, cell[1], cell[2], cell[3], j)
+            for early_stop in (True, False):
+                fast, _ = _trial(cell, seed, early_stop)
+                slow, _ = _trial(cell, seed, early_stop, _PerReveal)
+                assert pickle.dumps(fast) == pickle.dumps(slow), (cell, j, early_stop)
+                seen.add(fast.strategy)
+    assert seen == kinds
+
+
+@pytest.mark.parametrize("cells", [_REFERENCE_CELLS, _SMALL_CELLS],
+                         ids=["reference", "small"])
+def test_reveals_outside_the_windows_change_nothing(cells):
+    skipped = 0
+    for cell in cells:
+        for j in range(3):
+            seed = derive_seed(12, cell[1], cell[2], cell[3], j)
+            for early_stop in (True, False):
+                slow, checker = _trial(cell, seed, early_stop, _SkipChecker)
+                fast, _ = _trial(cell, seed, early_stop)
+                assert pickle.dumps(slow) == pickle.dumps(fast), (cell, j, early_stop)
+                skipped += checker.skipped
+    assert skipped > 0
+
+
+class _RogueWindows:
+    name = "rogue"
+
+    def windows(self, state):
+        yield np.arange(state.config.t)
+
+    def decide(self, state, e):
+        return True
+
+    def stats(self):
+        return {}
+
+
+class _BlindDetector:
+    """Never reports a hit incrementally; the batch check still runs."""
+
+    def __init__(self, inner):
+        self.confirm = inner.confirm
+
+    def after_insert(self, g, u, v):
+        return False
+
+
+def test_fast_path_over_budget_buy_raises():
+    with pytest.raises(BudgetContractViolation):
+        run_strategy(ProcessConfig(n=10, t=20, b=3, seed=5), _RogueWindows(),
+                     detector_for(DIAMOND))
+
+
+@pytest.mark.parametrize("wrap", [lambda s: s, _PerReveal], ids=["fast", "per-reveal"])
+def test_detector_disagreement_raises(wrap):
+    # Buying all of K_10 builds a diamond the blind detector never reports.
+    with pytest.raises(DetectorMismatch):
+        run_strategy(ProcessConfig(n=10, t=45, b=45, seed=5), wrap(_RogueWindows()),
+                     _BlindDetector(detector_for(DIAMOND)))
+
+
+def test_event_driven_trial_memory_is_linear_in_t_and_n():
+    # The per-reveal twin of this bound is test_stream_memory_is_linear_in_t_and_n.
+    spec = select_strategy(DIAMOND, 5000, 1000, 40, {"regime_override": "long"})
+    config = ProcessConfig(n=5000, t=1000, b=40, seed=4)
+    tracemalloc.start()
+    try:
+        strategy = build_strategy(spec, config)
+        assert hasattr(strategy, "windows")
+        run_strategy(config, strategy, detector_for(DIAMOND), early_stop=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
