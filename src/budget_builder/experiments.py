@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -258,6 +257,8 @@ def sweep_grid(
         for y in y_grid
     ]
     if jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only when a pool runs
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_cell, cells))
     return [_sweep_cell(cell) for cell in cells]
@@ -398,6 +399,8 @@ def probe_counts(
         (n, t, b, adversary, derive_seed(master_seed, n, i)) for i in range(trials)
     ]
     if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only when a pool runs
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_probe_trial, items))
     return [_probe_trial(item) for item in items]

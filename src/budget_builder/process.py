@@ -93,13 +93,11 @@ def pair_code(n: int, u, v):
 
 
 def decode(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(us, vs) of an int64 code array: the row u solves a quadratic, and
-    one step each way corrects a float rounding at a row start."""
-    m = 2 * n - 1
-    us = ((m - np.sqrt(m * m - 8 * codes)) // 2).astype(np.int64)
-    us -= us * (m - us) // 2 > codes
-    us += (us + 1) * (m - us - 1) // 2 <= codes
-    return us, codes - us * (m - us) // 2 + us + 1
+    """(us, vs) of an int64 code array, by a search over the row starts."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = pair_code(n, rows, rows + 1)
+    us = np.searchsorted(starts, codes, side="right") - 1
+    return us, codes - starts[us] + us + 1
 
 
 def draw_codes(config: ProcessConfig) -> np.ndarray:
@@ -130,9 +128,9 @@ def next_edge(state: ProcessState) -> Edge:
     return _new_edge(Edge, (state._us[c], state._vs[c]))
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
-    """Outcome of one simulated trial."""
+    """Outcome of one simulated trial. Slotted: a batch keeps one per trial."""
 
     target: str
     k: int
