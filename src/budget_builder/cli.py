@@ -44,15 +44,12 @@ def _parse_target(name: str, k: int | None) -> Pattern:
     return fan(k)
 
 
+_DETECT_PATTERNS = {"k4m": DIAMOND, "triangle": TRIANGLE, "c4": C4, "k3plus": PAW}
+
+
 def _parse_detect_pattern(text: str) -> Pattern:
-    if text == "k4m":
-        return DIAMOND
-    if text == "triangle":
-        return TRIANGLE
-    if text == "c4":
-        return C4
-    if text == "k3plus":
-        return PAW
+    if text in _DETECT_PATTERNS:
+        return _DETECT_PATTERNS[text]
     if text.startswith("tk:"):
         try:
             k = int(text.split(":", 1)[1])

@@ -345,8 +345,6 @@ def detector_for(p: Pattern):
         return DiamondTracker()
     if p.tag == "fan":
         return FanTracker(p.k)
-    if p.tag == "triangle":
-        return FanTracker(1)
     raise UnsupportedPattern(f"no incremental detector for {p}")
 
 

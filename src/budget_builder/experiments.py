@@ -103,8 +103,8 @@ def predicted_budget_threshold(target: Pattern, n: int, t: int | float) -> float
     if target.tag == "diamond":
         return max(math.exp(6 * ln_n - 4 * ln_t),
                    math.exp(4 / 3 * ln_n - 2 / 3 * ln_t))
-    if target.tag == "fan" or target.tag == "triangle":
-        k = target.k if target.tag == "fan" else 1
+    if target.tag == "fan":
+        k = target.k
         return max(math.exp((4 * k - 1) * ln_n - (3 * k - 1) * ln_t),
                    math.exp(ln_n - ln_t / 2))
     raise UnsupportedPattern(f"no threshold formula for {target}")
@@ -114,20 +114,15 @@ def predicted_log_threshold(target: Pattern, x: float) -> float:
     """log_n b* as a function of x = log_n t (the phase-diagram curve)."""
     if target.tag == "diamond":
         return max(6 - 4 * x, 4 / 3 - 2 * x / 3)
-    if target.tag == "fan" or target.tag == "triangle":
-        k = target.k if target.tag == "fan" else 1
+    if target.tag == "fan":
+        k = target.k
         return max(4 * k - 1 - (3 * k - 1) * x, 1 - x / 2)
     raise UnsupportedPattern(f"no threshold formula for {target}")
 
 
 def _target_label(target: Pattern) -> tuple[str, int]:
-    if target.tag == "diamond":
-        return "k4m", 0
-    if target.tag == "fan":
-        return "tk", target.k
-    if target.tag == "triangle":
-        return "tk", 1
-    return target.tag, target.k
+    """The CSV (target, k) of a build target, DIAMOND or fan(k)."""
+    return ("k4m", 0) if target.tag == "diamond" else ("tk", target.k)
 
 
 def run_one_trial(
@@ -189,6 +184,19 @@ def run_trials(
     return estimate_from_counts(sum(r.success for r in records), trials)
 
 
+def _map_jobs(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], on a pool of `jobs` workers when there
+    are several of each; results keep the order of `items`."""
+    if jobs < 1:
+        raise ConfigurationError(f"need jobs >= 1, got {jobs}")
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only when a pool runs
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 # -- phase-diagram sweeps ----------------------------------------------------
 
 X_RANGE = (1.0, 2.0)
@@ -242,8 +250,6 @@ def sweep_grid(
     """
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
-    if jobs < 1:
-        raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     for x in x_grid:
         if not X_RANGE[0] <= x <= X_RANGE[1]:
             raise ConfigurationError(f"x={x} outside {X_RANGE}")
@@ -256,12 +262,7 @@ def sweep_grid(
         for x in x_grid
         for y in y_grid
     ]
-    if jobs > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only when a pool runs
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(cell) for cell in cells]
+    return _map_jobs(_sweep_cell, cells, jobs)
 
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:
@@ -393,17 +394,10 @@ def probe_counts(
         )
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
-    if jobs < 1:
-        raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     items = [
         (n, t, b, adversary, derive_seed(master_seed, n, i)) for i in range(trials)
     ]
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only when a pool runs
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_probe_trial, items))
-    return [_probe_trial(item) for item in items]
+    return _map_jobs(_probe_trial, items, jobs)
 
 
 # -- CSV output --------------------------------------------------------------

@@ -48,7 +48,7 @@ class StrategyKind(Enum):
 
 @dataclass(frozen=True)
 class StrategyParams:
-    """Derived knobs; every field can be overridden before building."""
+    """Derived knobs, filled in by `select_strategy`."""
 
     phase_length: int = 0  # T
     seed_set_size: int = 0  # r
@@ -81,82 +81,75 @@ def _geomean_seed_set(lo_log: float, hi_log: float, n: int) -> int:
     return max(int(round(math.exp(mid))), 1)
 
 
+_OVERRIDE_KEYS = ("regime_override", "seed_set_size", "per_vertex_cap")
+
+
 def select_strategy(target: Pattern, n: int, t: int, b: int,
                     overrides: Optional[dict] = None) -> StrategySpec:
     """Pick the regime-appropriate strategy and populate its parameters.
 
-    Diamond: short variant up to t = n^{7/5}, long after. Fan: short up to
-    t = n^{4/3}, long after. A plain triangle target is the 1-fan.
+    The targets are DIAMOND and fan(k). Diamond: short variant up to
+    t = n^{7/5}, long after. Fan: short up to t = n^{4/3}, long after.
+    `overrides` may set `regime_override` ("short" or "long"),
+    `seed_set_size` and `per_vertex_cap`; a None value is not set.
     """
-    overrides = dict(overrides or {})
-    regime = overrides.pop("regime_override", None)
-    if target.tag == "triangle":
-        target = Pattern("fan", 1)
-    if target.tag == "diamond":
-        long_time = t > n ** 1.4 if regime is None else regime == "long"
-        if long_time:
-            params = StrategyParams(
-                phase_length=t // 2,
-                phase_budgets=(b // 2, b // 2),
-            )
-            kind = StrategyKind.DIAMOND_LONG
-        else:
-            phase_length = t // 3
-            r = _geomean_seed_set(
-                7 * math.log(n) - 5 * math.log(max(phase_length, 1)),
-                math.log(max(b * n / t, 1.0)),
-                n,
-            )
-            params = StrategyParams(
-                phase_length=phase_length,
-                seed_set_size=r,
-                per_vertex_cap=math.ceil(3 * phase_length / n),
-                phase_budgets=(b // 3, b // 2, b),
-            )
-            kind = StrategyKind.DIAMOND_SHORT
-    elif target.tag == "fan":
-        k = target.k
-        long_time = t > n ** (4 / 3) if regime is None else regime == "long"
-        if long_time:
-            params = StrategyParams(
-                phase_length=t // 2,
-                phase_budgets=(b // 2, b // 2),
-                k=k,
-            )
-            kind = StrategyKind.FAN_LONG
-        else:
-            phase_length = t // (k + 1)
-            r = _geomean_seed_set(
-                4 * k * math.log(n) - 3 * k * math.log(max(phase_length, 1)),
-                math.log(max(b * n / t, 1.0)),
-                n,
-            )
-            # The formal per-vertex stopping size T/2kn collapses to one
-            # edge per seed vertex at desk scale, which leaves neighborhoods
-            # too small to ever hold a link edge; floor it at the degree
-            # concentration bound 3T/n instead.
-            cap = max(phase_length // (2 * k * n) + 1,
-                      math.ceil(3 * phase_length / n))
-            params = StrategyParams(
-                phase_length=phase_length,
-                seed_set_size=r,
-                per_vertex_cap=cap,
-                phase_budgets=(k * b // (k + 1),) + (b // (k + 1),) * k,
-                k=k,
-            )
-            kind = StrategyKind.FAN_SHORT
-    else:
+    if target.tag not in ("diamond", "fan"):
         raise UnsupportedPattern(f"no strategy for target {target}")
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "seed_set_size" and not 1 <= value <= n:
-            raise ConfigurationError(
-                f"seed set size must lie in [1, n={n}], got {value}"
-            )
-        if key == "per_vertex_cap" and value < 1:
-            raise ConfigurationError(f"per-vertex cap must be >= 1, got {value}")
-        params = replace(params, **{key: value})
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in _OVERRIDE_KEYS:
+            raise ConfigurationError(f"unknown strategy override {key!r} "
+                                     f"(known: {', '.join(_OVERRIDE_KEYS)})")
+    regime, r_set, cap_set = (overrides.get(key) for key in _OVERRIDE_KEYS)
+    if r_set is not None and not 1 <= r_set <= n:
+        raise ConfigurationError(f"seed set size must lie in [1, n={n}], got {r_set}")
+    if cap_set is not None and cap_set < 1:
+        raise ConfigurationError(f"per-vertex cap must be >= 1, got {cap_set}")
+    diamond, k = target.tag == "diamond", target.k
+    x_long = 1.4 if diamond else 4 / 3  # the long regime starts past t = n^x_long
+    if regime == "long" or (regime is None and t > n ** x_long):
+        params = StrategyParams(phase_length=t // 2, k=k,
+                                phase_budgets=(b // 2, b // 2))
+        kind = StrategyKind.DIAMOND_LONG if diamond else StrategyKind.FAN_LONG
+    elif diamond:
+        phase_length = t // 3
+        r = _geomean_seed_set(
+            7 * math.log(n) - 5 * math.log(max(phase_length, 1)),
+            math.log(max(b * n / t, 1.0)),
+            n,
+        )
+        params = StrategyParams(
+            phase_length=phase_length,
+            seed_set_size=r,
+            per_vertex_cap=math.ceil(3 * phase_length / n),
+            phase_budgets=(b // 3, b // 2, b),
+        )
+        kind = StrategyKind.DIAMOND_SHORT
+    else:
+        phase_length = t // (k + 1)
+        r = _geomean_seed_set(
+            4 * k * math.log(n) - 3 * k * math.log(max(phase_length, 1)),
+            math.log(max(b * n / t, 1.0)),
+            n,
+        )
+        # The formal per-vertex stopping size T/2kn collapses to one
+        # edge per seed vertex at desk scale, which leaves neighborhoods
+        # too small to ever hold a link edge; floor it at the degree
+        # concentration bound 3T/n instead.
+        cap = max(phase_length // (2 * k * n) + 1,
+                  math.ceil(3 * phase_length / n))
+        params = StrategyParams(
+            phase_length=phase_length,
+            seed_set_size=r,
+            per_vertex_cap=cap,
+            phase_budgets=(k * b // (k + 1),) + (b // (k + 1),) * k,
+            k=k,
+        )
+        kind = StrategyKind.FAN_SHORT
+    if r_set is not None:
+        params = replace(params, seed_set_size=r_set)
+    if cap_set is not None:
+        params = replace(params, per_vertex_cap=cap_set)
     return StrategySpec(kind, params)
 
 
@@ -405,8 +398,8 @@ class DiamondShort(_SeedPhaseBuilder):
 class AnchorNeighborhood(_Base):
     """Long-time builder shared by the diamond and fan targets.
 
-    Phase 1 (first T reveals): buy every edge at the anchor vertex, up to
-    half the budget. Phase 2: buy every edge inside the frozen anchor
+    Phase 1 (first T reveals): buy every edge at the anchor, vertex 0, up
+    to half the budget. Phase 2: buy every edge inside the frozen anchor
     neighborhood, up to half the budget. The diamond completes at a cherry
     inside the neighborhood, the k-fan at k disjoint inside edges; the
     incremental detector picks either up.
@@ -414,16 +407,15 @@ class AnchorNeighborhood(_Base):
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
-        self.anchor = 0
         self.frozen: Optional[set] = None
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         clock = state.clock
         u, v = e
         if clock <= self.T:
-            return (u == self.anchor or v == self.anchor) and self._phase_buy(state, 0)
+            return u == 0 and self._phase_buy(state, 0)  # edges have u < v
         if self.frozen is None:
-            self.frozen = set(state.purchased.neighbors(self.anchor))
+            self.frozen = set(state.purchased.neighbors(0))
         return u in self.frozen and v in self.frozen and self._phase_buy(state, 1)
 
     def windows(self, state: ProcessState):
@@ -432,7 +424,7 @@ class AnchorNeighborhood(_Base):
         yield _seed_edges(codes, 0, min(T, t), n, 1)
         if t <= T:
             return
-        self.frozen = set(state.purchased.neighbors(self.anchor))
+        self.frozen = set(state.purchased.neighbors(0))
         yield _inside(codes, T, t, n, self.frozen)
 
     def stats(self) -> dict:
@@ -462,7 +454,6 @@ class FanShort(_SeedPhaseBuilder):
         self.matched: Optional[list] = None  # per seed, vertices covered inside N
         self.survivors: set = set()
         self.gained: set = set()
-        self.survivor_history: list[int] = []
         self.survivor_sets: list[frozenset] = []
 
     def _round_of(self, clock: int) -> int:
@@ -485,7 +476,6 @@ class FanShort(_SeedPhaseBuilder):
                         matched[v].add(y)
         self.matched = matched
         self.survivors = set(range(self.r))
-        self.survivor_history.append(self.r)
         self.survivor_sets.append(frozenset(self.survivors))
 
     def _advance_round(self, rnd: int) -> None:
@@ -494,7 +484,6 @@ class FanShort(_SeedPhaseBuilder):
             if self.current_round >= 2:
                 self.survivors = self.gained
                 self.gained = set()
-                self.survivor_history.append(len(self.survivors))
                 self.survivor_sets.append(frozenset(self.survivors))
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
@@ -544,7 +533,7 @@ class FanShort(_SeedPhaseBuilder):
             "cap_skips": self.cap_skips,
             "phase0_bought": self.p_bought[0],
             "seed_set_size": self.r,
-            "survivor_history": tuple(self.survivor_history),
+            "survivor_history": tuple(map(len, self.survivor_sets)),
         }
 
 

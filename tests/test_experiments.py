@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from budget_builder.detect import DIAMOND, TRIANGLE, fan
+from budget_builder.detect import DIAMOND, fan
 from budget_builder.errors import ConfigurationError, CrossoverNotEstimable
 from budget_builder.experiments import (
     PhasePoint,
     SuccessEstimate,
+    _isotonic,
     estimate_crossover,
     estimate_from_counts,
     grid_values,
@@ -71,9 +72,6 @@ def test_one_fan_formula_matches_three_cycle_formula():
     for n, t in ((100, 500), (400, 2000), (400, 30000)):
         value = predicted_budget_threshold(fan(1), n, t)
         assert math.isclose(value, max(n**3 / t**2, n / math.sqrt(t)), rel_tol=1e-9)
-        assert math.isclose(
-            value, predicted_budget_threshold(TRIANGLE, n, t), rel_tol=1e-12
-        )
 
 
 def test_log_threshold_matches_value_threshold():
@@ -114,7 +112,7 @@ def test_run_trials_buy_all_triangle_matches_offline_fraction():
     # offline triangle detection over the same replayed streams.
     base = ProcessConfig(n=50, t=600, b=600, seed=314)
     trials = 60
-    est = run_trials(TRIANGLE, base, StrategySpec(StrategyKind.BUY_ALL), trials)
+    est = run_trials(fan(1), base, StrategySpec(StrategyKind.BUY_ALL), trials)
     offline = 0
     for i in range(trials):
         cfg = ProcessConfig(n=50, t=600, b=600, seed=derive_seed(base.seed, i))
@@ -237,6 +235,18 @@ def test_estimate_crossover_monotone_under_noise():
         for y, p in zip(ys, truth)
     ]
     assert abs(estimate_crossover(points, 1.3) - 0.7) < 0.1
+
+
+def test_isotonic_pools_adjacent_violators():
+    assert _isotonic([0.6, 0.4], [1.0, 1.0]) == pytest.approx([0.5, 0.5])
+    # A merged block that falls below its left neighbour pools again.
+    assert _isotonic([0.4, 0.6, 0.0], [1.0, 1.0, 1.0]) == pytest.approx([1 / 3] * 3)
+
+
+def test_estimate_crossover_reads_the_pooled_fit():
+    # 0.8 then 0.4 pool to 0.6, so 1/2 is crossed at 0.4 + 0.2 * (0.4 / 0.5).
+    points = [_point(0.4, 0.1), _point(0.6, 0.8), _point(0.8, 0.4), _point(1.0, 0.9)]
+    assert estimate_crossover(points, 1.3) == pytest.approx(0.56)
 
 
 # -- probes -------------------------------------------------------------------

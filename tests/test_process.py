@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from budget_builder.detect import DIAMOND, TRIANGLE, detector_for, fan
+from budget_builder.detect import DIAMOND, detector_for, fan
 from budget_builder.errors import (
     BudgetContractViolation,
     ConfigurationError,
@@ -135,7 +135,7 @@ def test_buy_all_matches_offline_triangle_detection():
     # flag must match containment in G_t checked by an independent route.
     for seed in range(30):
         config = ProcessConfig(n=5, t=10, b=10, seed=seed)
-        rec = _record(StrategyKind.BUY_ALL, config, TRIANGLE)
+        rec = _record(StrategyKind.BUY_ALL, config, fan(1))
         state = new_process(config)
         adj = {v: set() for v in range(5)}
         found = False
@@ -209,10 +209,10 @@ def test_contract_violation_raises_loudly():
 
 def test_early_stop_records_hit_time():
     config = ProcessConfig(n=12, t=66, b=66, seed=2)
-    rec = _record(StrategyKind.BUY_ALL, config, TRIANGLE)
+    rec = _record(StrategyKind.BUY_ALL, config, fan(1))
     assert rec.success
     assert rec.hit_time == rec.clock_at_stop <= 66
-    full = _record(StrategyKind.BUY_ALL, config, TRIANGLE, early_stop=False)
+    full = _record(StrategyKind.BUY_ALL, config, fan(1), early_stop=False)
     assert full.success and full.clock_at_stop == 66
     assert full.hit_time == rec.hit_time
 
@@ -295,6 +295,10 @@ _SMALL_CELLS = [
                     (5, 3, 2), (6, 4, 0))
     for regime in ("short", "long")
     if target.num_vertices <= n
+] + [
+    # t < k + 1: the fan builder's phase length T = t // (k + 1) is 0.
+    (fan(2), 8, 2, 2, "short"),
+    (fan(3), 8, 3, 3, "short"),
 ]
 
 

@@ -11,7 +11,7 @@ from budget_builder.detect import (
     fan,
     matching_within,
 )
-from budget_builder.errors import UnsupportedPattern
+from budget_builder.errors import ConfigurationError, UnsupportedPattern
 from budget_builder.process import ProcessConfig, run_strategy
 from budget_builder.strategies import (
     StrategyKind,
@@ -58,10 +58,16 @@ def test_select_fan_long_regime():
     assert spec.kind is StrategyKind.FAN_LONG  # 3000 > 400^{4/3}
 
 
-def test_select_triangle_maps_to_one_fan():
-    spec = select_strategy(TRIANGLE, 400, 2000, 64)
-    assert spec.kind is StrategyKind.FAN_SHORT
-    assert spec.params.k == 1
+def test_select_rejects_triangle_target_and_unknown_overrides():
+    # The triangle is counted and detected, but built only as fan(1).
+    with pytest.raises(UnsupportedPattern):
+        select_strategy(TRIANGLE, 400, 2000, 64)
+    with pytest.raises(UnsupportedPattern):
+        detector_for(TRIANGLE)
+    # A typo, and a field outside the three overrides, are refused by name.
+    for key in ("seed_set_sise", "k"):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            select_strategy(fan(2), 400, 2000, 64, {key: 3})
 
 
 def test_select_rejects_unsupported_target():
