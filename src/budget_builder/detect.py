@@ -9,7 +9,6 @@ the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import DuplicateEdgeError, UnsupportedPattern
@@ -80,20 +79,19 @@ def matching(k: int) -> Pattern:
 
 
 class BuilderGraph:
-    """Simple undirected graph with sorted adjacency lists."""
+    """Simple undirected graph: one adjacency set per vertex, plus the edge
+    set (pairs u < v) for the whole-graph scans."""
 
     __slots__ = ("n", "adj", "edge_count", "_edges")
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.adj: list[set[int]] = [set() for _ in range(n)]
         self.edge_count = 0
         self._edges: set[tuple[int, int]] = set()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edges
+        return v in self.adj[u]
 
     def insert_edge(self, u: int, v: int) -> None:
         if u > v:
@@ -103,40 +101,27 @@ class BuilderGraph:
         if (u, v) in self._edges:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
         self._edges.add((u, v))
-        insort(self.adj[u], v)
-        insort(self.adj[v], u)
+        self.adj[u].add(v)
+        self.adj[v].add(u)
         self.edge_count += 1
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> list[int]:
+    def neighbors(self, v: int) -> set[int]:
         return self.adj[v]
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edges)
 
-    def common_neighbors(self, u: int, v: int) -> list[int]:
-        a, b = self.adj[u], self.adj[v]
-        if len(a) > len(b):
-            a, b = b, a
-        out = []
-        for w in a:
-            i = bisect_left(b, w)
-            if i < len(b) and b[i] == w:
-                out.append(w)
-        return out
+    def common_neighbors(self, u: int, v: int) -> set[int]:
+        return self.adj[u] & self.adj[v]
 
 
 def contains_diamond(g: BuilderGraph) -> bool:
     """A diamond exists iff some edge's endpoints share >= 2 neighbors."""
-    for u, v in g._edges:
-        count = 0
-        for _ in g.common_neighbors(u, v):
-            count += 1
-            if count >= 2:
-                return True
-    return False
+    adj = g.adj
+    return any(len(adj[u] & adj[v]) >= 2 for u, v in g._edges)
 
 
 def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
@@ -148,18 +133,15 @@ def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
     The neighbor sets examined never include the edge (u,v) itself, so the
     test gives the same answer immediately before and after insertion.
     """
-    common = g.common_neighbors(u, v)
+    adj = g.adj
+    common = adj[u] & adj[v]
     if len(common) >= 2:
         return True
     for w in common:
-        # Shared edge (u,w): second wing besides v.
-        for z in g.common_neighbors(u, w):
-            if z != v:
-                return True
-        # Shared edge (v,w): second wing besides u.
-        for z in g.common_neighbors(v, w):
-            if z != u:
-                return True
+        # Shared edge (u,w) with a second wing besides v, or shared edge
+        # (v,w) with a second wing besides u.
+        if (adj[u] & adj[w]) - {v} or (adj[v] & adj[w]) - {u}:
+            return True
     return False
 
 
@@ -224,8 +206,8 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
     """Maximum matching size of the subgraph induced on the vertices, capped.
 
-    `vertices` is a collection, read twice; the branching visits the induced
-    edges in the order of their lower endpoint in it.
+    `vertices` is a collection, read twice. The edge order affects only how
+    fast the exact search finishes, never its result.
     """
     inside = set(vertices)
     edges = []
@@ -238,8 +220,9 @@ def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
 
 def _triangle_list(g: BuilderGraph) -> list[tuple[int, int, int]]:
     out = []
+    adj = g.adj
     for u, v in g._edges:
-        for w in g.common_neighbors(u, v):
+        for w in adj[u] & adj[v]:
             if w > v:
                 out.append((u, v, w))
     return out
@@ -254,8 +237,8 @@ def count_pattern(g: BuilderGraph, p: Pattern) -> int:
     (deg-1)(deg-1) products minus 3 * triangles.
     """
     if p.tag == "triangle":
-        total = sum(len(g.common_neighbors(u, v)) for u, v in g._edges)
-        return total // 3
+        adj = g.adj
+        return sum(len(adj[u] & adj[v]) for u, v in g._edges) // 3
     if p.tag == "p3":
         return sum(d * (d - 1) // 2 for d in map(g.degree, range(g.n)))
     if p.tag == "p4":
@@ -265,7 +248,7 @@ def count_pattern(g: BuilderGraph, p: Pattern) -> int:
     if p.tag == "c4":
         codeg: dict[tuple[int, int], int] = {}
         for w in range(g.n):
-            nbrs = g.adj[w]
+            nbrs = sorted(g.adj[w])  # the codegree key needs an order
             for i in range(len(nbrs)):
                 for j in range(i + 1, len(nbrs)):
                     key = (nbrs[i], nbrs[j])
@@ -317,14 +300,9 @@ class FanTracker:
         self.k = k
 
     def after_insert(self, g: BuilderGraph, u: int, v: int) -> bool:
-        k = self.k
-        for c in (u, v):
-            if g.degree(c) >= 2 * k and link_matching_size(g, c, k) >= k:
-                return True
-        for c in g.common_neighbors(u, v):
-            if g.degree(c) >= 2 * k and link_matching_size(g, c, k) >= k:
-                return True
-        return False
+        adj, k = g.adj, self.k
+        return any(len(adj[c]) >= 2 * k and link_matching_size(g, c, k) >= k
+                   for c in (u, v, *(adj[u] & adj[v])))
 
     def confirm(self, g: BuilderGraph) -> bool:
         return contains_fan(g, self.k)

@@ -212,9 +212,7 @@ def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int, bool]:
 
 
 def _sweep_cell(args) -> PhasePoint:
-    (target, n, x, y, trials, master_seed, early_stop, overrides) = args
-    t, b, t_clamped = cell_from_exponents(n, x, y)
-    spec = select_strategy(target, n, t, b, overrides)
+    (target, n, x, y, t, b, t_clamped, spec, trials, master_seed, early_stop) = args
     # Nested split (master, n, x, y) -> cell, (cell, i) -> trial keeps cells
     # independently reproducible and a single-cell sweep identical to a
     # plain trial batch started from the cell seed.
@@ -246,7 +244,8 @@ def sweep_grid(
     """Success-probability estimates over the (log_n t, log_n b) grid.
 
     Cells are embarrassingly parallel; output order is (n, x, y) regardless
-    of worker count.
+    of worker count. Every cell's strategy is selected before any trial
+    runs, so an override out of range for one n fails first.
     """
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
@@ -256,12 +255,14 @@ def sweep_grid(
     for y in y_grid:
         if not Y_RANGE[0] <= y <= Y_RANGE[1]:
             raise ConfigurationError(f"y={y} outside {Y_RANGE}")
-    cells = [
-        (target, n, x, y, trials, master_seed, early_stop, overrides)
-        for n in n_list
-        for x in x_grid
-        for y in y_grid
-    ]
+    cells = []
+    for n in n_list:
+        for x in x_grid:
+            for y in y_grid:
+                t, b, t_clamped = cell_from_exponents(n, x, y)
+                spec = select_strategy(target, n, t, b, overrides)
+                cells.append((target, n, x, y, t, b, t_clamped, spec, trials,
+                              master_seed, early_stop))
     return _map_jobs(_sweep_cell, cells, jobs)
 
 

@@ -1,9 +1,11 @@
 """Deterministic RNG plumbing.
 
 All randomness flows through counter-based Philox generators keyed by a
-64-bit seed plus an explicit stream id, so that the edge stream and any
-strategy randomness are independent and every trial is replayable from
-the integers recorded in its output row.
+64-bit seed plus an explicit stream id, so every trial is replayable from
+the integers recorded in its output row. The edge stream is the only
+substream read: the strategy substream is drawn for every trial but no
+strategy reads it, and deleting it waits for a benchmark change (the
+benchmark's tests count two substreams per trial).
 """
 
 from __future__ import annotations

@@ -6,9 +6,12 @@ them, and a long-time variant that grows one anchored star and buys inside
 its neighborhood. Baselines (buy-all, never-buy, connectivity greedy,
 degree greedy) support calibration and the counting probes.
 
-Decisions depend only on the revealed prefix, the strategy's own state,
-and its own RNG substream; every strategy refuses to buy once the global
-budget is spent (degrading to skips that are counted in its stats).
+Decisions depend only on the revealed prefix and the strategy's own
+state; every strategy refuses to buy once the global budget is spent
+(degrading to skips that are counted in its stats). `build_strategy`
+still draws a strategy RNG substream per trial, which no strategy reads;
+deleting it waits for a benchmark change, since the benchmark's tests
+count two substreams per trial.
 
 The phased builders (`DiamondShort`, `AnchorNeighborhood`, `FanShort`)
 also have `windows(state)` for the event-driven loop (contract in
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -101,6 +103,9 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
             raise ConfigurationError(f"unknown strategy override {key!r} "
                                      f"(known: {', '.join(_OVERRIDE_KEYS)})")
     regime, r_set, cap_set = (overrides.get(key) for key in _OVERRIDE_KEYS)
+    if regime not in (None, "short", "long"):
+        raise ConfigurationError(f"regime override must be 'short' or 'long', "
+                                 f"got {regime!r}")
     if r_set is not None and not 1 <= r_set <= n:
         raise ConfigurationError(f"seed set size must lie in [1, n={n}], got {r_set}")
     if cap_set is not None and cap_set < 1:
@@ -240,8 +245,8 @@ class DegreeGreedy(_Base):
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         if e.u >= self.h and e.v >= self.h:
-            common = state.purchased.common_neighbors(e.u, e.v)  # ascending
-            if not common or common[0] >= self.h:
+            common = state.purchased.common_neighbors(e.u, e.v)
+            if not common or min(common) >= self.h:
                 return False
         return self._budget_left(state)
 
@@ -328,8 +333,8 @@ class DiamondShort(_SeedPhaseBuilder):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
-        self.candidates: Optional[set] = None
-        self.candidate_codes: Optional[np.ndarray] = None  # sorted
+        self.candidates: Optional[set] = None  # pair codes
+        self.candidate_codes: Optional[np.ndarray] = None  # the same, sorted
         self.max_multiplicity = 0
 
     def _neighborhoods_containing(self, u: int, v: int) -> list[int]:
@@ -352,7 +357,8 @@ class DiamondShort(_SeedPhaseBuilder):
             return True
         if self.candidates is None:
             self._build_candidates(state.codes[: self.T])
-        return (u, v) in self.candidates and self._phase_buy(state, 2)
+        return (pair_code(self.config.n, u, v) in self.candidates
+                and self._phase_buy(state, 2))
 
     def windows(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
@@ -367,22 +373,19 @@ class DiamondShort(_SeedPhaseBuilder):
         yield np.flatnonzero(_in_sorted(codes[2 * T:], self.candidate_codes)) + 2 * T
 
     def _build_candidates(self, phase1_codes) -> None:
-        """The pairs that extend a phase-2 triangle to a diamond and were
-        not revealed in phase 1 (`phase1_codes`)."""
+        """The codes of the pairs that extend a phase-2 triangle to a
+        diamond and were not revealed in phase 1 (`phase1_codes`)."""
+        n = self.config.n
         cand = set()
         for seed, x, y in self.phase2_edges:
             for z in self.frozen_nbrs[seed]:
                 if z == x or z == y:
                     continue
                 for a in (x, y):
-                    cand.add((a, z) if a < z else (z, a))
-        ends = np.fromiter(chain.from_iterable(cand), np.int64, 2 * len(cand))
-        codes = pair_code(self.config.n, ends[0::2], ends[1::2])
-        seen = _in_sorted(codes, np.sort(phase1_codes))
-        us, vs = decode(self.config.n, codes[seen])
-        cand.difference_update(zip(us.tolist(), vs.tolist()))
-        self.candidates = cand
-        self.candidate_codes = np.sort(codes[~seen])
+                    cand.add(pair_code(n, a, z) if a < z else pair_code(n, z, a))
+        codes = np.array(sorted(cand), dtype=np.int64)
+        self.candidate_codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
+        self.candidates = set(self.candidate_codes.tolist())
 
     def stats(self) -> dict:
         return {
@@ -456,47 +459,35 @@ class FanShort(_SeedPhaseBuilder):
         self.gained: set = set()
         self.survivor_sets: list[frozenset] = []
 
-    def _round_of(self, clock: int) -> int:
-        if self.T == 0:
-            return self.k + 1
-        return min((clock - 1) // self.T, self.k + 1)
-
     def _freeze(self, state: ProcessState) -> None:
         super()._freeze(state)
         g = state.purchased
         # Purchases already sitting inside a neighborhood block the vertices
         # they cover (phase-0 edges between two members count).
-        matched = [set() for _ in range(self.r)]
-        for v in range(self.r):
-            inside = self.frozen_nbrs[v]
-            for x in inside:
-                for y in g.neighbors(x):
-                    if y in inside:
-                        matched[v].add(x)
-                        matched[v].add(y)
-        self.matched = matched
-        self.survivors = set(range(self.r))
-        self.survivor_sets.append(frozenset(self.survivors))
+        self.matched = [{x for x in inside if not g.adj[x].isdisjoint(inside)}
+                        for inside in self.frozen_nbrs]
 
-    def _advance_round(self, rnd: int) -> None:
-        while self.current_round < rnd:
-            self.current_round += 1
-            if self.current_round >= 2:
-                self.survivors = self.gained
-                self.gained = set()
-                self.survivor_sets.append(frozenset(self.survivors))
+    def _start_round(self, rnd: int, state: ProcessState) -> None:
+        """Round 1 freezes the neighborhoods; a later round keeps only the
+        seeds whose neighborhood gained an edge in the round before."""
+        if rnd == 1:
+            self._freeze(state)
+            self.survivors = set(range(self.r))
+        else:
+            self.survivors, self.gained = self.gained, set()
+        self.survivor_sets.append(frozenset(self.survivors))
+        self.current_round = rnd
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         u, v = e
-        rnd = self._round_of(state.clock)
-        if rnd == 0:
+        clock, T = state.clock, self.T
+        if clock <= T:
             return self._seed_decide(state, u, v)
-        if rnd > self.k:
+        if clock > (self.k + 1) * T:  # past the last round; always so at T = 0
             return False
-        if self.frozen_nbrs is None:
-            self._freeze(state)
-        if self.current_round < rnd:
-            self._advance_round(rnd)
+        rnd = (clock - 1) // T
+        while self.current_round < rnd:
+            self._start_round(self.current_round + 1, state)
         # Only a surviving host whose link matching the edge grows is credited.
         placeable = [
             w
@@ -521,9 +512,7 @@ class FanShort(_SeedPhaseBuilder):
             lo = rnd * T
             if lo >= t:
                 return
-            if rnd == 1:
-                self._freeze(state)
-            self._advance_round(rnd)
+            self._start_round(rnd, state)
             live = set().union(*(self.frozen_nbrs[w] for w in self.survivors))
             yield _inside(codes, lo, min(lo + T, t), n, live)
 
@@ -550,7 +539,9 @@ _BUILDERS = {
 
 
 def build_strategy(spec: StrategySpec, config: ProcessConfig):
-    """Fresh strategy instance with its own RNG substream for this trial."""
+    """Fresh strategy instance for this trial. It is handed the trial's
+    strategy RNG substream, which no strategy reads (see the module
+    docstring)."""
     strategy = _BUILDERS[spec.kind](
         config, spec.params, substream(config.seed, STREAM_STRATEGY)
     )

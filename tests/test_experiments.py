@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from budget_builder import experiments
 from budget_builder.detect import DIAMOND, fan
 from budget_builder.errors import ConfigurationError, CrossoverNotEstimable
 from budget_builder.experiments import (
@@ -175,6 +176,17 @@ def test_sweep_grid_validates_ranges():
         sweep_grid(DIAMOND, [60], [0.5], [0.5], 5, 8)
     with pytest.raises(ConfigurationError):
         sweep_grid(DIAMOND, [60], [1.2], [1.7], 5, 8)
+
+
+def test_sweep_grid_checks_every_override_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a cell ran before every override was checked")
+
+    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    # A seed set of 60 fits n = 200 but not n = 50, whose cells come last.
+    with pytest.raises(ConfigurationError, match="n=50"):
+        sweep_grid(DIAMOND, [200, 50], [1.2], [0.8], 3, 8,
+                   overrides={"seed_set_size": 60})
 
 
 def test_grid_values_inclusive():

@@ -12,7 +12,7 @@ from budget_builder.detect import (
     matching_within,
 )
 from budget_builder.errors import ConfigurationError, UnsupportedPattern
-from budget_builder.process import ProcessConfig, run_strategy
+from budget_builder.process import ProcessConfig, pair_code, run_strategy
 from budget_builder.strategies import (
     StrategyKind,
     StrategyParams,
@@ -82,6 +82,12 @@ def test_regime_override():
     assert spec.kind is StrategyKind.DIAMOND_LONG
 
 
+def test_regime_override_is_short_or_long():
+    # Without an override this cell is k4m-long; "Long" must not read as short.
+    with pytest.raises(ConfigurationError, match="'Long'"):
+        select_strategy(DIAMOND, 400, 20000, 80, {"regime_override": "Long"})
+
+
 def test_seed_set_override():
     spec = select_strategy(DIAMOND, 400, 2000, 256, {"seed_set_size": 17})
     assert spec.params.seed_set_size == 17
@@ -126,7 +132,8 @@ def test_k4m_short_phase2_double_neighborhood_completes_diamond():
 
 def test_k4m_short_phase3_only_buys_candidates():
     # T = 3. Phase 1 grows N(0) = {3,4,5}; phase 2 buys (3,4); the candidate
-    # set is {(3,5), (4,5)} and phase 3 ignores everything else.
+    # set is {(3,5), (4,5)}, kept as pair codes, and phase 3 ignores
+    # everything else.
     config = ProcessConfig(n=8, t=9, b=9, seed=0)
     strat = _k4m_short(config, seed_set_size=1, per_vertex_cap=3)
     edges = [
@@ -136,7 +143,7 @@ def test_k4m_short_phase3_only_buys_candidates():
     ]
     decisions, state = drive(strat, 8, edges, config.b)
     assert decisions == [True, True, True, True, False, False, True, False, False]
-    assert strat.candidates == {(3, 5), (4, 5)}
+    assert strat.candidates == {pair_code(8, 3, 5), pair_code(8, 4, 5)}
     assert contains_diamond(state.purchased)
 
 
@@ -154,7 +161,7 @@ def test_k4m_short_candidates_exclude_phase1_reveals():
     assert decisions == [True, True, True, False,
                          True, False, False, False,
                          False, True]
-    assert strat.candidates == {(4, 5)}
+    assert strat.candidates == {pair_code(8, 4, 5)}
     assert contains_diamond(state.purchased)
 
 
@@ -348,6 +355,22 @@ def test_degree_greedy_prefix_membership():
     edges = [(1, 2), (2, 3), (0, 5), (0, 6), (5, 6)]
     decisions, _ = drive(strat, 100, edges, config.b)
     assert decisions == [True, False, True, True, True]
+
+
+def test_degree_greedy_closing_edge_reads_the_least_common_neighbour():
+    config = ProcessConfig(n=100, t=400, b=40, seed=0)
+    strat = build_strategy(StrategySpec(StrategyKind.DEGREE_GREEDY), config)
+    assert strat.h == 2
+    # Cherries at prefix vertices 1 and 0 give 5-8 and 8-9; then (5, 6) has
+    # common neighbours {1, 8} and is bought, while (5, 9) has only {8},
+    # outside the prefix, and is skipped.
+    edges = [(1, 5), (1, 6), (1, 8), (5, 8), (6, 8), (0, 8), (0, 9), (8, 9),
+             (5, 6), (5, 9)]
+    decisions, state = drive(strat, 100, edges, config.b)
+    assert decisions == [True] * 9 + [False]
+    # The set iterates 8 before 1, so reading its first element instead of
+    # its minimum would skip (5, 6).
+    assert list(state.purchased.common_neighbors(5, 6)) == [8, 1]
 
 
 def test_buy_all_dominates_tailored_strategies_when_budget_is_time():
