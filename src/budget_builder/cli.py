@@ -14,11 +14,11 @@ from .errors import (
     BudgetBuilderError,
     BudgetContractViolation,
     ConfigurationError,
-    CrossoverNotEstimable,
     DetectorMismatch,
 )
 from .experiments import (
     PROBE_COLUMNS,
+    PROBE_SPECS,
     SWEEP_COLUMNS,
     TRIALS_COLUMNS,
     cell_from_exponents,
@@ -54,12 +54,12 @@ def _parse_detect_pattern(text: str) -> Pattern:
         try:
             k = int(text.split(":", 1)[1])
         except ValueError:
-            raise ConfigurationError(f"--pattern tk:K needs integer K, got {text!r}")
+            raise argparse.ArgumentTypeError(f"tk:K needs integer K, got {text!r}")
         if k < 1:
-            raise ConfigurationError(f"--pattern tk:K needs K >= 1, got {k}")
+            raise argparse.ArgumentTypeError(f"tk:K needs K >= 1, got {k}")
         return fan(k)
-    raise ConfigurationError(
-        f"--pattern must be k4m, tk:K, triangle, c4 or k3plus, got {text!r}"
+    raise argparse.ArgumentTypeError(
+        f"expected k4m, tk:K, triangle, c4 or k3plus, got {text!r}"
     )
 
 
@@ -67,9 +67,9 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigurationError(f"--n-list must be comma-separated ints, got {text!r}")
+        values = []
     if not values:
-        raise ConfigurationError("--n-list is empty")
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
     return values
 
 
@@ -149,10 +149,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     run.add_argument("--t", type=int, required=True)
     run.add_argument("--b", type=int, required=True)
     for p in (sweep, probe):
-        p.add_argument("--n-list", required=True)
+        p.add_argument("--n-list", type=_parse_n_list, required=True)
     for name in ("--x-min", "--x-max", "--x-step", "--y-min", "--y-max", "--y-step"):
         sweep.add_argument(name, type=float, required=True)
-    probe.add_argument("--adversary", default="degree-greedy")
+    probe.add_argument("--adversary", choices=sorted(PROBE_SPECS),
+                       default="degree-greedy")
     probe.add_argument("--t-exp", type=float, required=True)
     probe.add_argument("--b-exp", type=float, required=True)
     for p in (run, sweep, probe):
@@ -171,7 +172,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     run.add_argument("--diagnostics", action="store_true")
 
     detect.add_argument("--graph", required=True)
-    detect.add_argument("--pattern", required=True)
+    detect.add_argument("--pattern", type=_parse_detect_pattern, required=True)
     return parser, sub.choices
 
 
@@ -207,7 +208,6 @@ def _cmd_run(args) -> int:
         check_csv_out(args.out, TRIALS_COLUMNS, args.seed)
     target = _parse_target(args.target, args.k)
     base = ProcessConfig(n=args.n, t=args.t, b=args.b, seed=args.seed)
-    base.validate()
     spec = select_strategy(target, args.n, args.t, args.b, _overrides_from(args))
     records = run_trial_batch(
         target, base, spec, args.trials, early_stop=not args.no_early_stop
@@ -239,7 +239,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("--y-min exceeds --y-max")
     points = sweep_grid(
         target,
-        _parse_n_list(args.n_list),
+        args.n_list,
         grid_values(args.x_min, args.x_max, args.x_step),
         grid_values(args.y_min, args.y_max, args.y_step),
         args.trials,
@@ -258,7 +258,7 @@ def _cmd_probe(args) -> int:
     if args.out:
         check_csv_out(args.out, PROBE_COLUMNS, args.seed)
     all_records = []
-    for n in _parse_n_list(args.n_list):
+    for n in args.n_list:
         t, b, _ = cell_from_exponents(n, args.t_exp, args.b_exp)
         all_records.extend(
             probe_counts(n, t, b, args.adversary, args.trials, args.seed, jobs=args.jobs)
@@ -270,12 +270,11 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    pattern = _parse_detect_pattern(args.pattern)
     try:
         graph = read_edge_list(args.graph)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"--graph {args.graph}: {exc}")
-    print("true" if contains_pattern(graph, pattern) else "false")
+    print("true" if contains_pattern(graph, args.pattern) else "false")
     return 0
 
 
@@ -293,9 +292,6 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:  # -h/--help; parse errors raise instead
         return int(exc.code or 0)
-    except (ConfigurationError, CrossoverNotEstimable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BudgetContractViolation, DetectorMismatch) as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3

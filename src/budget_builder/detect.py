@@ -28,11 +28,7 @@ class Pattern:
 
     @property
     def num_vertices(self) -> int:
-        if self.tag == "fan":
-            return 2 * self.k + 1
-        if self.tag == "matching":
-            return 2 * self.k
-        return _PATTERN_VERTICES[self.tag]
+        return 1 + max(max(e) for e in self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges of the pattern on vertices 0..num_vertices-1."""
@@ -56,7 +52,6 @@ _PATTERN_EDGES = {
     "diamond": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),
     "paw": ((0, 1), (0, 2), (1, 2), (2, 3)),
 }
-_PATTERN_VERTICES = {"triangle": 3, "p3": 3, "p4": 4, "c4": 4, "diamond": 4, "paw": 4}
 
 TRIANGLE = Pattern("triangle")
 P3 = Pattern("p3")
@@ -328,21 +323,23 @@ def detector_for(p: Pattern):
 
 def read_edge_list(path) -> BuilderGraph:
     """Read a graph from text lines "u v" (0-based; '#' starts a comment)."""
-    edges = []
+    edges = set()
     top = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
+            try:
+                u, v = sorted(map(int, line.split()))
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u == v or u < 0 or v < 0:
+            if u == v or u < 0:
                 raise ValueError(f"{path}:{lineno}: bad edge ({u}, {v})")
-            edges.append((u, v))
-            top = max(top, u, v)
+            if (u, v) in edges:
+                raise ValueError(f"{path}:{lineno}: edge ({u}, {v}) already present")
+            edges.add((u, v))
+            top = max(top, v)
     g = BuilderGraph(top + 1)
     for u, v in edges:
         g.insert_edge(u, v)

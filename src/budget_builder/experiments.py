@@ -212,17 +212,13 @@ def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int, bool]:
 
 
 def _sweep_cell(args) -> PhasePoint:
-    (target, n, x, y, t, b, t_clamped, spec, trials, master_seed, early_stop) = args
-    # Nested split (master, n, x, y) -> cell, (cell, i) -> trial keeps cells
-    # independently reproducible and a single-cell sweep identical to a
-    # plain trial batch started from the cell seed.
-    base = ProcessConfig(n=n, t=t, b=b, seed=derive_seed(master_seed, n, x, y))
+    (target, x, y, base, t_clamped, spec, trials, early_stop) = args
     return PhasePoint(
-        n=n,
+        n=base.n,
         x=x,
         y=y,
-        t=t,
-        b=b,
+        t=base.t,
+        b=base.b,
         estimate=run_trials(target, base, spec, trials, early_stop=early_stop),
         y_star_pred=predicted_log_threshold(target, x),
         t_clamped=t_clamped,
@@ -244,8 +240,9 @@ def sweep_grid(
     """Success-probability estimates over the (log_n t, log_n b) grid.
 
     Cells are embarrassingly parallel; output order is (n, x, y) regardless
-    of worker count. Every cell's strategy is selected before any trial
-    runs, so an override out of range for one n fails first.
+    of worker count. Every cell's config is built and its strategy selected
+    before any trial runs, so a bad cell or an override out of range for one
+    n fails first.
     """
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
@@ -260,9 +257,11 @@ def sweep_grid(
         for x in x_grid:
             for y in y_grid:
                 t, b, t_clamped = cell_from_exponents(n, x, y)
+                # Nested split (master, n, x, y) -> cell, (cell, i) -> trial:
+                # a single-cell sweep is a trial batch from the cell seed.
+                base = ProcessConfig(n, t, b, derive_seed(master_seed, n, x, y))
                 spec = select_strategy(target, n, t, b, overrides)
-                cells.append((target, n, x, y, t, b, t_clamped, spec, trials,
-                              master_seed, early_stop))
+                cells.append((target, x, y, base, t_clamped, spec, trials, early_stop))
     return _map_jobs(_sweep_cell, cells, jobs)
 
 
@@ -327,7 +326,7 @@ def estimate_crossover(points: Sequence[PhasePoint], x: float) -> float:
 
 # -- counting probes ---------------------------------------------------------
 
-_PROBE_SPECS = {
+PROBE_SPECS = {
     "degree-greedy": StrategyKind.DEGREE_GREEDY,
     "buy-all": StrategyKind.BUY_ALL,
 }
@@ -346,9 +345,9 @@ def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
 
 
 def _probe_trial(args) -> ProbeRecord:
-    n, t, b, adversary, seed = args
-    spec = StrategySpec(_PROBE_SPECS[adversary])
-    cfg = ProcessConfig(n=n, t=t, b=b, seed=seed)
+    cfg, adversary = args
+    n, t, b = cfg.n, cfg.t, cfg.b
+    spec = StrategySpec(PROBE_SPECS[adversary])
     strategy = build_strategy(spec, cfg)
     # Detection stays off: probes consume the full (t, b) process.
     record = run_strategy(
@@ -388,15 +387,17 @@ def probe_counts(
     *,
     jobs: int = 1,
 ) -> list[ProbeRecord]:
-    """Run the counting adversary and record pattern counts per trial."""
-    if adversary not in _PROBE_SPECS:
+    """Run the counting adversary and record pattern counts per trial; every
+    trial's config is built, and so checked, before the first trial runs."""
+    if adversary not in PROBE_SPECS:
         raise ConfigurationError(
-            f"adversary must be one of {sorted(_PROBE_SPECS)}, got {adversary!r}"
+            f"adversary must be one of {sorted(PROBE_SPECS)}, got {adversary!r}"
         )
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     items = [
-        (n, t, b, adversary, derive_seed(master_seed, n, i)) for i in range(trials)
+        (ProcessConfig(n, t, b, derive_seed(master_seed, n, i)), adversary)
+        for i in range(trials)
     ]
     return _map_jobs(_probe_trial, items, jobs)
 

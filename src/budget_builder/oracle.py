@@ -43,10 +43,6 @@ class SmallGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1)
 
-    @classmethod
-    def from_builder(cls, g: BuilderGraph) -> "SmallGraph":
-        return cls(g.n, g.edges())
-
 
 @lru_cache(maxsize=None)
 def _placements(pattern: Pattern) -> tuple[frozenset, ...]:

@@ -47,6 +47,9 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class ProcessConfig:
+    """One cell (n, t, b) of the model and a trial seed; checked when built,
+    so no invalid config exists (`replace` builds, and checks, a new one)."""
+
     n: int
     t: int
     b: int
@@ -56,7 +59,7 @@ class ProcessConfig:
     def num_pairs(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigurationError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.t <= self.num_pairs:
@@ -79,7 +82,6 @@ class ProcessState:
 
 
 def new_process(config: ProcessConfig) -> ProcessState:
-    config.validate()
     state = ProcessState(config=config)
     state.purchased = BuilderGraph(config.n)
     return state

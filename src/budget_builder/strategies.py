@@ -164,7 +164,6 @@ class _Base:
 
     def __init__(self, config: ProcessConfig, params: StrategyParams, rng):
         self.config = config
-        self.params = params
         self.rng = rng
         self.budget_skips = 0
         self.T = params.phase_length

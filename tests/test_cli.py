@@ -214,12 +214,13 @@ def test_bad_process_config_exits_2(tmp_path):
     assert code == 2
 
 
-def test_detect_duplicate_edge_file_exits_2(tmp_path):
+def test_detect_duplicate_edge_file_exits_2(tmp_path, capsys):
     path = tmp_path / "dup.txt"
     path.write_text("0 1\n1 0\n")
     assert parse_and_dispatch(
         ["detect", "--graph", str(path), "--pattern", "k4m"]
     ) == 2
+    assert f"{path}:2: edge (0, 1) already present" in capsys.readouterr().err
 
 
 def test_run_tk_requires_k():
@@ -269,6 +270,7 @@ _FILES = {
     "float-seed.cfg": b"seed = 1e3\n",
     "typo.cfg": b"trails = 5\n",
     "binary.csv": b"\xff\xfe\n",
+    "dup.txt": b"0 1\n1 0\n",
 }
 
 
@@ -291,6 +293,9 @@ _FILES = {
         _PROBE_N40 + ["--regime", "long"],
         _RUN_N50 + ["--seed", "1", "--out", "{tmp}/no-such-dir/trials.csv"],
         _RUN_N50 + ["--seed", "1", "--out", "{tmp}/binary.csv"],
+        ["sweep", "--target", "k4m", "--n-list", "0", *_SWEEP_N40[5:]],
+        ["sweep", "--target", "tk", "--k", "2", "--n-list", "1", *_SWEEP_N40[5:]],
+        ["detect", "--graph", "{tmp}/dup.txt", "--pattern", "k4m"],
     ],
 )
 def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
@@ -339,12 +344,14 @@ def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp
 
 def test_config_value_error_names_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "cell.cfg"
-    for lines, bad_line in ((["# cell", "t = 150", "n = 40.0"], 3),
-                            (["regime = medium", "n = 50"], 1)):
+    run = ["run", "--target", "k4m", "--t", "150", "--b", "40", "--n", "50",
+           "--trials", "2", "--seed", "1"]
+    for argv, lines, bad_line in ((run, ["# cell", "t = 150", "n = 40.0"], 3),
+                                  (run, ["regime = medium", "n = 50"], 1),
+                                  (_SWEEP_N40, ["n-list = 40,abc"], 1),
+                                  (_PROBE_N40, ["trials = 2", "adversary = foo"], 2)):
         cfg.write_text("\n".join(lines) + "\n")
-        code = parse_and_dispatch(["run", "--target", "k4m", "--t", "150", "--b", "40",
-                                   "--n", "50", "--trials", "2", "--seed", "1",
-                                   "--config", str(cfg)])
+        code = parse_and_dispatch(argv + ["--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:{bad_line}: ") and err.count("\n") == 1

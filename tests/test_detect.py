@@ -15,6 +15,7 @@ from budget_builder.detect import (
     diamond_completing_check,
     fan,
     link_matching_size,
+    matching,
     matching_within,
     read_edge_list,
 )
@@ -258,6 +259,14 @@ def test_fan_tracker_incremental_or_equals_batch(rng):
                 g.insert_edge(u, v)
                 fired = tracker.after_insert(g, u, v) or fired
             assert fired == contains_fan(g, k)
+
+
+@pytest.mark.parametrize("pattern, size", [
+    (TRIANGLE, 3), (P3, 3), (P4, 4), (C4, 4), (DIAMOND, 4), (PAW, 4),
+    (fan(1), 3), (fan(3), 7), (matching(1), 2), (matching(4), 8),
+])
+def test_num_vertices(pattern, size):
+    assert pattern.num_vertices == size
 
 
 def test_read_edge_list(tmp_path):

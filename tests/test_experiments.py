@@ -189,6 +189,15 @@ def test_sweep_grid_checks_every_override_before_any_trial(monkeypatch):
                    overrides={"seed_set_size": 60})
 
 
+def test_probe_counts_checks_the_cell_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a probe trial ran on an invalid cell")
+
+    monkeypatch.setattr(experiments, "_probe_trial", no_trials)
+    with pytest.raises(ConfigurationError, match="n >= 2"):
+        probe_counts(1, 1, 1, "degree-greedy", 2, 8, jobs=2)
+
+
 def test_grid_values_inclusive():
     assert grid_values(1.25, 1.35, 0.05) == pytest.approx([1.25, 1.30, 1.35])
     assert grid_values(0.2, 1.2, 0.1) == pytest.approx(

@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,17 +42,19 @@ def test_new_process_initial_state():
 
 
 def test_new_process_rejects_too_many_edges():
-    with pytest.raises(ConfigurationError):
-        new_process(ProcessConfig(n=4, t=7, b=5, seed=1))
+    with pytest.raises(ConfigurationError, match="t <= C"):
+        ProcessConfig(n=4, t=7, b=5, seed=1)
+    with pytest.raises(ConfigurationError, match="t <= C"):
+        replace(ProcessConfig(n=4, t=6, b=5, seed=1), t=7)
 
 
 def test_new_process_rejects_tiny_n_and_negative_budget():
-    with pytest.raises(ConfigurationError):
-        new_process(ProcessConfig(n=1, t=1, b=0, seed=1))
-    with pytest.raises(ConfigurationError):
-        new_process(ProcessConfig(n=4, t=0, b=0, seed=1))
-    with pytest.raises(ConfigurationError):
-        new_process(ProcessConfig(n=4, t=3, b=-1, seed=1))
+    with pytest.raises(ConfigurationError, match="n >= 2"):
+        ProcessConfig(n=1, t=1, b=0, seed=1)
+    with pytest.raises(ConfigurationError, match="1 <= t"):
+        ProcessConfig(n=4, t=0, b=0, seed=1)
+    with pytest.raises(ConfigurationError, match="b >= 0"):
+        ProcessConfig(n=4, t=3, b=-1, seed=1)
 
 
 def test_degenerate_budget_is_valid():
