@@ -257,9 +257,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_probe(args) -> int:
     if args.out:
         check_csv_out(args.out, PROBE_COLUMNS, args.seed)
+    cells = [(n, *cell_from_exponents(n, args.t_exp, args.b_exp)[:2])
+             for n in args.n_list]
     all_records = []
-    for n in args.n_list:
-        t, b, _ = cell_from_exponents(n, args.t_exp, args.b_exp)
+    for n, t, b in cells:
         all_records.extend(
             probe_counts(n, t, b, args.adversary, args.trials, args.seed, jobs=args.jobs)
         )

@@ -133,10 +133,6 @@ def run_one_trial(
     early_stop: bool = True,
     keep_graph: bool = False,
 ) -> TrialRecord:
-    if target.num_vertices > config.n:
-        raise ConfigurationError(
-            f"target {target} needs {target.num_vertices} vertices, n={config.n}"
-        )
     label, k = _target_label(target)
     strategy = build_strategy(spec, config)
     detector = detector_for(target)
@@ -201,14 +197,20 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
 
 X_RANGE = (1.0, 2.0)
 Y_RANGE = (0.0, 1.5)
+MAX_CELLS = 10_000  # the most values one grid axis, or cells one sweep, may hold
 
 
 def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int, bool]:
     """(t, b, t_clamped) for t = n^x and b = n^y, rounded, with t clamped
     to [1, C(n, 2)]; t_clamped says whether the clamp moved t."""
-    t_raw = int(round(n ** x))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigurationError(f"exponents must be finite, got x={x}, y={y}")
+    try:
+        t_raw, b = round(math.pow(n, x)), round(math.pow(n, y))
+    except (ValueError, OverflowError):
+        raise ConfigurationError(f"n^x or n^y is not a finite real: n={n}, x={x}, y={y}")
     t = min(max(t_raw, 1), n * (n - 1) // 2)
-    return t, int(round(n ** y)), t != t_raw
+    return t, b, t != t_raw
 
 
 def _sweep_cell(args) -> PhasePoint:
@@ -246,6 +248,9 @@ def sweep_grid(
     """
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
+    size = len(n_list) * len(x_grid) * len(y_grid)
+    if size > MAX_CELLS:
+        raise ConfigurationError(f"{size} cells exceed the {MAX_CELLS} a sweep may hold")
     for x in x_grid:
         if not X_RANGE[0] <= x <= X_RANGE[1]:
             raise ConfigurationError(f"x={x} outside {X_RANGE}")
@@ -266,13 +271,18 @@ def sweep_grid(
 
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid, robust to float stepping."""
+    """Inclusive arithmetic grid, robust to float stepping; it is counted,
+    and refused above MAX_CELLS values, before it is built."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigurationError(f"grid needs finite bounds and step, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ConfigurationError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ConfigurationError(f"grid bounds inverted: {lo} > {hi}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_CELLS:
+        raise ConfigurationError(f"grid {lo}..{hi} by {step} has over {MAX_CELLS} values")
+    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _isotonic(p: list[float], w: list[float]) -> list[float]:

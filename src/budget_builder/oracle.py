@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .detect import BuilderGraph, Pattern
+from .detect import Pattern
 from .errors import OracleSizeError
 
 MAX_VERTICES = 16
@@ -164,20 +164,3 @@ def brute_max_matching(g: SmallGraph) -> int:
         return best
 
     return rec(0, 0)
-
-
-def contains_p3_within(g: BuilderGraph, vertices) -> bool:
-    """True iff some vertex of the set has two neighbors inside the set.
-
-    A test helper on a BuilderGraph of any size; nothing in the package
-    calls it.
-    """
-    inside = set(vertices)
-    for v in inside:
-        count = 0
-        for w in g.adj[v]:
-            if w in inside:
-                count += 1
-                if count >= 2:
-                    return True
-    return False

@@ -5,22 +5,22 @@ irrevocably buy at most b of the first t, and watches the purchased graph
 with an incremental target detector.
 
 The stream is one array of t pair codes (`pair_code`), drawn at the first
-reveal. `run_strategy` drives a trial by one of two loops:
+reveal. `run_strategy` runs one step per revealed edge (decide; the budget
+check; buy; detect; stop at a hit under early stop) over one of two reveal
+sources:
 
-- the per-reveal loop calls `next_edge` and `decide` on every reveal; it
-  serves every strategy without a `windows` method;
-- the event-driven loop serves a strategy with a `windows(state)`
-  generator. At each phase start the generator does that phase's set-up
-  (a freeze, a candidate build, a round advance) and then yields the
-  sorted stream indices of the reveals `decide` must see. Only those rows
-  are decoded; every other reveal is skipped unread.
+- `_every_reveal` calls `next_edge` on every reveal; it serves every
+  strategy without a `windows` method;
+- `_windowed_reveals` serves a strategy with a `windows(state)` generator.
+  At each phase start the generator does that phase's set-up (a freeze, a
+  candidate build, a round advance) and then yields the sorted stream
+  indices of the reveals `decide` must see. Only those rows are decoded;
+  every other reveal is skipped unread.
 
 The `windows` contract: yield every index where `decide` could buy or
-change a stat. Both loops share the budget check, the insert and the
-incremental detector call, end in the same `confirm` check, and set
-`state.clock` to the position of each reveal `decide` sees (index + 1),
-so for a given seed they give identical `TrialRecord`s, `phase_stats`
-included.
+change a stat. Both sources set `state.clock` to the position of each
+reveal `decide` sees (index + 1), so for a given seed they give identical
+`TrialRecord`s, `phase_stats` included.
 """
 
 from __future__ import annotations
@@ -149,47 +149,25 @@ class TrialRecord:
     purchased: Optional[BuilderGraph] = None  # the live graph, with keep_graph
 
 
-def _buy(state: ProcessState, strategy, detector, e: Edge, watching: bool) -> bool:
-    """The buy step of both loops: the budget check, the insert, then the
-    incremental detector while `watching`. True iff the buy is a hit."""
-    if state.budget_used >= state.config.b:
-        raise BudgetContractViolation(
-            f"{strategy.name} bought edge {tuple(e)} at clock "
-            f"{state.clock} with budget {state.config.b} exhausted"
-        )
-    state.purchased.insert_edge(e.u, e.v)
-    state.budget_used += 1
-    return watching and detector.after_insert(state.purchased, e.u, e.v)
+def _every_reveal(state: ProcessState):
+    """One `next_edge` call per reveal, up to clock t."""
+    t = state.config.t
+    while state.clock < t:
+        yield next_edge(state)
 
 
-def _per_reveal(state: ProcessState, strategy, detector, early_stop: bool):
-    hit_time = None
-    while state.clock < state.config.t:
-        e = next_edge(state)
-        if strategy.decide(state, e) and _buy(state, strategy, detector, e,
-                                              hit_time is None):
-            hit_time = state.clock
-            if early_stop:
-                break
-    return hit_time
-
-
-def _event_driven(state: ProcessState, strategy, detector, early_stop: bool):
+def _windowed_reveals(state: ProcessState, strategy):
+    """The rows `strategy.windows` yields, decoded per window; the clock
+    reaches t only once they are exhausted, so an early stop leaves it at
+    the hit."""
     cfg = state.config
     codes = state.codes = draw_codes(cfg)
-    hit_time = None
     for idx in strategy.windows(state):
         us, vs = decode(cfg.n, codes[idx])
         for i, u, v in zip(idx.tolist(), us.tolist(), vs.tolist()):
             state.clock = i + 1
-            e = _new_edge(Edge, (u, v))
-            if strategy.decide(state, e) and _buy(state, strategy, detector, e,
-                                                  hit_time is None):
-                hit_time = state.clock
-                if early_stop:
-                    return hit_time
+            yield _new_edge(Edge, (u, v))
     state.clock = cfg.t
-    return hit_time
 
 
 def run_strategy(
@@ -208,11 +186,26 @@ def run_strategy(
     with the budget already spent is a contract violation, never a silent
     clamp. The incremental hit flag is cross-checked against batch
     containment on the final purchased graph. A strategy with `windows`
-    takes the event-driven loop, any other the per-reveal loop.
+    reads the windowed source, any other every reveal; the step is the same.
     """
     state = new_process(config)
-    loop = _event_driven if hasattr(strategy, "windows") else _per_reveal
-    hit_time = loop(state, strategy, detector, early_stop)
+    reveals = (_windowed_reveals(state, strategy) if hasattr(strategy, "windows")
+               else _every_reveal(state))
+    hit_time = None
+    for e in reveals:
+        if not strategy.decide(state, e):
+            continue
+        if state.budget_used >= config.b:
+            raise BudgetContractViolation(
+                f"{strategy.name} bought edge {tuple(e)} at clock "
+                f"{state.clock} with budget {config.b} exhausted"
+            )
+        state.purchased.insert_edge(e.u, e.v)
+        state.budget_used += 1
+        if hit_time is None and detector.after_insert(state.purchased, e.u, e.v):
+            hit_time = state.clock
+            if early_stop:
+                break
     success = hit_time is not None
     if success != detector.confirm(state.purchased):
         raise DetectorMismatch(

@@ -97,6 +97,10 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
     """
     if target.tag not in ("diamond", "fan"):
         raise UnsupportedPattern(f"no strategy for target {target}")
+    if target.num_vertices > n:
+        raise ConfigurationError(
+            f"target {target} needs {target.num_vertices} vertices, n={n}"
+        )
     overrides = overrides or {}
     for key in overrides:
         if key not in _OVERRIDE_KEYS:

@@ -1,3 +1,4 @@
+import importlib
 import os
 
 import pytest
@@ -296,6 +297,14 @@ _FILES = {
         ["sweep", "--target", "k4m", "--n-list", "0", *_SWEEP_N40[5:]],
         ["sweep", "--target", "tk", "--k", "2", "--n-list", "1", *_SWEEP_N40[5:]],
         ["detect", "--graph", "{tmp}/dup.txt", "--pattern", "k4m"],
+        _PROBE_N40 + ["--t-exp", "nan"],
+        _PROBE_N40 + ["--t-exp", "inf"],
+        _PROBE_N40 + ["--b-exp", "inf"],
+        _SWEEP_N40 + ["--x-min", "nan"],
+        _SWEEP_N40 + ["--x-step", "nan"],
+        _SWEEP_N40 + ["--y-min", "nan"],
+        _SWEEP_N40 + ["--y-max", "inf"],
+        _SWEEP_N40 + ["--x-max", "1.3", "--x-step", "1e-300"],  # counted, never built
     ],
 )
 def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
@@ -340,6 +349,25 @@ def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp
     assert parse_and_dispatch(argv + ["--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module, entry, argv", [
+    ("experiments", "run_trials",
+     ["sweep", "--target", "tk", "--k", "3", "--n-list", "400,5", *_SWEEP_N40[5:],
+      "--jobs", "1"]),
+    ("cli", "probe_counts",  # 100^170 overflows; n=40 alone would run
+     ["probe", "--n-list", "40,100", "--t-exp", "1.3", "--b-exp", "170", "--trials", "2",
+      "--seed", "1", "--jobs", "1"]),
+])
+def test_misuse_is_refused_before_any_trial(module, entry, argv, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before the misuse was refused")
+
+    monkeypatch.setattr(importlib.import_module(f"budget_builder.{module}"), entry,
+                        must_not_run)
+    assert parse_and_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_value_error_names_file_and_line(tmp_path, capsys):

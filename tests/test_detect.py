@@ -25,7 +25,6 @@ from budget_builder.oracle import (
     brute_contains,
     brute_count,
     brute_max_matching,
-    contains_p3_within,
 )
 
 from conftest import builder_from, gnm_edges, gnp_edges
@@ -138,29 +137,6 @@ def test_contains_fan_random_vs_oracle(rng):
         edges = gnp_edges(rng, 12, float(rng.uniform(0.1, 0.5)))
         g = builder_from(12, edges)
         assert contains_fan(g, 2) == brute_contains(SmallGraph(12, edges), fan(2))
-
-
-def test_contains_p3_within_examples():
-    g = builder_from(3, [(0, 1), (1, 2)])
-    assert contains_p3_within(g, {0, 1, 2})
-    m = builder_from(4, [(0, 1), (2, 3)])
-    assert not contains_p3_within(m, {0, 1, 2, 3})
-
-
-def test_contains_p3_within_random_vs_triples(rng):
-    for _ in range(30):
-        edges = gnp_edges(rng, 12, 0.2)
-        g = builder_from(12, edges)
-        subset = {int(v) for v in rng.permutation(12)[: rng.integers(2, 10)]}
-        sg = SmallGraph(12, edges)
-        brute = any(
-            sg.has_edge(a, b) and sg.has_edge(b, c)
-            for a in subset
-            for b in subset
-            for c in subset
-            if a != b and b != c and a < c
-        )
-        assert contains_p3_within(g, subset) == brute
 
 
 def test_matching_within_examples():

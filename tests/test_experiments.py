@@ -189,6 +189,26 @@ def test_sweep_grid_checks_every_override_before_any_trial(monkeypatch):
                    overrides={"seed_set_size": 60})
 
 
+def test_sweep_grid_checks_every_target_size_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a cell ran before every n was checked against the target")
+
+    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    with pytest.raises(ConfigurationError, match="fan3 needs 7 vertices, n=5"):
+        sweep_grid(fan(3), [400, 5], [1.2], [0.8], 3, 8)
+
+
+def test_sweep_grid_refuses_more_than_max_cells_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a cell ran in a sweep over MAX_CELLS cells")
+
+    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    xs, ys = grid_values(1.0, 2.0, 0.01), grid_values(0.0, 1.5, 0.015)
+    assert len(xs) * len(ys) == 101 * 101 > experiments.MAX_CELLS
+    with pytest.raises(ConfigurationError, match="10201 cells"):
+        sweep_grid(DIAMOND, [60], xs, ys, 3, 8)
+
+
 def test_probe_counts_checks_the_cell_before_any_trial(monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a probe trial ran on an invalid cell")
@@ -205,6 +225,16 @@ def test_grid_values_inclusive():
     )
     with pytest.raises(ConfigurationError):
         grid_values(1.4, 1.2, 0.1)
+    for lo, hi, step in ((math.nan, 1.2, 0.1), (1.0, math.nan, 0.1), (1.0, 1.2, math.nan),
+                         (1.0, math.inf, 0.1), (-math.inf, 1.2, 0.1), (1.0, 1.2, math.inf)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            grid_values(lo, hi, step)
+    assert len(grid_values(0.0, 9999.0, 1.0)) == experiments.MAX_CELLS
+    with pytest.raises(ConfigurationError, match="over 10000 values"):
+        grid_values(0.0, 10000.0, 1.0)
+    # Counted before it is built: a list of 10^300 values would never finish.
+    with pytest.raises(ConfigurationError, match="over 10000 values"):
+        grid_values(1.0, 2.0, 1e-300)
 
 
 def _point(y, p_hat, trials=100):

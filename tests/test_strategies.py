@@ -68,6 +68,9 @@ def test_select_rejects_triangle_target_and_unknown_overrides():
     for key in ("seed_set_sise", "k"):
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             select_strategy(fan(2), 400, 2000, 64, {key: 3})
+    # A target with more vertices than n is refused before any trial.
+    with pytest.raises(ConfigurationError, match="fan3 needs 7 vertices, n=5"):
+        select_strategy(fan(3), 5, 6, 5)
 
 
 def test_select_rejects_unsupported_target():
