@@ -257,13 +257,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_probe(args) -> int:
     if args.out:
         check_csv_out(args.out, PROBE_COLUMNS, args.seed)
-    cells = [(n, *cell_from_exponents(n, args.t_exp, args.b_exp)[:2])
+    # Every n's config is built, and so checked, before the first probe.
+    cells = [ProcessConfig(n, *cell_from_exponents(n, args.t_exp, args.b_exp)[:2],
+                           seed=args.seed)
              for n in args.n_list]
     all_records = []
-    for n, t, b in cells:
-        all_records.extend(
-            probe_counts(n, t, b, args.adversary, args.trials, args.seed, jobs=args.jobs)
-        )
+    for c in cells:
+        all_records.extend(probe_counts(c.n, c.t, c.b, args.adversary, args.trials,
+                                        args.seed, jobs=args.jobs))
     if args.out:
         write_probe_csv(args.out, all_records, args.seed)
     print(f"probe: {len(all_records)} records")

@@ -11,16 +11,20 @@ sources:
 
 - `_every_reveal` calls `next_edge` on every reveal; it serves every
   strategy without a `windows` method;
-- `_windowed_reveals` serves a strategy with a `windows(state)` generator.
-  At each phase start the generator does that phase's set-up (a freeze, a
-  candidate build, a round advance) and then yields the sorted stream
-  indices of the reveals `decide` must see. Only those rows are decoded;
-  every other reveal is skipped unread.
+- `_windowed_reveals` serves a strategy with a `windows(state)` generator,
+  which yields windows: sorted arrays of the stream indices of the reveals
+  `decide` must see, each past the last. Only those rows are decoded;
+  every other reveal is skipped unread. The generator resumes after the
+  last row of a window is visited, so a window may follow any visited
+  row, not only a phase start; it may first do set-up that reads what the
+  visits so far left behind (a freeze, a candidate build, a round advance,
+  a spent purchase cap).
 
 The `windows` contract: yield every index where `decide` could buy or
-change a stat. Both sources set `state.clock` to the position of each
-reveal `decide` sees (index + 1), so for a given seed they give identical
-`TrialRecord`s, `phase_stats` included.
+change a stat, given the state at the row it follows. Both sources set
+`state.clock` to the position of each reveal `decide` sees (index + 1),
+so for a given seed they give identical `TrialRecord`s, `phase_stats`
+included.
 """
 
 from __future__ import annotations

@@ -19,7 +19,12 @@ also have `windows(state)` for the event-driven loop (contract in
 that phase's first reveal, then yields the indices in `state.codes` of
 that phase's reveals where `decide` could buy or change a stat. Seed-set
 edges are found from their codes, edges inside the frozen neighborhoods by
-decoding the window, candidate pairs in a sorted code array.
+decoding the window, candidate pairs in a sorted code array. A phase with
+a purchase cap below b yields its rows in blocks (`_Base._until_cap`) and
+stops once the cap is spent, since no later reveal of that phase can buy;
+past the seed phase's cap it yields only the rows that still count a
+`cap_skip`. `DiamondShort`'s last phase is capped at b, so after the
+budget is spent its candidate reveals still count a `budget_skip`.
 """
 
 from __future__ import annotations
@@ -188,6 +193,21 @@ class _Base:
         self.p_bought[i] += 1
         return True
 
+    def _until_cap(self, i: int, rows: np.ndarray):
+        """Yield phase i's `rows` in blocks of max(cap left, 32) while its
+        cap lasts; return the rows not yielded. Only a 32-row block can
+        outlast the cap, so at most 31 rows are visited past the buy that
+        spends it."""
+        start = 0
+        while start < rows.size:
+            left = self.p_caps[i] - self.p_bought[i]
+            if left <= 0:
+                break
+            stop = start + max(left, 32)
+            yield rows[start:stop]
+            start = stop
+        return rows[start:]
+
     def stats(self) -> dict:
         return {"budget_skips": self.budget_skips}
 
@@ -311,6 +331,18 @@ class _SeedPhaseBuilder(_Base):
         self.attr_count[holder] += 1
         return True
 
+    def _seed_windows(self, codes: np.ndarray, hi: int):
+        """The seed-set rows among the first `hi`, up to the phase-0 cap;
+        after it, only those whose seed ends are all at their per-vertex
+        cap, the rows that still count a `cap_skip`."""
+        n = self.config.n
+        rest = yield from self._until_cap(0, _seed_edges(codes, 0, hi, n, self.r))
+        if rest.size:
+            full = np.ones(n, dtype=bool)  # a vertex outside R holds nothing
+            full[: self.r] = np.array(self.attr_count) >= self.cap
+            us, vs = decode(n, codes[rest])
+            yield rest[full[us] & full[vs]]
+
     def _freeze(self, state: ProcessState) -> None:
         g = state.purchased
         self.frozen_nbrs = [set(g.neighbors(v)) for v in range(self.r)]
@@ -365,11 +397,12 @@ class DiamondShort(_SeedPhaseBuilder):
 
     def windows(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
-        yield _seed_edges(codes, 0, min(T, t), n, self.r)
+        yield from self._seed_windows(codes, min(T, t))
         if t <= T:
             return
         self._freeze(state)
-        yield _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs))
+        yield from self._until_cap(
+            1, _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs)))
         if t <= 2 * T:
             return
         self._build_candidates(codes[:T])
@@ -427,11 +460,11 @@ class AnchorNeighborhood(_Base):
     def windows(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         # The anchor is vertex 0, so its edges are those meeting {0}.
-        yield _seed_edges(codes, 0, min(T, t), n, 1)
+        yield from self._until_cap(0, _seed_edges(codes, 0, min(T, t), n, 1))
         if t <= T:
             return
         self.frozen = set(state.purchased.neighbors(0))
-        yield _inside(codes, T, t, n, self.frozen)
+        yield from self._until_cap(1, _inside(codes, T, t, n, self.frozen))
 
     def stats(self) -> dict:
         return {
@@ -510,14 +543,14 @@ class FanShort(_SeedPhaseBuilder):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         if T == 0:
             return  # every reveal falls after the last round
-        yield _seed_edges(codes, 0, min(T, t), n, self.r)
+        yield from self._seed_windows(codes, min(T, t))
         for rnd in range(1, self.k + 1):
             lo = rnd * T
             if lo >= t:
                 return
             self._start_round(rnd, state)
             live = set().union(*(self.frozen_nbrs[w] for w in self.survivors))
-            yield _inside(codes, lo, min(lo + T, t), n, live)
+            yield from self._until_cap(rnd, _inside(codes, lo, min(lo + T, t), n, live))
 
     def stats(self) -> dict:
         return {

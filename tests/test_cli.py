@@ -358,6 +358,9 @@ def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp
     ("cli", "probe_counts",  # 100^170 overflows; n=40 alone would run
      ["probe", "--n-list", "40,100", "--t-exp", "1.3", "--b-exp", "170", "--trials", "2",
       "--seed", "1", "--jobs", "1"]),
+    ("cli", "probe_counts",  # n=1 has no pair; n=400 alone would run
+     ["probe", "--n-list", "400,1", "--t-exp", "1.3", "--b-exp", "1.1", "--trials", "2",
+      "--seed", "1", "--jobs", "1"]),
 ])
 def test_misuse_is_refused_before_any_trial(module, entry, argv, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):

@@ -23,9 +23,6 @@ from budget_builder.process import (
 )
 from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
-    AnchorNeighborhood,
-    DiamondShort,
-    FanShort,
     StrategyKind,
     StrategySpec,
     build_strategy,
@@ -233,40 +230,36 @@ class _PerReveal:
         self.stats = inner.stats
 
 
-def _phase_starts(strategy) -> list[int]:
-    """Stream index of each phase start, in the order `windows` reaches them."""
-    T = strategy.T
-    if isinstance(strategy, DiamondShort):
-        return [0, T, 2 * T]
-    if isinstance(strategy, AnchorNeighborhood):
-        return [0, T]
-    assert isinstance(strategy, FanShort)
-    return [r * T for r in range(strategy.k + 1)] if T else []
-
-
 class _SkipChecker:
     """A per-reveal run that checks the `windows` contract as it goes.
 
-    At each phase start it advances the inner strategy's `windows` one step,
-    which does that phase's set-up; every reveal outside the yielded indices
-    must then leave `decide` False and `stats()` unchanged.
+    Whenever a reveal passes the last index yielded so far, it advances the
+    inner strategy's `windows` until a window reaches that reveal, as the
+    windowed loop does after its last visited row; that runs each window's
+    set-up. Every reveal outside the yielded indices must then leave
+    `decide` False and `stats()` unchanged.
     """
 
     def __init__(self, inner):
         self.name = inner.name
         self.stats = inner.stats
         self._inner = inner
-        self._starts = _phase_starts(inner)
         self._windows = None
         self._yielded = set()
+        self._last = -1  # the last index yielded so far
         self.skipped = 0
 
     def decide(self, state, e):
         i = state.clock - 1
         if self._windows is None:
             self._windows = self._inner.windows(state)
-        for _ in range(self._starts.count(i)):
-            self._yielded.update(next(self._windows, np.empty(0, np.int64)).tolist())
+        while i > self._last:
+            window = next(self._windows, None)
+            if window is None:
+                self._last = state.config.t
+            elif window.size:
+                self._yielded.update(window.tolist())
+                self._last = int(window[-1])
         if i in self._yielded:
             return self._inner.decide(state, e)
         before = self._inner.stats()
@@ -278,21 +271,24 @@ class _SkipChecker:
 
 def _c7_cells():
     xs, ys = grid_values(1.25, 1.35, 0.05), grid_values(0.4, 1.4, 0.1)
-    return [(DIAMOND, 800, *cell_from_exponents(800, x, y)[:2], None)
+    return [(DIAMOND, 800, *cell_from_exponents(800, x, y)[:2], {})
             for x in xs for y in ys]
 
 
-# (target, n, t, b, regime): the reference cells, then small cells in both
-# regimes, including ones whose phases outrun t.
+# (target, n, t, b, strategy overrides): the reference cells, then small
+# cells in both regimes, including ones whose phases outrun t.
+_C4_CELL = (DIAMOND, 400, 2000, 2560, {})
+_C6_CELL = (fan(2), 400, 2000, 1638, {})
+_C7_CELL = (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2)[:2], {})
 _REFERENCE_CELLS = [
-    (DIAMOND, 400, 2000, 2560, None),
-    (DIAMOND, 400, 20000, 80, None),
-    (fan(2), 400, 2000, 1638, None),
-    (fan(2), 400, 3000, 512, None),
-    (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2)[:2], None),
+    _C4_CELL,
+    (DIAMOND, 400, 20000, 80, {}),
+    _C6_CELL,
+    (fan(2), 400, 3000, 512, {}),
+    _C7_CELL,
 ]
 _SMALL_CELLS = [
-    (target, n, t, b, regime)
+    (target, n, t, b, {"regime_override": regime})
     for target in (DIAMOND, fan(1), fan(2), fan(3))
     for n, t, b in ((60, 300, 40), (30, 100, 30), (50, 1225, 1225), (8, 28, 5),
                     (5, 3, 2), (6, 4, 0))
@@ -300,15 +296,22 @@ _SMALL_CELLS = [
     if target.num_vertices <= n
 ] + [
     # t < k + 1: the fan builder's phase length T = t // (k + 1) is 0.
-    (fan(2), 8, 2, 2, "short"),
-    (fan(3), 8, 3, 3, "short"),
+    (fan(2), 8, 2, 2, {"regime_override": "short"}),
+    (fan(3), 8, 3, 3, {"regime_override": "short"}),
+] + [
+    # Six seeds of cap 1 against a phase-0 cap of b // 3 = 6 for the
+    # diamond: the seed phase's cap is spent while most of its rows are
+    # ahead, and every one of those still counts a cap_skip.
+    (target, 40, 780, 18,
+     {"regime_override": "short", "seed_set_size": 6, "per_vertex_cap": 1})
+    for target in (DIAMOND, fan(2))
 ]
 
 
 def _trial(cell, seed, early_stop, wrap=lambda s: s):
     """(record, strategy as run) of one trial; `wrap` may hide `windows`."""
-    target, n, t, b, regime = cell
-    spec = select_strategy(target, n, t, b, {"regime_override": regime})
+    target, n, t, b, overrides = cell
+    spec = select_strategy(target, n, t, b, overrides)
     config = ProcessConfig(n, t, b, seed=seed)
     inner = build_strategy(spec, config)
     assert hasattr(inner, "windows"), spec.name
@@ -357,6 +360,34 @@ def test_reveals_outside_the_windows_change_nothing(cells):
                 assert pickle.dumps(slow) == pickle.dumps(fast), (cell, j, early_stop)
                 skipped += checker.skipped
     assert skipped > 0
+
+
+class _SeedVisits:
+    """Forwards `windows`, so the windowed loop runs, and counts the rows
+    `decide` sees in the seed phase (the first T reveals)."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.stats = inner.stats
+        self.windows = inner.windows
+        self.inner = inner
+        self.visits = 0
+
+    def decide(self, state, e):
+        self.visits += state.clock <= self.inner.T
+        return self.inner.decide(state, e)
+
+
+@pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL, _C7_CELL], ids=["c4", "c6", "c7"])
+def test_seed_phase_visits_end_at_its_cap(cell):
+    # Before the phase-0 cap is spent each seed row buys or counts a
+    # cap_skip; after it, only cap_skip rows are visited, plus at most the 31
+    # rows a 32-row block can run past the buy that spends the cap.
+    for j in range(5):
+        seed = derive_seed(13, cell[1], cell[2], cell[3], j)
+        _, counter = _trial(cell, seed, False, _SeedVisits)
+        inner = counter.inner
+        assert counter.visits <= inner.p_bought[0] + inner.cap_skips + 31, (cell, j)
 
 
 class _RogueWindows:
