@@ -9,7 +9,9 @@ the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import DuplicateEdgeError, UnsupportedPattern
 
@@ -241,13 +243,10 @@ def count_pattern(g: BuilderGraph, p: Pattern) -> int:
         total = sum((g.degree(u) - 1) * (g.degree(v) - 1) for u, v in g._edges)
         return total - 3 * tri
     if p.tag == "c4":
-        codeg: dict[tuple[int, int], int] = {}
-        for w in range(g.n):
-            nbrs = sorted(g.adj[w])  # the codegree key needs an order
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    key = (nbrs[i], nbrs[j])
-                    codeg[key] = codeg.get(key, 0) + 1
+        codeg: Counter = Counter()
+        for nbrs in g.adj:
+            if len(nbrs) >= 2:  # sorted: the codegree key needs an order
+                codeg.update(combinations(sorted(nbrs), 2))
         return sum(c * (c - 1) // 2 for c in codeg.values()) // 2
     if p.tag == "paw":
         return sum(

@@ -10,7 +10,8 @@ check; buy; detect; stop at a hit under early stop) over one of two reveal
 sources:
 
 - `_every_reveal` calls `next_edge` on every reveal; it serves every
-  strategy without a `windows` method;
+  strategy without a `windows` method (`buy-all`, `never-buy`,
+  `connectivity`, and any wrapper that hides `windows`);
 - `_windowed_reveals` serves a strategy with a `windows(state)` generator,
   which yields windows: sorted arrays of the stream indices of the reveals
   `decide` must see, each past the last. Only those rows are decoded;
@@ -30,6 +31,7 @@ included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -98,10 +100,18 @@ def pair_code(n: int, u, v):
     return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
-def decode(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(us, vs) of an int64 code array, by a search over the row starts."""
+@lru_cache(maxsize=8)
+def _row_starts(n: int) -> np.ndarray:
+    """The first code of each of the n rows, built once per n (read-only)."""
     rows = np.arange(n, dtype=np.int64)
     starts = pair_code(n, rows, rows + 1)
+    starts.flags.writeable = False
+    return starts
+
+
+def decode(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(us, vs) of an int64 code array, by a search over the row starts."""
+    starts = _row_starts(n)
     us = np.searchsorted(starts, codes, side="right") - 1
     return us, codes - starts[us] + us + 1
 

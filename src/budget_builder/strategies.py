@@ -25,6 +25,9 @@ stops once the cap is spent, since no later reveal of that phase can buy;
 past the seed phase's cap it yields only the rows that still count a
 `cap_skip`. `DiamondShort`'s last phase is capped at b, so after the
 budget is spent its candidate reveals still count a `budget_skip`.
+`DegreeGreedy`'s `windows` yields a single window: the prefix rows, and
+the rows outside the prefix whose ends both met one of the first b prefix
+rows earlier in the stream (a superset of the closing edges it can buy).
 """
 
 from __future__ import annotations
@@ -260,6 +263,14 @@ class DegreeGreedy(_Base):
     high-degree vertices, since degrees concentrate. Every closing edge
     revealed after its cherry is bought adds a triangle, about b t^2 / n^3
     in all: the rate criterion 8's probe measures.
+
+    `windows` yields one window, from one decode of the stream: every
+    prefix row (after the budget each still counts a `budget_skip`), and
+    every row outside the prefix whose two ends each received one of the
+    first b prefix rows before it. While the budget lasts every prefix row
+    is bought, so the bought ones are an initial run of at most b prefix
+    rows; a row whose ends have a purchased common prefix neighbour is
+    therefore in the second set.
     """
 
     def __init__(self, config, params, rng):
@@ -272,6 +283,18 @@ class DegreeGreedy(_Base):
             if not common or min(common) >= self.h:
                 return False
         return self._budget_left(state)
+
+    def windows(self, state: ProcessState):
+        codes, n, b, h = state.codes, self.config.n, self.config.b, self.h
+        us, vs = decode(n, codes)
+        prefix = us < h  # u < v, so these are the rows meeting the prefix
+        # A vertex outside the prefix is reached at the first of the first b
+        # prefix rows that ends at it; a closing row needs both ends reached.
+        first = np.flatnonzero(prefix)[:b]
+        reached = np.full(n, codes.size)
+        np.minimum.at(reached, vs[first], first)
+        rows = np.arange(codes.size)
+        yield np.flatnonzero(prefix | ((reached[us] < rows) & (reached[vs] < rows)))
 
     def stats(self) -> dict:
         return {"budget_skips": self.budget_skips, "prefix_size": self.h}

@@ -17,6 +17,7 @@ from budget_builder.oracle import SmallGraph, brute_contains
 from budget_builder.process import (
     Edge,
     ProcessConfig,
+    decode,
     new_process,
     next_edge,
     run_strategy,
@@ -97,6 +98,13 @@ def test_stream_memory_is_linear_in_t_and_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_decode_matches_a_pair_table():
+    for n in range(2, 61):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        us, vs = decode(n, np.arange(len(pairs), dtype=np.int64))
+        assert list(zip(us.tolist(), vs.tolist())) == pairs, n
 
 
 def test_stream_determinism_and_seed_sensitivity():
@@ -308,10 +316,38 @@ _SMALL_CELLS = [
 ]
 
 
+def _probe_cell(n, t=None, b=None):
+    """A degree-greedy cell watched by a diamond detector; by default
+    criterion 8's probe cell, t = n^1.3 and b = n^1.1."""
+    t = round(n ** 1.3) if t is None else t
+    b = round(n ** 1.1) if b is None else b
+    return (DIAMOND, n, t, b, StrategySpec(StrategyKind.DEGREE_GREEDY))
+
+
+# The prefix is h = max(1, min(n, bn // 4t)) vertices.
+_DEGREE_GREEDY_CELLS = [
+    _probe_cell(100),
+    _probe_cell(200),
+    _probe_cell(100, b=0),  # every prefix row counts a budget_skip
+    # h = 2 and all of K_40: closing rows spend the budget mid-stream, and
+    # the prefix and closing rows after it count budget_skips.
+    _probe_cell(40, t=780, b=160),
+    _probe_cell(30, t=100, b=400),  # b >= 4t: h = n, every row is a prefix row
+    _probe_cell(12, t=40, b=30),  # h = 2: prefix-prefix rows
+    _probe_cell(16, t=60, b=45),  # h = 3
+    # h = 1 and all of K_12: the b-th prefix row often spends the budget, and
+    # the later rows it closes still count a budget_skip (a window built from
+    # only the first b - 1 prefix rows fails here).
+    _probe_cell(12, t=66, b=3),
+]
+
+
 def _trial(cell, seed, early_stop, wrap=lambda s: s):
-    """(record, strategy as run) of one trial; `wrap` may hide `windows`."""
-    target, n, t, b, overrides = cell
-    spec = select_strategy(target, n, t, b, overrides)
+    """(record, strategy as run) of one trial; `wrap` may hide `windows`.
+    A cell's last entry is the strategy overrides, or a StrategySpec."""
+    target, n, t, b, strategy = cell
+    spec = (strategy if isinstance(strategy, StrategySpec)
+            else select_strategy(target, n, t, b, strategy))
     config = ProcessConfig(n, t, b, seed=seed)
     inner = build_strategy(spec, config)
     assert hasattr(inner, "windows"), spec.name
@@ -331,8 +367,8 @@ _ALL_KINDS = {"k4m-short", "k4m-long", "tk-short", "tk-long"}
 @pytest.mark.parametrize(
     "cells, seeds, kinds",
     [(_REFERENCE_CELLS, 10, _ALL_KINDS), (_c7_cells(), 4, {"k4m-short"}),
-     (_SMALL_CELLS, 20, _ALL_KINDS)],
-    ids=["reference", "criterion-7", "small"],
+     (_SMALL_CELLS, 20, _ALL_KINDS), (_DEGREE_GREEDY_CELLS, 10, {"degree-greedy"})],
+    ids=["reference", "criterion-7", "small", "degree-greedy"],
 )
 def test_event_driven_and_per_reveal_records_are_identical(cells, seeds, kinds):
     seen = set()
@@ -347,8 +383,8 @@ def test_event_driven_and_per_reveal_records_are_identical(cells, seeds, kinds):
     assert seen == kinds
 
 
-@pytest.mark.parametrize("cells", [_REFERENCE_CELLS, _SMALL_CELLS],
-                         ids=["reference", "small"])
+@pytest.mark.parametrize("cells", [_REFERENCE_CELLS, _SMALL_CELLS, _DEGREE_GREEDY_CELLS],
+                         ids=["reference", "small", "degree-greedy"])
 def test_reveals_outside_the_windows_change_nothing(cells):
     skipped = 0
     for cell in cells:
@@ -362,19 +398,19 @@ def test_reveals_outside_the_windows_change_nothing(cells):
     assert skipped > 0
 
 
-class _SeedVisits:
-    """Forwards `windows`, so the windowed loop runs, and counts the rows
-    `decide` sees in the seed phase (the first T reveals)."""
+class _Visits:
+    """Forwards `windows`, so the windowed loop runs, and records the clock
+    of every row `decide` sees."""
 
     def __init__(self, inner):
         self.name = inner.name
         self.stats = inner.stats
         self.windows = inner.windows
         self.inner = inner
-        self.visits = 0
+        self.clocks = []
 
     def decide(self, state, e):
-        self.visits += state.clock <= self.inner.T
+        self.clocks.append(state.clock)
         return self.inner.decide(state, e)
 
 
@@ -385,9 +421,22 @@ def test_seed_phase_visits_end_at_its_cap(cell):
     # rows a 32-row block can run past the buy that spends the cap.
     for j in range(5):
         seed = derive_seed(13, cell[1], cell[2], cell[3], j)
-        _, counter = _trial(cell, seed, False, _SeedVisits)
+        _, counter = _trial(cell, seed, False, _Visits)
         inner = counter.inner
-        assert counter.visits <= inner.p_bought[0] + inner.cap_skips + 31, (cell, j)
+        visits = sum(clock <= inner.T for clock in counter.clocks)
+        assert visits <= inner.p_bought[0] + inner.cap_skips + 31, (cell, j)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_degree_greedy_visits_under_two_fifths_of_the_stream(n):
+    # On criterion 8's probe cells the windowed loop visited 21-32% of t
+    # (20 seeds each at n = 200 and 400): the prefix rows, and the rows
+    # whose ends both met one of the first b prefix rows.
+    cell = _probe_cell(n)
+    for j in range(5):
+        seed = derive_seed(14, n, cell[2], cell[3], j)
+        _, counter = _trial(cell, seed, False, _Visits)
+        assert len(counter.clocks) <= 0.4 * cell[2], (n, j)
 
 
 class _RogueWindows:
@@ -434,6 +483,21 @@ def test_event_driven_trial_memory_is_linear_in_t_and_n():
     tracemalloc.start()
     try:
         strategy = build_strategy(spec, config)
+        assert hasattr(strategy, "windows")
+        run_strategy(config, strategy, detector_for(DIAMOND), early_stop=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_windowed_degree_greedy_memory_is_linear_in_t_and_n():
+    # A pair table or a pair list over C(n,2) would take ~96 MiB here; one
+    # window over the t codes takes a few arrays of length t or n.
+    config = ProcessConfig(n=5000, t=20000, b=2000, seed=4)
+    tracemalloc.start()
+    try:
+        strategy = build_strategy(StrategySpec(StrategyKind.DEGREE_GREEDY), config)
         assert hasattr(strategy, "windows")
         run_strategy(config, strategy, detector_for(DIAMOND), early_stop=False)
         _, peak = tracemalloc.get_traced_memory()
