@@ -9,9 +9,10 @@ the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
+
+import numpy as np
 
 from .errors import DuplicateEdgeError, UnsupportedPattern
 
@@ -203,56 +204,77 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
     """Maximum matching size of the subgraph induced on the vertices, capped.
 
-    `vertices` is a collection, read twice. The edge order affects only how
-    fast the exact search finishes, never its result.
+    `vertices` is a collection, read twice. Each vertex's edges inside it
+    come from one set intersection, `adj[x] & inside`, so this is the one
+    place link edges are built. The edge order affects only how fast the
+    exact search finishes, never its result.
     """
     inside = set(vertices)
-    edges = []
-    for x in vertices:
-        for y in g.adj[x]:
-            if y > x and y in inside:
-                edges.append((x, y))
+    adj = g.adj
+    edges = [(x, y) for x in vertices for y in adj[x] & inside if y > x]
     return _max_matching_edges(edges, cap)
 
 
-def _triangle_list(g: BuilderGraph) -> list[tuple[int, int, int]]:
-    out = []
-    adj = g.adj
-    for u, v in g._edges:
-        for w in adj[u] & adj[v]:
-            if w > v:
-                out.append((u, v, w))
-    return out
+def _c4_count(g: BuilderGraph) -> int:
+    """Sum over vertex pairs of C(codeg, 2), halved (each 4-cycle has two
+    diagonal pairs), from a wedge table.
+
+    The edges, as arcs sorted by (tail, head), are the vertices' sorted
+    neighbour lists back to back. Every pair a < b inside one list is a
+    wedge with key a*n + b; sorted, a pair's codegree c is the length of
+    its run of keys, and the count is sum c(c - 1) / 4. The table holds
+    one int64 per wedge, sum C(d, 2) of them.
+    """
+    n, m = g.n, g.edge_count
+    deg = np.fromiter(map(len, g.adj), np.int64, n)
+    wedges = int((deg * (deg - 1) // 2).sum())
+    if wedges == 0:
+        return 0
+    ends = np.fromiter(chain.from_iterable(g._edges), np.int64, 2 * m)
+    tails, heads = ends[0::2], ends[1::2]
+    arcs = np.concatenate((tails * n + heads, heads * n + tails))
+    arcs.sort()
+    nbrs = arcs % n
+    # later[i]: how many entries follow position i in its own list; the
+    # entry at i pairs with each of them, at i + 1, ..., i + later[i].
+    later = np.repeat(np.cumsum(deg), deg) - np.arange(2 * m) - 1
+    first = np.repeat(np.arange(2 * m), later)
+    offset = np.arange(wedges) - np.repeat(np.cumsum(later) - later, later)
+    keys = nbrs[first] * n + nbrs[first + 1 + offset]
+    keys.sort()
+    runs = np.diff(np.flatnonzero(np.diff(keys, prepend=-1, append=-1)))
+    return int((runs * (runs - 1)).sum()) // 4
 
 
 def count_pattern(g: BuilderGraph, p: Pattern) -> int:
     """Exact unlabeled subgraph counts for the probe patterns.
 
-    triangle: per-edge codegree sum / 3; C4: sum over vertex pairs of
-    C(codeg, 2), halved (each 4-cycle has two diagonal pairs); paw:
-    per-triangle pendant count; P3: sum of C(deg, 2); P4: per-edge
-    (deg-1)(deg-1) products minus 3 * triangles.
+    With d_v the degree and c_uv = |N(u) & N(v)| the codegree of an edge
+    uv, the triangle, paw and P4 counts each take one pass over the edges:
+
+    - triangle: sum c_uv / 3 (a triangle has three edges);
+    - paw: sum c_uv (d_u + d_v - 4) / 2 (a triangle uvw has
+      d_u + d_v + d_w - 6 pendant edges, and its three edges count each
+      of its vertices twice);
+    - P4: sum (d_u - 1)(d_v - 1) - c_uv (paths whose middle edge is uv,
+      less the pairs of ends that coincide, one per common neighbour).
+
+    P3: sum of C(d, 2). C4: sum over vertex pairs of C(codeg, 2), halved,
+    from a wedge table (`_c4_count`).
     """
+    adj = g.adj
     if p.tag == "triangle":
-        adj = g.adj
         return sum(len(adj[u] & adj[v]) for u, v in g._edges) // 3
     if p.tag == "p3":
-        return sum(d * (d - 1) // 2 for d in map(g.degree, range(g.n)))
+        return sum(d * (d - 1) // 2 for d in map(len, adj))
     if p.tag == "p4":
-        tri = count_pattern(g, TRIANGLE)
-        total = sum((g.degree(u) - 1) * (g.degree(v) - 1) for u, v in g._edges)
-        return total - 3 * tri
+        return sum((len(adj[u]) - 1) * (len(adj[v]) - 1) - len(adj[u] & adj[v])
+                   for u, v in g._edges)
     if p.tag == "c4":
-        codeg: Counter = Counter()
-        for nbrs in g.adj:
-            if len(nbrs) >= 2:  # sorted: the codegree key needs an order
-                codeg.update(combinations(sorted(nbrs), 2))
-        return sum(c * (c - 1) // 2 for c in codeg.values()) // 2
+        return _c4_count(g)
     if p.tag == "paw":
-        return sum(
-            g.degree(u) + g.degree(v) + g.degree(w) - 6
-            for u, v, w in _triangle_list(g)
-        )
+        return sum(c * (len(adj[u]) + len(adj[v]) - 4)
+                   for u, v in g._edges if (c := len(adj[u] & adj[v]))) // 2
     raise UnsupportedPattern(f"count_pattern does not support {p}")
 
 

@@ -61,7 +61,7 @@ class PhasePoint:
     t_clamped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeRecord:
     n: int
     t: int
@@ -343,14 +343,26 @@ PROBE_SPECS = {
 
 
 def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
-    """How many vertices center an l-fan, for l = 1..max_k."""
+    """How many vertices center an l-fan, for l = 1..max_k.
+
+    A vertex's link edges are its triangles, which one codegree pass over
+    the edges counts (each twice at each of its vertices). A vertex with no
+    link edge centers no fan and one with exactly one centers a 1-fan only;
+    only a vertex with two or more reaches the exact matching search.
+    """
+    adj = g.adj
+    twice = [0] * g.n  # twice each vertex's link-edge count
+    for u, v in g._edges:
+        c = len(adj[u] & adj[v])
+        if c:
+            twice[u] += c
+            twice[v] += c
     counts = [0] * max_k
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            continue
-        size = link_matching_size(g, v, max_k)
-        for level in range(1, min(size, max_k) + 1):
-            counts[level - 1] += 1
+    for v, links2 in enumerate(twice):
+        if links2:
+            size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
+            for level in range(min(size, max_k)):
+                counts[level] += 1
     return counts
 
 

@@ -16,6 +16,20 @@ def gnm_edges(rng, n, m):
     return [pairs[i] for i in idx]
 
 
+def hub_edges(rng, n, hubs):
+    """Edges shaped like a degree-greedy graph: stars from the hub vertices
+    0..hubs-1, closing edges between two leaves of one hub, and sometimes
+    an edge between two hubs."""
+    edges = set()
+    for h in range(hubs):
+        leaves = [v for v in range(hubs, n) if rng.random() < 0.6]
+        edges.update((h, v) for v in leaves)
+        for i, a in enumerate(leaves):
+            edges.update((a, b) for b in leaves[i + 1:] if rng.random() < 0.3)
+        edges.update((other, h) for other in range(h) if rng.random() < 0.5)
+    return sorted(edges)
+
+
 def builder_from(n, edges):
     g = BuilderGraph(n)
     for u, v in edges:

@@ -27,7 +27,7 @@ from budget_builder.oracle import (
     brute_max_matching,
 )
 
-from conftest import builder_from, gnm_edges, gnp_edges
+from conftest import builder_from, gnm_edges, gnp_edges, hub_edges
 
 
 def complete_graph(m):
@@ -175,11 +175,30 @@ def test_count_pattern_rejects_unsupported():
         count_pattern(complete_graph(4), fan(2))
 
 
-def test_count_pattern_random_vs_oracle(rng):
+# No vertex has two neighbours, so the C4 wedge table is empty.
+WEDGE_FREE_GRAPHS = [
+    (0, []),
+    (1, []),
+    (2, [(0, 1)]),
+    (7, [(2, 5)]),
+    (8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    (8, [(0, 5), (1, 4), (2, 7), (3, 6)]),
+]
+
+
+def _count_graphs(rng):
+    yield from WEDGE_FREE_GRAPHS
     for _ in range(40):
-        edges = gnp_edges(rng, 10, float(rng.uniform(0.1, 0.7)))
-        g = builder_from(10, edges)
-        sg = SmallGraph(10, edges)
+        yield 10, gnp_edges(rng, 10, float(rng.uniform(0.1, 0.7)))
+    for _ in range(40):
+        n = int(rng.integers(4, 13))
+        yield n, hub_edges(rng, n, int(rng.integers(1, 4)))
+
+
+def test_count_pattern_random_vs_oracle(rng):
+    for n, edges in _count_graphs(rng):
+        g = builder_from(n, edges)
+        sg = SmallGraph(n, edges)
         for pattern in (TRIANGLE, C4, PAW, P3, P4):
             assert count_pattern(g, pattern) == brute_count(sg, pattern)
 

@@ -314,6 +314,46 @@ def test_fan_center_counts_on_friendship_graph():
     assert fan_center_counts(g, 3) == [5, 1, 0]
 
 
+def _brute_fan_center_counts(n, edges, max_k):
+    """Per vertex, the maximum matching of its link graph by the oracle."""
+    from budget_builder.oracle import SmallGraph, brute_max_matching
+
+    counts = [0] * max_k
+    for v in range(n):
+        nbrs = {u for e in edges if v in e for u in e if u != v}
+        link = [(a, b) for a, b in edges if a in nbrs and b in nbrs]
+        size = brute_max_matching(SmallGraph(n, link))
+        for level in range(min(size, max_k)):
+            counts[level] += 1
+    return counts
+
+
+def _fan_center_graphs(rng):
+    from conftest import gnp_edges, hub_edges
+
+    yield 0, []
+    yield 9, []
+    for _ in range(30):
+        n = int(rng.integers(3, 13))
+        yield n, gnp_edges(rng, n, float(rng.uniform(0.1, 0.7)))
+        yield n, hub_edges(rng, n, int(rng.integers(1, 4)))
+
+
+def test_fan_center_counts_vs_oracle(rng):
+    from budget_builder.experiments import fan_center_counts
+    from conftest import builder_from
+
+    levels_seen = set()
+    for n, edges in _fan_center_graphs(rng):
+        g = builder_from(n, edges)
+        for max_k in (1, 3):
+            expected = _brute_fan_center_counts(n, edges, max_k)
+            assert fan_center_counts(g, max_k) == expected
+        levels_seen.update(i for i, c in enumerate(expected) if c)
+    # The graphs reach every level the probe records.
+    assert levels_seen == {0, 1, 2}
+
+
 def test_probe_counts_zero_budget():
     records = probe_counts(60, 200, 0, "degree-greedy", 3, 99)
     for r in records:
