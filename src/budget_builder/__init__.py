@@ -19,7 +19,6 @@ from .detect import (  # noqa: F401
     diamond_completing_check,
     fan,
     link_matching_size,
-    matching,
     matching_within,
     read_edge_list,
 )
@@ -30,7 +29,6 @@ from .errors import (  # noqa: F401
     CrossoverNotEstimable,
     DetectorMismatch,
     DuplicateEdgeError,
-    OracleSizeError,
     StreamExhausted,
     UnsupportedPattern,
 )

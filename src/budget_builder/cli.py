@@ -38,6 +38,8 @@ from .strategies import select_strategy
 
 def _parse_target(name: str, k: int | None) -> Pattern:
     if name == "k4m":
+        if k is not None:
+            raise ConfigurationError("--k applies only to --target tk")
         return DIAMOND
     if k is None or k < 1:
         raise ConfigurationError("--target tk requires --k >= 1")

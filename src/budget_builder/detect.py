@@ -1,10 +1,14 @@
-"""Pattern detection and counting on the builder's purchased graph.
+"""The builder's purchased graph, and pattern detection and counting on it.
 
 Supports the diamond (K4 minus an edge), the k-fan (k triangles meeting in
 one vertex), and the small helper patterns the harness counts: triangle,
 C4, paw (triangle plus a pendant edge), and the 3- and 4-vertex paths.
 Copies are unlabeled subgraph embeddings (labeled embeddings divided by
 the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
+
+This is the one module that reads `BuilderGraph._edges`, the edge set
+kept beside the adjacency sets for whole-graph scans; code elsewhere
+reads `g.adj`, one neighbour set per vertex.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from .errors import DuplicateEdgeError, UnsupportedPattern
 
 @dataclass(frozen=True, order=True)
 class Pattern:
-    """A target or probe pattern; k is only meaningful for fans/matchings."""
+    """A target or probe pattern; k is only meaningful for fans."""
 
     tag: str
     k: int = 0
 
     def __str__(self) -> str:
-        if self.tag in ("fan", "matching"):
-            return f"{self.tag}{self.k}"
+        if self.tag == "fan":
+            return f"fan{self.k}"
         return self.tag
 
     @property
@@ -41,8 +45,6 @@ class Pattern:
                 a, b = 2 * i + 1, 2 * i + 2
                 edges += [(0, a), (0, b), (a, b)]
             return edges
-        if self.tag == "matching":
-            return [(2 * i, 2 * i + 1) for i in range(self.k)]
         return list(_PATTERN_EDGES[self.tag])
 
 
@@ -70,12 +72,6 @@ def fan(k: int) -> Pattern:
     return Pattern("fan", k)
 
 
-def matching(k: int) -> Pattern:
-    if k < 1:
-        raise UnsupportedPattern(f"matching size must be >= 1, got {k}")
-    return Pattern("matching", k)
-
-
 class BuilderGraph:
     """Simple undirected graph: one adjacency set per vertex, plus the edge
     set (pairs u < v) for the whole-graph scans."""
@@ -87,9 +83,6 @@ class BuilderGraph:
         self.adj: list[set[int]] = [set() for _ in range(n)]
         self.edge_count = 0
         self._edges: set[tuple[int, int]] = set()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def insert_edge(self, u: int, v: int) -> None:
         if u > v:
@@ -103,17 +96,8 @@ class BuilderGraph:
         self.adj[v].add(u)
         self.edge_count += 1
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edges)
-
-    def common_neighbors(self, u: int, v: int) -> set[int]:
-        return self.adj[u] & self.adj[v]
 
 
 def contains_diamond(g: BuilderGraph) -> bool:
@@ -146,7 +130,7 @@ def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
 def diamond_completing_check(g: BuilderGraph, e: tuple[int, int]) -> bool:
     """Would inserting e complete a diamond that uses e?"""
     u, v = e
-    if g.has_edge(u, v):
+    if v in g.adj[u]:
         raise DuplicateEdgeError(f"edge {e} already present")
     return diamond_through_edge(g, u, v)
 
@@ -196,7 +180,7 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
     if k < 1:
         raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
     for v in range(g.n):
-        if g.degree(v) >= 2 * k and link_matching_size(g, v, k) >= k:
+        if len(g.adj[v]) >= 2 * k and link_matching_size(g, v, k) >= k:
             return True
     return False
 
@@ -288,9 +272,31 @@ def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
         return contains_fan(g, 1)
     if p.tag in ("c4", "paw", "p3", "p4"):
         return count_pattern(g, p) > 0
-    if p.tag == "matching":
-        return matching_within(g, range(g.n), p.k) >= p.k
     raise UnsupportedPattern(f"contains_pattern does not support {p}")
+
+
+def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
+    """How many vertices center an l-fan, for l = 1..max_k.
+
+    A vertex's link edges are its triangles, which one codegree pass over
+    the edges counts (each twice at each of its vertices). A vertex with no
+    link edge centers no fan and one with exactly one centers a 1-fan only;
+    only a vertex with two or more reaches the exact matching search.
+    """
+    adj = g.adj
+    twice = [0] * g.n  # twice each vertex's link-edge count
+    for u, v in g._edges:
+        c = len(adj[u] & adj[v])
+        if c:
+            twice[u] += c
+            twice[v] += c
+    counts = [0] * max_k
+    for v, links2 in enumerate(twice):
+        if links2:
+            size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
+            for level in range(min(size, max_k)):
+                counts[level] += 1
+    return counts
 
 
 class DiamondTracker:

@@ -29,9 +29,5 @@ class UnsupportedPattern(BudgetBuilderError):
     """Operation does not support the requested pattern."""
 
 
-class OracleSizeError(BudgetBuilderError):
-    """Brute-force oracle asked to handle a graph above its size cap."""
-
-
 class CrossoverNotEstimable(BudgetBuilderError):
     """Phase points do not bracket the 50% success level."""

@@ -20,12 +20,11 @@ from .detect import (
     P4,
     PAW,
     TRIANGLE,
-    BuilderGraph,
     NullTracker,
     Pattern,
     count_pattern,
     detector_for,
-    link_matching_size,
+    fan_center_counts,
 )
 from .errors import ConfigurationError, CrossoverNotEstimable, UnsupportedPattern
 from .process import ProcessConfig, TrialRecord, run_strategy
@@ -340,30 +339,6 @@ PROBE_SPECS = {
     "degree-greedy": StrategyKind.DEGREE_GREEDY,
     "buy-all": StrategyKind.BUY_ALL,
 }
-
-
-def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
-    """How many vertices center an l-fan, for l = 1..max_k.
-
-    A vertex's link edges are its triangles, which one codegree pass over
-    the edges counts (each twice at each of its vertices). A vertex with no
-    link edge centers no fan and one with exactly one centers a 1-fan only;
-    only a vertex with two or more reaches the exact matching search.
-    """
-    adj = g.adj
-    twice = [0] * g.n  # twice each vertex's link-edge count
-    for u, v in g._edges:
-        c = len(adj[u] & adj[v])
-        if c:
-            twice[u] += c
-            twice[v] += c
-    counts = [0] * max_k
-    for v, links2 in enumerate(twice):
-        if links2:
-            size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
-            for level in range(min(size, max_k)):
-                counts[level] += 1
-    return counts
 
 
 def _probe_trial(args) -> ProbeRecord:

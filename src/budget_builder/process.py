@@ -10,8 +10,8 @@ check; buy; detect; stop at a hit under early stop) over one of two reveal
 sources:
 
 - `_every_reveal` calls `next_edge` on every reveal; it serves every
-  strategy without a `windows` method (`buy-all`, `never-buy`,
-  `connectivity`, and any wrapper that hides `windows`);
+  strategy without a `windows` method (`buy-all`, and any wrapper or
+  test double that has only `decide`, `stats` and `name`);
 - `_windowed_reveals` serves a strategy with a `windows(state)` generator,
   which yields windows: sorted arrays of the stream indices of the reveals
   `decide` must see, each past the last. Only those rows are decoded;

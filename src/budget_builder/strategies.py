@@ -3,8 +3,8 @@
 The diamond and fan builders come in two flavors per target: a short-time
 variant that seeds many small neighborhoods and closes structure inside
 them, and a long-time variant that grows one anchored star and buys inside
-its neighborhood. Baselines (buy-all, never-buy, connectivity greedy,
-degree greedy) support calibration and the counting probes.
+its neighborhood. Two baselines serve calibration and the counting
+probes: buy-all, and degree-greedy, the counting adversary.
 
 Decisions depend only on the revealed prefix and the strategy's own
 state; every strategy refuses to buy once the global budget is spent
@@ -50,9 +50,7 @@ class StrategyKind(Enum):
     DIAMOND_LONG = "k4m-long"
     FAN_SHORT = "tk-short"
     FAN_LONG = "tk-long"
-    CONNECTIVITY = "connectivity"
     BUY_ALL = "buy-all"
-    NEVER_BUY = "never-buy"
     DEGREE_GREEDY = "degree-greedy"
 
 
@@ -220,35 +218,6 @@ class BuyAll(_Base):
         return self._budget_left(state)
 
 
-class NeverBuy(_Base):
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        return False
-
-
-class Connectivity(_Base):
-    """Buy an edge iff it joins two purchased-graph components."""
-
-    def __init__(self, config, params, rng):
-        super().__init__(config, params, rng)
-        self._parent = list(range(config.n))
-
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        ru, rv = self._find(e.u), self._find(e.v)
-        if ru == rv or not self._budget_left(state):
-            return False
-        self._parent[rv] = ru
-        return True
-
-
 class DegreeGreedy(_Base):
     """Count-maximizing adversary for the counting probe: stars on a vertex
     prefix plus the edges that close them into triangles.
@@ -279,7 +248,8 @@ class DegreeGreedy(_Base):
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         if e.u >= self.h and e.v >= self.h:
-            common = state.purchased.common_neighbors(e.u, e.v)
+            adj = state.purchased.adj
+            common = adj[e.u] & adj[e.v]
             if not common or min(common) >= self.h:
                 return False
         return self._budget_left(state)
@@ -367,8 +337,8 @@ class _SeedPhaseBuilder(_Base):
             yield rest[full[us] & full[vs]]
 
     def _freeze(self, state: ProcessState) -> None:
-        g = state.purchased
-        self.frozen_nbrs = [set(g.neighbors(v)) for v in range(self.r)]
+        adj = state.purchased.adj
+        self.frozen_nbrs = [set(adj[v]) for v in range(self.r)]
         member_of = [[] for _ in range(self.config.n)]
         for v in range(self.r):
             for x in self.frozen_nbrs[v]:
@@ -477,7 +447,7 @@ class AnchorNeighborhood(_Base):
         if clock <= self.T:
             return u == 0 and self._phase_buy(state, 0)  # edges have u < v
         if self.frozen is None:
-            self.frozen = set(state.purchased.neighbors(0))
+            self.frozen = set(state.purchased.adj[0])
         return u in self.frozen and v in self.frozen and self._phase_buy(state, 1)
 
     def windows(self, state: ProcessState):
@@ -486,7 +456,7 @@ class AnchorNeighborhood(_Base):
         yield from self._until_cap(0, _seed_edges(codes, 0, min(T, t), n, 1))
         if t <= T:
             return
-        self.frozen = set(state.purchased.neighbors(0))
+        self.frozen = set(state.purchased.adj[0])
         yield from self._until_cap(1, _inside(codes, T, t, n, self.frozen))
 
     def stats(self) -> dict:
@@ -587,8 +557,6 @@ class FanShort(_SeedPhaseBuilder):
 
 _BUILDERS = {
     StrategyKind.BUY_ALL: BuyAll,
-    StrategyKind.NEVER_BUY: NeverBuy,
-    StrategyKind.CONNECTIVITY: Connectivity,
     StrategyKind.DEGREE_GREEDY: DegreeGreedy,
     StrategyKind.DIAMOND_SHORT: DiamondShort,
     StrategyKind.DIAMOND_LONG: AnchorNeighborhood,

@@ -1,9 +1,10 @@
 """Brute-force ground truth for small graphs (n <= 16).
 
-Used only by tests and calibration. Containment and counting enumerate
-vertex subsets and precomputed labeled placements of the pattern, which is
-a different route than the codegree formulas and link-matching predicates
-in detect.py, so the two can cross-check each other.
+The reference the tests compare the package against. Containment and
+counting enumerate vertex subsets and precomputed labeled placements of
+the pattern, which is a different route than the codegree formulas and
+link-matching predicates in detect.py, so the two can cross-check each
+other.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .detect import Pattern
-from .errors import OracleSizeError
+from budget_builder.detect import Pattern
+from budget_builder.errors import BudgetBuilderError
 
 MAX_VERTICES = 16
+
+
+class OracleSizeError(BudgetBuilderError):
+    """Brute-force oracle asked to handle a graph above its size cap."""
 
 
 class SmallGraph:

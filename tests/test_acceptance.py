@@ -36,7 +36,7 @@ from budget_builder.experiments import (
     estimate_from_counts,
     sweep_grid,
 )
-from budget_builder.oracle import SmallGraph, brute_contains, brute_count
+from oracle import SmallGraph, brute_contains, brute_count
 from budget_builder.process import ProcessConfig
 from budget_builder.strategies import select_strategy
 

@@ -316,6 +316,22 @@ def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--target", "k4m", "--k", "3", "--n", "30", "--t", "60", "--b", "20",
+      "--trials", "2", "--seed", "1"], None),
+    (["sweep", "--target", "k4m", "--k", "0", *_SWEEP_N40[3:]], None),
+    (["run", "--target", "k4m", "--n", "30", "--t", "60", "--b", "20",
+      "--trials", "2", "--seed", "1"], "k = 3\n"),
+], ids=["run-flag", "sweep-flag", "config-line"])
+def test_k_applies_only_to_tk(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "k.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert parse_and_dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: --k applies only to --target tk\n"
+
+
 def test_out_appends_only_under_its_own_header(tmp_path):
     out = tmp_path / "sweep.csv"
     sweep = _SWEEP_N40 + ["--jobs", "1", "--out", str(out)]

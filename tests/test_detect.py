@@ -15,19 +15,13 @@ from budget_builder.detect import (
     diamond_completing_check,
     fan,
     link_matching_size,
-    matching,
     matching_within,
     read_edge_list,
 )
 from budget_builder.errors import DuplicateEdgeError, UnsupportedPattern
-from budget_builder.oracle import (
-    SmallGraph,
-    brute_contains,
-    brute_count,
-    brute_max_matching,
-)
 
 from conftest import builder_from, gnm_edges, gnp_edges, hub_edges
+from oracle import SmallGraph, brute_contains, brute_count, brute_max_matching
 
 
 def complete_graph(m):
@@ -41,7 +35,7 @@ def cycle_graph(m):
 def test_insert_edge_basics():
     g = BuilderGraph(3)
     g.insert_edge(0, 1)
-    assert [g.degree(v) for v in range(3)] == [1, 1, 0]
+    assert [len(g.adj[v]) for v in range(3)] == [1, 1, 0]
     g.insert_edge(1, 2)
     g.insert_edge(0, 2)
     assert g.edge_count == 3
@@ -81,7 +75,7 @@ def test_diamond_completing_matches_oracle_differencing_on_p4():
     p4 = builder_from(4, [(0, 1), (1, 2), (2, 3)])
     for u in range(4):
         for v in range(u + 1, 4):
-            if p4.has_edge(u, v):
+            if v in p4.adj[u]:
                 continue
             grown = brute_contains(SmallGraph(4, p4.edges() + [(u, v)]), DIAMOND)
             assert diamond_completing_check(p4, (u, v)) == grown
@@ -98,7 +92,7 @@ def test_diamond_completing_matches_oracle_differencing(rng):
         g = builder_from(8, edges)
         for u in range(8):
             for v in range(u + 1, 8):
-                if g.has_edge(u, v):
+                if v in g.adj[u]:
                     continue
                 grown = brute_contains(SmallGraph(8, edges + [(u, v)]), DIAMOND)
                 assert diamond_completing_check(g, (u, v)) == grown
@@ -120,7 +114,7 @@ def test_link_matching_random_vs_oracle(rng):
         edges = gnp_edges(rng, 12, 0.3)
         g = builder_from(12, edges)
         sg = SmallGraph(12, edges)
-        nbrs = set(g.neighbors(0))
+        nbrs = g.adj[0]
         link = [(u, v) for u, v in edges if u in nbrs and v in nbrs]
         oracle_val = brute_max_matching(SmallGraph(12, link)) if link else 0
         assert link_matching_size(g, 0, 3) == min(oracle_val, 3)
@@ -258,7 +252,7 @@ def test_fan_tracker_incremental_or_equals_batch(rng):
 
 @pytest.mark.parametrize("pattern, size", [
     (TRIANGLE, 3), (P3, 3), (P4, 4), (C4, 4), (DIAMOND, 4), (PAW, 4),
-    (fan(1), 3), (fan(3), 7), (matching(1), 2), (matching(4), 8),
+    (fan(1), 3), (fan(3), 7),
 ])
 def test_num_vertices(pattern, size):
     assert pattern.num_vertices == size

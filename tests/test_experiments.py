@@ -96,16 +96,16 @@ def test_criterion_budget_values():
 
 
 def test_run_trials_never_buy_is_exactly_zero():
-    base = ProcessConfig(n=20, t=40, b=40, seed=5)
-    est = run_trials(DIAMOND, base, StrategySpec(StrategyKind.NEVER_BUY), 25)
+    base = ProcessConfig(n=20, t=40, b=0, seed=5)
+    est = run_trials(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 25)
     assert est.successes == 0
     assert est.p_hat == 0.0
 
 
 def test_run_trials_rejects_zero_trials():
-    base = ProcessConfig(n=20, t=40, b=40, seed=5)
+    base = ProcessConfig(n=20, t=40, b=0, seed=5)
     with pytest.raises(ConfigurationError):
-        run_trials(DIAMOND, base, StrategySpec(StrategyKind.NEVER_BUY), 0)
+        run_trials(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 0)
 
 
 def test_run_trials_buy_all_triangle_matches_offline_fraction():
@@ -304,8 +304,7 @@ def test_estimate_crossover_reads_the_pooled_fit():
 
 
 def test_fan_center_counts_on_friendship_graph():
-    from budget_builder.detect import BuilderGraph
-    from budget_builder.experiments import fan_center_counts
+    from budget_builder.detect import BuilderGraph, fan_center_counts
 
     g = BuilderGraph(5)
     for u, v in ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)):
@@ -316,7 +315,7 @@ def test_fan_center_counts_on_friendship_graph():
 
 def _brute_fan_center_counts(n, edges, max_k):
     """Per vertex, the maximum matching of its link graph by the oracle."""
-    from budget_builder.oracle import SmallGraph, brute_max_matching
+    from oracle import SmallGraph, brute_max_matching
 
     counts = [0] * max_k
     for v in range(n):
@@ -340,7 +339,7 @@ def _fan_center_graphs(rng):
 
 
 def test_fan_center_counts_vs_oracle(rng):
-    from budget_builder.experiments import fan_center_counts
+    from budget_builder.detect import fan_center_counts
     from conftest import builder_from
 
     levels_seen = set()
@@ -375,6 +374,23 @@ def test_probe_counts_parallel_matches_serial():
     serial = probe_counts(50, 150, 30, "degree-greedy", 4, 7, jobs=1)
     parallel = probe_counts(50, 150, 30, "degree-greedy", 4, 7, jobs=2)
     assert serial == parallel
+
+
+def test_probe_trial_calls_the_counters_through_experiments(monkeypatch):
+    # bench/layers.py times probe counting by patching these two names on
+    # `experiments`; a call that bypasses them would read as zero time.
+    calls = {"count_pattern": 0, "fan_center_counts": 0}
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+    probe_counts(50, 150, 30, "degree-greedy", 1, 7)
+    assert calls == {"count_pattern": 4, "fan_center_counts": 1}
 
 
 # -- CSV ----------------------------------------------------------------------

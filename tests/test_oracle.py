@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from budget_builder.detect import C4, DIAMOND, P4, TRIANGLE, fan, matching
-from budget_builder.errors import OracleSizeError
-from budget_builder.oracle import (
+from budget_builder.detect import C4, DIAMOND, P4, TRIANGLE, Pattern, fan
+
+from conftest import gnp_edges
+from oracle import (
+    OracleSizeError,
     SmallGraph,
     brute_contains,
     brute_count,
     brute_max_matching,
 )
-
-from conftest import gnp_edges
 
 
 def complete(m):
@@ -47,8 +47,8 @@ def test_matching_examples():
 
 def test_matching_pattern_containment():
     path5 = SmallGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert brute_contains(path5, matching(2))
-    assert not brute_contains(path5, matching(3))
+    assert brute_contains(path5, Pattern("matching", 2))
+    assert not brute_contains(path5, Pattern("matching", 3))
 
 
 def test_count_invariant_under_relabeling():

@@ -13,7 +13,6 @@ from budget_builder.errors import (
     StreamExhausted,
 )
 from budget_builder.experiments import cell_from_exponents, grid_values
-from budget_builder.oracle import SmallGraph, brute_contains
 from budget_builder.process import (
     Edge,
     ProcessConfig,
@@ -29,6 +28,8 @@ from budget_builder.strategies import (
     build_strategy,
     select_strategy,
 )
+
+from oracle import SmallGraph, brute_contains
 
 
 def test_new_process_initial_state():
@@ -168,7 +169,7 @@ def test_buy_all_diamond_matches_oracle_on_replayed_stream():
 
 def test_never_buy_never_succeeds():
     rec = _record(
-        StrategyKind.NEVER_BUY, ProcessConfig(n=20, t=50, b=50, seed=1), DIAMOND
+        StrategyKind.BUY_ALL, ProcessConfig(n=20, t=50, b=0, seed=1), DIAMOND
     )
     assert rec.success is False
     assert rec.edges_bought == 0
@@ -183,20 +184,21 @@ def test_trial_record_determinism():
 
 
 def test_budget_safety_across_strategies():
-    kinds = (
-        StrategyKind.BUY_ALL,
-        StrategyKind.CONNECTIVITY,
-        StrategyKind.DEGREE_GREEDY,
-        StrategyKind.NEVER_BUY,
-    )
+    # Every strategy a user can run, each phased builder forced into its
+    # regime, on the same 20 random cells.
     rng = np.random.default_rng(7)
-    for kind in kinds:
-        for _ in range(5):
-            n = int(rng.integers(5, 30))
-            t = int(rng.integers(1, n * (n - 1) // 2 + 1))
-            b = int(rng.integers(0, t + 1))
-            config = ProcessConfig(n=n, t=t, b=b, seed=int(rng.integers(2**40)))
-            rec = _record(kind, config, DIAMOND, early_stop=False)
+    for _ in range(20):
+        n = int(rng.integers(5, 30))
+        t = int(rng.integers(1, n * (n - 1) // 2 + 1))
+        b = int(rng.integers(0, t + 1))
+        config = ProcessConfig(n=n, t=t, b=b, seed=int(rng.integers(2**40)))
+        runs = [(DIAMOND, StrategySpec(StrategyKind.BUY_ALL)),
+                (DIAMOND, StrategySpec(StrategyKind.DEGREE_GREEDY))]
+        runs += [(target, select_strategy(target, n, t, b, {"regime_override": regime}))
+                 for target in (DIAMOND, fan(2)) for regime in ("short", "long")]
+        for target, spec in runs:
+            rec = run_strategy(config, build_strategy(spec, config),
+                               detector_for(target), early_stop=False)
             assert rec.edges_bought <= b
 
 
