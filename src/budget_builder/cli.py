@@ -33,7 +33,7 @@ from .experiments import (
     write_trials_csv,
 )
 from .process import ProcessConfig
-from .strategies import select_strategy
+from .strategies import StrategyKind, select_strategy
 
 
 def _parse_target(name: str, k: int | None) -> Pattern:
@@ -211,6 +211,10 @@ def _cmd_run(args) -> int:
     target = _parse_target(args.target, args.k)
     base = ProcessConfig(n=args.n, t=args.t, b=args.b, seed=args.seed)
     spec = select_strategy(target, args.n, args.t, args.b, _overrides_from(args))
+    # Only k4m-short records the multiplicity --diagnostics prints.
+    if args.diagnostics and spec.kind is not StrategyKind.DIAMOND_SHORT:
+        raise ConfigurationError(
+            f"--diagnostics applies only to the k4m-short strategy, not {spec.name}")
     records = run_trial_batch(
         target, base, spec, args.trials, early_stop=not args.no_early_stop
     )
@@ -223,9 +227,7 @@ def _cmd_run(args) -> int:
         f"ci=[{estimate.ci_low:.4f}, {estimate.ci_high:.4f}]"
     )
     if args.diagnostics:
-        worst = max(
-            (r.phase_stats.get("max_multiplicity", 0) for r in records), default=0
-        )
+        worst = max(r.phase_stats["max_multiplicity"] for r in records)
         print(f"diagnostics: max neighborhoods sharing one pair = {worst}",
               file=sys.stderr)
     return 0

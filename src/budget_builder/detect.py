@@ -176,13 +176,19 @@ def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
 
 
 def contains_fan(g: BuilderGraph, k: int) -> bool:
-    """True iff some vertex centers k triangles that pairwise share only it."""
+    """True iff some vertex centers k triangles that pairwise share only it.
+
+    A k-fan's centre has at least k link edges (one per triangle) and
+    degree at least 2k, so only the vertices that pass both, by the link
+    counts of one codegree pass (`_twice_link_counts`), reach the exact
+    matching search.
+    """
     if k < 1:
         raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
-    for v in range(g.n):
-        if len(g.adj[v]) >= 2 * k and link_matching_size(g, v, k) >= k:
-            return True
-    return False
+    adj = g.adj
+    return any(links2 >= 2 * k and len(adj[v]) >= 2 * k
+               and link_matching_size(g, v, k) >= k
+               for v, links2 in enumerate(_twice_link_counts(g)))
 
 
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
@@ -275,23 +281,33 @@ def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
     raise UnsupportedPattern(f"contains_pattern does not support {p}")
 
 
-def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
-    """How many vertices center an l-fan, for l = 1..max_k.
+def _twice_link_counts(g: BuilderGraph) -> list[int]:
+    """Twice each vertex's link-edge count, from one codegree pass.
 
-    A vertex's link edges are its triangles, which one codegree pass over
-    the edges counts (each twice at each of its vertices). A vertex with no
-    link edge centers no fan and one with exactly one centers a 1-fan only;
-    only a vertex with two or more reaches the exact matching search.
+    A vertex's link edges are its triangles. An edge uv lies in c_uv of
+    them, and each triangle at u is seen from both of its edges at u, so
+    adding c_uv to u and to v counts every link edge twice.
     """
     adj = g.adj
-    twice = [0] * g.n  # twice each vertex's link-edge count
+    twice = [0] * g.n
     for u, v in g._edges:
         c = len(adj[u] & adj[v])
         if c:
             twice[u] += c
             twice[v] += c
+    return twice
+
+
+def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
+    """How many vertices center an l-fan, for l = 1..max_k.
+
+    The link counts come from the codegree pass `contains_fan` also reads
+    (`_twice_link_counts`). A vertex with no link edge centers no fan and
+    one with exactly one centers a 1-fan only; only a vertex with two or
+    more reaches the exact matching search.
+    """
     counts = [0] * max_k
-    for v, links2 in enumerate(twice):
+    for v, links2 in enumerate(_twice_link_counts(g)):
         if links2:
             size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
             for level in range(min(size, max_k)):
@@ -312,8 +328,13 @@ class DiamondTracker:
 class FanTracker:
     """Incremental k-fan detection over purchased edges.
 
-    A new edge (u,v) can only create a fan centered at u, at v, or at a
-    common neighbor of u and v, so those are the only links re-checked.
+    Precondition: `after_insert` is called after every insert, starting
+    from the empty graph, until it first returns True (as `run_strategy`
+    calls it), so no k-fan exists before the insert it is asked about.
+    A k-fan is made of triangles only, so a new edge (u,v) that closes no
+    triangle (u and v share no neighbour) lies in no fan and cannot create
+    one. One that does can only create a fan centered at u, at v, or at a
+    common neighbour, so those are the only links re-checked.
     """
 
     def __init__(self, k: int):
@@ -323,8 +344,11 @@ class FanTracker:
 
     def after_insert(self, g: BuilderGraph, u: int, v: int) -> bool:
         adj, k = g.adj, self.k
+        common = adj[u] & adj[v]
+        if not common:
+            return False
         return any(len(adj[c]) >= 2 * k and link_matching_size(g, c, k) >= k
-                   for c in (u, v, *(adj[u] & adj[v])))
+                   for c in (u, v, *common))
 
     def confirm(self, g: BuilderGraph) -> bool:
         return contains_fan(g, self.k)

@@ -256,6 +256,33 @@ def test_diagnostics_flag_reports_multiplicity(tmp_path, capsys):
     assert "max neighborhoods sharing one pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, strategy", [
+    (["run", "--target", "tk", "--k", "2", "--n", "40", "--t", "120", "--b", "60",
+      "--trials", "2", "--seed", "2", "--diagnostics"], None, "tk-short"),
+    (["run", "--target", "tk", "--k", "2", "--n", "40", "--t", "120", "--b", "60",
+      "--trials", "2", "--seed", "2", "--regime", "long"], "diagnostics = true\n",
+     "tk-long"),
+    (["run", "--target", "k4m", "--n", "40", "--t", "120", "--b", "60",
+      "--trials", "2", "--seed", "2", "--regime", "long", "--diagnostics"], None,
+     "k4m-long"),
+], ids=["tk-short-flag", "tk-long-config-line", "k4m-long-flag"])
+def test_diagnostics_refused_where_multiplicity_is_not_recorded(
+        argv, config, strategy, tmp_path, capsys, monkeypatch):
+    import budget_builder.cli as cli_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran before --diagnostics was checked")
+
+    monkeypatch.setattr(cli_mod, "run_trial_batch", must_not_run)
+    if config is not None:
+        path = tmp_path / "d.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert parse_and_dispatch(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --diagnostics applies only to the k4m-short strategy, not {strategy}\n")
+
+
 _RUN_N50 = ["run", "--target", "k4m", "--n", "50", "--t", "150", "--b", "40",
             "--trials", "2"]
 _SWEEP_N40 = ["sweep", "--target", "k4m", "--n-list", "40", "--x-min", "1.2",

@@ -9,6 +9,8 @@ from budget_builder.detect import (
     PAW,
     TRIANGLE,
     BuilderGraph,
+    DiamondTracker,
+    FanTracker,
     contains_diamond,
     contains_fan,
     count_pattern,
@@ -131,6 +133,17 @@ def test_contains_fan_random_vs_oracle(rng):
         edges = gnp_edges(rng, 12, float(rng.uniform(0.1, 0.5)))
         g = builder_from(12, edges)
         assert contains_fan(g, 2) == brute_contains(SmallGraph(12, edges), fan(2))
+    # Hub graphs, dense in triangles, at k = 1..3.
+    outcomes = set()
+    for _ in range(40):
+        n = int(rng.integers(5, 13))
+        edges = hub_edges(rng, n, int(rng.integers(1, 4)))
+        g = builder_from(n, edges)
+        for k in (1, 2, 3):
+            found = contains_fan(g, k)
+            assert found == brute_contains(SmallGraph(n, edges), fan(k))
+            outcomes.add((k, found))
+    assert len(outcomes) == 6  # each k both present and absent
 
 
 def test_matching_within_examples():
@@ -236,8 +249,6 @@ def test_incremental_or_equals_final_containment(rng):
 
 
 def test_fan_tracker_incremental_or_equals_batch(rng):
-    from budget_builder.detect import FanTracker
-
     for _ in range(100):
         edges = gnm_edges(rng, 11, int(rng.integers(8, 45)))
         for k in (1, 2):
@@ -248,6 +259,58 @@ def test_fan_tracker_incremental_or_equals_batch(rng):
                 g.insert_edge(u, v)
                 fired = tracker.after_insert(g, u, v) or fired
             assert fired == contains_fan(g, k)
+
+
+def _tracker_graphs(rng):
+    for _ in range(40):
+        yield 11, gnm_edges(rng, 11, int(rng.integers(8, 45)))
+    for _ in range(40):
+        n = int(rng.integers(5, 13))
+        edges = hub_edges(rng, n, int(rng.integers(1, 4)))
+        yield n, [edges[i] for i in rng.permutation(len(edges))]
+
+
+@pytest.mark.parametrize("tracker, contains", [
+    (DiamondTracker(), contains_diamond),
+    (FanTracker(1), lambda g: contains_fan(g, 1)),
+    (FanTracker(2), lambda g: contains_fan(g, 2)),
+    (FanTracker(3), lambda g: contains_fan(g, 3)),
+], ids=["diamond", "fan1", "fan2", "fan3"])
+def test_tracker_first_hit_is_the_first_containing_prefix(tracker, contains, rng):
+    """Called as run_strategy calls it (after every insert, from the empty
+    graph, until the first True), a tracker fires at exactly the first
+    prefix that contains its pattern."""
+    hits = 0
+    for n, edges in _tracker_graphs(rng):
+        g = BuilderGraph(n)
+        for u, v in edges:
+            g.insert_edge(u, v)
+            fired = tracker.after_insert(g, u, v)
+            assert fired == contains(g), (n, edges, (u, v))
+            if fired:
+                hits += 1
+                break
+    assert 10 < hits < 80  # both outcomes occur
+
+
+def test_fan_tracker_skips_inserts_that_close_no_triangle(monkeypatch):
+    import budget_builder.detect as detect
+
+    calls = []
+    real = detect.link_matching_size
+    monkeypatch.setattr(detect, "link_matching_size",
+                        lambda g, v, cap: calls.append(v) or real(g, v, cap))
+    # (4, 5) and (5, 6) close no triangle, though 4 and 5 reach degree 2,
+    # which passes the degree test of a 1-fan centre.
+    g = builder_from(7, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5)])
+    tracker = FanTracker(1)
+    for u, v in ((4, 5), (5, 6)):
+        g.insert_edge(u, v)
+        assert not tracker.after_insert(g, u, v)
+    assert calls == []
+    g.insert_edge(1, 2)  # closes triangle 0-1-2
+    assert tracker.after_insert(g, 1, 2)
+    assert calls
 
 
 @pytest.mark.parametrize("pattern, size", [
