@@ -6,9 +6,9 @@ C4, paw (triangle plus a pendant edge), and the 3- and 4-vertex paths.
 Copies are unlabeled subgraph embeddings (labeled embeddings divided by
 the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
-This is the one module that reads `BuilderGraph._edges`, the edge set
-kept beside the adjacency sets for whole-graph scans; code elsewhere
-reads `g.adj`, one neighbour set per vertex.
+The purchased graph answers membership from `g.adj`, one neighbour set per
+vertex. This is the one module that reads `BuilderGraph._edges`, its edges
+in purchase order, kept for the whole-graph scans and the edge count.
 """
 
 from __future__ import annotations
@@ -73,28 +73,30 @@ def fan(k: int) -> Pattern:
 
 
 class BuilderGraph:
-    """Simple undirected graph: one adjacency set per vertex, plus the edge
-    set (pairs u < v) for the whole-graph scans."""
+    """Simple undirected graph: one adjacency set per vertex (the membership
+    test), plus the edges (pairs u < v) in insertion order for the scans."""
 
-    __slots__ = ("n", "adj", "edge_count", "_edges")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int):
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
-        self.edge_count = 0
-        self._edges: set[tuple[int, int]] = set()
+        self._edges: list[tuple[int, int]] = []
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._edges)
 
     def insert_edge(self, u: int, v: int) -> None:
         if u > v:
             u, v = v, u
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+        if u == v or u < 0 or v >= self.n:
             raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-        if (u, v) in self._edges:
+        if v in self.adj[u]:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        self._edges.add((u, v))
+        self._edges.append((u, v))
         self.adj[u].add(v)
         self.adj[v].add(u)
-        self.edge_count += 1
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edges)
@@ -136,33 +138,18 @@ def diamond_completing_check(g: BuilderGraph, e: tuple[int, int]) -> bool:
 
 
 def _max_matching_edges(edges: list[tuple[int, int]], cap: int) -> int:
-    """Exact maximum matching by include/exclude branching, short-circuited
-    at cap. Intended for the tiny link graphs this artifact produces."""
+    """Exact maximum matching size, capped at cap: the best, over each edge
+    i as the matching's first edge, of one plus the capped matching of the
+    later edges that avoid it. The recursion is at most cap deep."""
+    if cap <= 1:
+        return min(cap, len(edges))
     best = 0
-
-    def rec(i: int, used: set[int], size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
+    for i, (a, b) in enumerate(edges):
         if best >= cap:
-            return
-        # Even one edge per remaining index cannot beat best: prune.
-        if size + (len(edges) - i) <= best:
-            return
-        while i < len(edges):
-            a, b = edges[i]
-            if a not in used and b not in used:
-                used.add(a)
-                used.add(b)
-                rec(i + 1, used, size + 1)
-                used.discard(a)
-                used.discard(b)
-                if best >= cap:
-                    return
-            i += 1
-
-    rec(0, set(), 0)
-    return min(best, cap)
+            break
+        later = [e for e in edges[i + 1:] if a not in e and b not in e]
+        best = max(best, 1 + _max_matching_edges(later, cap - 1))
+    return best
 
 
 def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
@@ -373,9 +360,10 @@ def detector_for(p: Pattern):
 
 
 def read_edge_list(path) -> BuilderGraph:
-    """Read a graph from text lines "u v" (0-based; '#' starts a comment)."""
+    """Read a graph from text lines "u v" of ids >= 0 ('#' starts a comment).
+    The sorted distinct ids become vertices 0..m-1, so memory follows the
+    lines, not the largest id; ids 0..m-1 keep their labels."""
     edges = set()
-    top = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -390,8 +378,8 @@ def read_edge_list(path) -> BuilderGraph:
             if (u, v) in edges:
                 raise ValueError(f"{path}:{lineno}: edge ({u}, {v}) already present")
             edges.add((u, v))
-            top = max(top, v)
-    g = BuilderGraph(top + 1)
+    label = {x: i for i, x in enumerate(sorted(set(chain.from_iterable(edges))))}
+    g = BuilderGraph(len(label))
     for u, v in edges:
-        g.insert_edge(u, v)
+        g.insert_edge(label[u], label[v])
     return g

@@ -180,14 +180,14 @@ def run_trials(
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
-    """[fn(item) for item in items], on a pool of `jobs` workers when there
-    are several of each; results keep the order of `items`."""
+    """[fn(item) for item in items], in order; on min(jobs, len(items))
+    workers when both exceed 1, since a fork pool starts them all at once."""
     if jobs < 1:
         raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only when a pool runs
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

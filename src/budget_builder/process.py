@@ -80,7 +80,6 @@ class ProcessConfig:
 class ProcessState:
     config: ProcessConfig
     clock: int = 0
-    budget_used: int = 0
     purchased: BuilderGraph = None  # type: ignore[assignment]
     codes: Optional[np.ndarray] = None  # the t pair codes in reveal order
     _us: list = field(default_factory=list)  # decoded codes, for next_edge
@@ -88,9 +87,7 @@ class ProcessState:
 
 
 def new_process(config: ProcessConfig) -> ProcessState:
-    state = ProcessState(config=config)
-    state.purchased = BuilderGraph(config.n)
-    return state
+    return ProcessState(config, purchased=BuilderGraph(config.n))
 
 
 def pair_code(n: int, u, v):
@@ -203,25 +200,25 @@ def run_strategy(
     reads the windowed source, any other every reveal; the step is the same.
     """
     state = new_process(config)
+    g = state.purchased
     reveals = (_windowed_reveals(state, strategy) if hasattr(strategy, "windows")
                else _every_reveal(state))
     hit_time = None
     for e in reveals:
         if not strategy.decide(state, e):
             continue
-        if state.budget_used >= config.b:
+        if g.edge_count >= config.b:
             raise BudgetContractViolation(
                 f"{strategy.name} bought edge {tuple(e)} at clock "
                 f"{state.clock} with budget {config.b} exhausted"
             )
-        state.purchased.insert_edge(e.u, e.v)
-        state.budget_used += 1
-        if hit_time is None and detector.after_insert(state.purchased, e.u, e.v):
+        g.insert_edge(e.u, e.v)
+        if hit_time is None and detector.after_insert(g, e.u, e.v):
             hit_time = state.clock
             if early_stop:
                 break
     success = hit_time is not None
-    if success != detector.confirm(state.purchased):
+    if success != detector.confirm(g):
         raise DetectorMismatch(
             f"incremental hit={success} but batch containment disagrees "
             f"(strategy={strategy.name}, seed={config.seed})"
@@ -236,8 +233,8 @@ def run_strategy(
         seed=config.seed,
         success=success,
         hit_time=hit_time,
-        edges_bought=state.budget_used,
+        edges_bought=g.edge_count,
         clock_at_stop=state.clock,
         phase_stats=strategy.stats(),
-        purchased=state.purchased if keep_graph else None,
+        purchased=g if keep_graph else None,
     )

@@ -169,8 +169,8 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
 
 
 class _Base:
-    """Shared budget check and per-phase purchase caps; `name` (the
-    StrategyKind value) is set by build_strategy."""
+    """Budget check on the purchased graph's edge count, per-phase purchase
+    caps; `name` (the StrategyKind value) is set by build_strategy."""
 
     def __init__(self, config: ProcessConfig, params: StrategyParams, rng):
         self.config = config
@@ -181,7 +181,7 @@ class _Base:
         self.p_bought = [0] * len(self.p_caps)
 
     def _budget_left(self, state: ProcessState) -> bool:
-        if state.budget_used >= self.config.b:
+        if state.purchased.edge_count >= self.config.b:
             self.budget_skips += 1
             return False
         return True
@@ -362,7 +362,6 @@ class DiamondShort(_SeedPhaseBuilder):
         super().__init__(config, params, rng)
         self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
         self.candidates: Optional[set] = None  # pair codes
-        self.candidate_codes: Optional[np.ndarray] = None  # the same, sorted
         self.max_multiplicity = 0
 
     def _neighborhoods_containing(self, u: int, v: int) -> list[int]:
@@ -398,12 +397,12 @@ class DiamondShort(_SeedPhaseBuilder):
             1, _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs)))
         if t <= 2 * T:
             return
-        self._build_candidates(codes[:T])
-        yield np.flatnonzero(_in_sorted(codes[2 * T:], self.candidate_codes)) + 2 * T
+        candidates = self._build_candidates(codes[:T])
+        yield np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T
 
-    def _build_candidates(self, phase1_codes) -> None:
-        """The codes of the pairs that extend a phase-2 triangle to a
-        diamond and were not revealed in phase 1 (`phase1_codes`)."""
+    def _build_candidates(self, phase1_codes) -> np.ndarray:
+        """Set `candidates` to the codes of the pairs that extend a phase-2
+        triangle to a diamond, unrevealed in `phase1_codes`; return them sorted."""
         n = self.config.n
         cand = set()
         for seed, x, y in self.phase2_edges:
@@ -413,8 +412,9 @@ class DiamondShort(_SeedPhaseBuilder):
                 for a in (x, y):
                     cand.add(pair_code(n, a, z) if a < z else pair_code(n, z, a))
         codes = np.array(sorted(cand), dtype=np.int64)
-        self.candidate_codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
-        self.candidates = set(self.candidate_codes.tolist())
+        codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
+        self.candidates = set(codes.tolist())
+        return codes
 
     def stats(self) -> dict:
         return {

@@ -38,11 +38,16 @@ def test_insert_edge_basics():
     g = BuilderGraph(3)
     g.insert_edge(0, 1)
     assert [len(g.adj[v]) for v in range(3)] == [1, 1, 0]
-    g.insert_edge(1, 2)
+    g.insert_edge(2, 1)
     g.insert_edge(0, 2)
     assert g.edge_count == 3
     with pytest.raises(DuplicateEdgeError):
         g.insert_edge(1, 0)
+    # The refused duplicate changes nothing; edges() is sorted although
+    # the edges went in out of order.
+    assert g.edge_count == 3
+    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert [len(g.adj[v]) for v in range(3)] == [2, 2, 2]
 
 
 def test_contains_diamond_examples():
@@ -112,14 +117,23 @@ def test_link_matching_on_k4_is_one():
 
 
 def test_link_matching_random_vs_oracle(rng):
-    for _ in range(40):
-        edges = gnp_edges(rng, 12, 0.3)
+    for p in [0.3] * 40 + [0.6] * 40:  # and a denser G(n, p)
+        edges = gnp_edges(rng, 12, p)
         g = builder_from(12, edges)
-        sg = SmallGraph(12, edges)
         nbrs = g.adj[0]
         link = [(u, v) for u, v in edges if u in nbrs and v in nbrs]
         oracle_val = brute_max_matching(SmallGraph(12, link)) if link else 0
-        assert link_matching_size(g, 0, 3) == min(oracle_val, 3)
+        for cap in (1, 2, 3, 5):
+            assert link_matching_size(g, 0, cap) == min(oracle_val, cap)
+
+
+def test_link_matching_on_a_star_link_stays_shallow():
+    # Vertex 0 meets a hub 1 and 2,000 leaves, each leaf also meets the hub:
+    # the link of 0 is a star of 2,000 edges, whose matching is 1. A search
+    # that recursed once per edge would exceed Python's recursion limit.
+    leaves = range(2, 2002)
+    g = builder_from(2002, [(0, 1)] + [(0, x) for x in leaves] + [(1, x) for x in leaves])
+    assert link_matching_size(g, 0, 2) == 1
 
 
 def test_contains_fan_friendship_and_k4():
@@ -328,6 +342,23 @@ def test_read_edge_list(tmp_path):
     assert g.n == 4
     assert g.edge_count == 5
     assert contains_diamond(g)
+
+
+def test_read_edge_list_relabels_sparse_ids(tmp_path):
+    # Memory follows the lines, not the largest id: two ids near 10^12
+    # become vertices 0 and 1.
+    path = tmp_path / "far.txt"
+    path.write_text("999999999999 1000000000000\n")
+    g = read_edge_list(path)
+    assert g.n == 2
+    assert g.edges() == [(0, 1)]
+    # Sorted distinct ids keep their order: a triangle and a pendant edge
+    # spread over large ids is still a paw.
+    path.write_text("10 7000000\n7000000 90\n90 10\n90 5\n")
+    g = read_edge_list(path)
+    assert g.n == 4
+    assert g.edges() == [(0, 2), (1, 2), (1, 3), (2, 3)]  # 5, 10, 90, 7000000
+    assert count_pattern(g, PAW) == 1
 
 
 def test_read_edge_list_rejects_garbage(tmp_path):

@@ -155,6 +155,32 @@ def test_sweep_grid_parallel_matches_serial():
     assert _mini_sweep(jobs=1) == _mini_sweep(jobs=2)
 
 
+def test_pool_gets_at_most_one_worker_per_cell(monkeypatch):
+    # A fork pool starts all of its workers at the first submit, so a pool
+    # sized by --jobs alone would fork that many for a 3-cell sweep. The
+    # stand-in records its size and maps serially: no process is started.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert _mini_sweep(jobs=16) == _mini_sweep(jobs=1)
+    assert sizes == [3]
+
+
 def test_sweep_single_cell_equals_run_trials():
     points = sweep_grid(DIAMOND, [60], [1.2], [0.8], 15, 4242)
     cell = points[0]

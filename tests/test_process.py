@@ -35,7 +35,6 @@ from oracle import SmallGraph, brute_contains
 def test_new_process_initial_state():
     state = new_process(ProcessConfig(n=4, t=6, b=5, seed=1))
     assert state.clock == 0
-    assert state.budget_used == 0
     assert state.purchased.edge_count == 0
     assert state.codes is None  # nothing is drawn before the first reveal
 
