@@ -8,7 +8,7 @@ the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
 The purchased graph answers membership from `g.adj`, one neighbour set per
 vertex. This is the one module that reads `BuilderGraph._edges`, its edges
-in purchase order, kept for the whole-graph scans and the edge count.
+in insertion order, kept for the whole-graph scans and the edge count.
 """
 
 from __future__ import annotations
