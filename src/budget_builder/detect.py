@@ -138,16 +138,43 @@ def diamond_completing_check(g: BuilderGraph, e: tuple[int, int]) -> bool:
 
 
 def _max_matching_edges(edges: list[tuple[int, int]], cap: int) -> int:
-    """Exact maximum matching size, capped at cap: the best, over each edge
-    i as the matching's first edge, of one plus the capped matching of the
-    later edges that avoid it. The recursion is at most cap deep."""
+    """Exact maximum matching size, capped at cap.
+
+    A greedy maximal matching that reaches cap answers at once. Otherwise
+    its vertices C, at most 2(cap - 1), cover every edge, so a matching
+    has at most |C| edges. Each vertex of C then keeps only |C| of its
+    edges that leave C: a matching edge (c, x) with x outside C that was
+    dropped can swap x for a kept neighbour of c that no other matching
+    edge uses, so the kernel, at most C(|C|, 2) + |C|^2 edges, has a
+    matching as large as the input's. On the kernel the answer is the best,
+    over each edge i as the matching's first edge, of one plus the capped
+    matching of the later edges that avoid it. The recursion is at most
+    cap deep, and its breadth does not depend on len(edges).
+    """
     if cap <= 1:
         return min(cap, len(edges))
+    cover = set()
+    for a, b in edges:
+        if a not in cover and b not in cover:
+            cover.add(a)
+            cover.add(b)
+            if len(cover) >= 2 * cap:
+                return cap
+    room = dict.fromkeys(cover, len(cover))
+    kernel = []
+    for a, b in edges:
+        if a in cover and b in cover:
+            kernel.append((a, b))
+        else:
+            c = a if a in cover else b
+            if room[c]:
+                room[c] -= 1
+                kernel.append((a, b))
     best = 0
-    for i, (a, b) in enumerate(edges):
+    for i, (a, b) in enumerate(kernel):
         if best >= cap:
             break
-        later = [e for e in edges[i + 1:] if a not in e and b not in e]
+        later = [e for e in kernel[i + 1:] if a not in e and b not in e]
         best = max(best, 1 + _max_matching_edges(later, cap - 1))
     return best
 

@@ -5,27 +5,28 @@ irrevocably buy at most b of the first t, and watches the purchased graph
 with an incremental target detector.
 
 The stream is one array of t pair codes (`pair_code`), drawn at the first
-reveal. `run_strategy` runs one step per revealed edge (decide; the budget
-check; buy; detect; stop at a hit under early stop) over one of two reveal
-sources:
+reveal. `run_strategy` runs one step per bought row (the budget check;
+buy; detect; stop at a hit under early stop) over one of two purchase
+sources, each an iterator of `(i, u, v)`: the stream index and the ends
+(u < v) of each row the strategy buys, in stream order.
 
-- `_every_reveal` calls `next_edge` on every reveal; it serves every
-  strategy without a `windows` method (`buy-all`, and any wrapper or
-  test double that has only `decide`, `stats` and `name`);
-- `_windowed_reveals` serves a strategy with a `windows(state)` generator,
-  which yields windows: sorted arrays of the stream indices of the reveals
-  `decide` must see, each past the last. Only those rows are decoded;
-  every other reveal is skipped unread. The generator resumes after the
-  last row of a window is visited, so a window may follow any visited
-  row, not only a phase start; it may first do set-up that reads what the
-  visits so far left behind (a freeze, a candidate build, a round advance,
-  a spent purchase cap).
+- A strategy with a `buys(state)` generator settles its purchases itself,
+  from the drawn codes; every reveal it does not buy is skipped unread.
+  The generator resumes only after its last row is bought and detected, so
+  it may then do set-up that reads the purchased graph (a freeze, a
+  candidate build, a round advance).
+- `_decided_buys` serves every other strategy (`buy-all`, and any wrapper
+  or test double that has only `decide`, `stats` and `name`): it calls
+  `next_edge` and `decide` on every reveal.
 
-The `windows` contract: yield every index where `decide` could buy or
-change a stat, given the state at the row it follows. Both sources set
-`state.clock` to the position of each reveal `decide` sees (index + 1),
-so for a given seed they give identical `TrialRecord`s, `phase_stats`
-included.
+The `buys` contract: yield exactly the rows `decide` would buy, and before
+each yield have every stat counted for the rows up to and including it;
+once exhausted, have them counted for the whole stream. An early stop
+leaves the generator suspended at the hit row, so its stats are those of
+the revealed prefix. The step sets `state.clock` to the position of each
+bought row (index + 1), and to t at the end of a run without an early
+stop, so for a given seed both sources give identical `TrialRecord`s,
+`phase_stats` included.
 """
 
 from __future__ import annotations
@@ -160,25 +161,15 @@ class TrialRecord:
     purchased: Optional[BuilderGraph] = None  # the live graph, with keep_graph
 
 
-def _every_reveal(state: ProcessState):
-    """One `next_edge` call per reveal, up to clock t."""
+def _decided_buys(state: ProcessState, strategy):
+    """One `next_edge` and one `decide` call per reveal, up to clock t; the
+    rows `decide` buys, as `buys` yields them."""
     t = state.config.t
+    decide = strategy.decide
     while state.clock < t:
-        yield next_edge(state)
-
-
-def _windowed_reveals(state: ProcessState, strategy):
-    """The rows `strategy.windows` yields, decoded per window; the clock
-    reaches t only once they are exhausted, so an early stop leaves it at
-    the hit."""
-    cfg = state.config
-    codes = state.codes = draw_codes(cfg)
-    for idx in strategy.windows(state):
-        us, vs = decode(cfg.n, codes[idx])
-        for i, u, v in zip(idx.tolist(), us.tolist(), vs.tolist()):
-            state.clock = i + 1
-            yield _new_edge(Edge, (u, v))
-    state.clock = cfg.t
+        e = next_edge(state)
+        if decide(state, e):
+            yield state.clock - 1, e.u, e.v
 
 
 def run_strategy(
@@ -196,27 +187,32 @@ def run_strategy(
     The strategy sees only the revealed prefix and its own state; a buy
     with the budget already spent is a contract violation, never a silent
     clamp. The incremental hit flag is cross-checked against batch
-    containment on the final purchased graph. A strategy with `windows`
-    reads the windowed source, any other every reveal; the step is the same.
+    containment on the final purchased graph. A strategy with `buys`
+    settles its own purchases, any other is asked on every reveal; the step
+    is the same.
     """
     state = new_process(config)
     g = state.purchased
-    reveals = (_windowed_reveals(state, strategy) if hasattr(strategy, "windows")
-               else _every_reveal(state))
+    if hasattr(strategy, "buys"):
+        state.codes = draw_codes(config)
+        purchases = strategy.buys(state)
+    else:
+        purchases = _decided_buys(state, strategy)
     hit_time = None
-    for e in reveals:
-        if not strategy.decide(state, e):
-            continue
+    for i, u, v in purchases:
+        state.clock = i + 1
         if g.edge_count >= config.b:
             raise BudgetContractViolation(
-                f"{strategy.name} bought edge {tuple(e)} at clock "
+                f"{strategy.name} bought edge ({u}, {v}) at clock "
                 f"{state.clock} with budget {config.b} exhausted"
             )
-        g.insert_edge(e.u, e.v)
-        if hit_time is None and detector.after_insert(g, e.u, e.v):
+        g.insert_edge(u, v)
+        if hit_time is None and detector.after_insert(g, u, v):
             hit_time = state.clock
             if early_stop:
                 break
+    else:
+        state.clock = config.t  # an early stop leaves the clock at the hit
     success = hit_time is not None
     if success != detector.confirm(g):
         raise DetectorMismatch(

@@ -13,21 +13,20 @@ still draws a strategy RNG substream per trial, which no strategy reads;
 deleting it waits for a benchmark change, since the benchmark's tests
 count two substreams per trial.
 
-The phased builders (`DiamondShort`, `AnchorNeighborhood`, `FanShort`)
-also have `windows(state)` for the event-driven loop (contract in
-`process`): at each phase start it does the set-up `decide` would do at
-that phase's first reveal, then yields the indices in `state.codes` of
-that phase's reveals where `decide` could buy or change a stat. Seed-set
-edges are found from their codes, edges inside the frozen neighborhoods by
-decoding the window, candidate pairs in a sorted code array. A phase with
-a purchase cap below b yields its rows in blocks (`_Base._until_cap`) and
-stops once the cap is spent, since no later reveal of that phase can buy;
-past the seed phase's cap it yields only the rows that still count a
-`cap_skip`. `DiamondShort`'s last phase is capped at b, so after the
-budget is spent its candidate reveals still count a `budget_skip`.
-`DegreeGreedy`'s `windows` yields a single window: the prefix rows, and
-the rows outside the prefix whose ends both met one of the first b prefix
-rows earlier in the stream (a superset of the closing edges it can buy).
+The phased builders (`DiamondShort`, `AnchorNeighborhood`, `FanShort`) and
+`DegreeGreedy` also have `buys(state)` for the settled loop (contract in
+`process`): a generator that yields `(i, u, v)` for each row of
+`state.codes` it buys, in stream order, with every stat counted for the
+rows up to and including i before the yield. At each phase start it does
+the set-up `decide` would do at that phase's first reveal, then runs one
+loop over that phase's rows that can buy or change a stat: seed-set edges
+found from their codes, edges inside the frozen neighborhoods from a
+vertex mask, candidate pairs from a sorted code array. Once a phase's cap
+or the budget is spent its counts are fixed, so the rows left in it are
+counted in bulk: the seed phase's `cap_skip`s in one vectorised pass, and
+the `budget_skip`s of a phase that buys every row it reaches (the anchor
+phases, `DiamondShort`'s last phase) by their number. `decide` stays as
+the per-reveal twin.
 """
 
 from __future__ import annotations
@@ -194,20 +193,24 @@ class _Base:
         self.p_bought[i] += 1
         return True
 
-    def _until_cap(self, i: int, rows: np.ndarray):
-        """Yield phase i's `rows` in blocks of max(cap left, 32) while its
-        cap lasts; return the rows not yielded. Only a 32-row block can
-        outlast the cap, so at most 31 rows are visited past the buy that
-        spends it."""
-        start = 0
-        while start < rows.size:
-            left = self.p_caps[i] - self.p_bought[i]
-            if left <= 0:
-                break
-            stop = start + max(left, 32)
-            yield rows[start:stop]
-            start = stop
-        return rows[start:]
+    def _left(self, state: ProcessState, i: int) -> int:
+        """How many more edges phase i can buy: its cap left, or the budget
+        left if that is less."""
+        return max(0, min(self.p_caps[i] - self.p_bought[i],
+                          self.config.b - state.purchased.edge_count))
+
+    def _buy_rows(self, state: ProcessState, i: int, rows: np.ndarray):
+        """`buys` for a phase that buys each of its `rows` while its cap and
+        the budget last: yield the first ones, then count a `budget_skip`
+        for each row left, unless it was the cap that ran out."""
+        take = rows[: self._left(state, i)]
+        us, vs = decode(self.config.n, state.codes[take])
+        bought = self.p_bought
+        for row, u, v in zip(take.tolist(), us.tolist(), vs.tolist()):
+            bought[i] += 1
+            yield row, u, v
+        if bought[i] < self.p_caps[i]:
+            self.budget_skips += rows.size - take.size
 
     def stats(self) -> dict:
         return {"budget_skips": self.budget_skips}
@@ -233,13 +236,13 @@ class DegreeGreedy(_Base):
     revealed after its cherry is bought adds a triangle, about b t^2 / n^3
     in all: the rate criterion 8's probe measures.
 
-    `windows` yields one window, from one decode of the stream: every
-    prefix row (after the budget each still counts a `budget_skip`), and
-    every row outside the prefix whose two ends each received one of the
-    first b prefix rows before it. While the budget lasts every prefix row
-    is bought, so the bought ones are an initial run of at most b prefix
-    rows; a row whose ends have a purchased common prefix neighbour is
-    therefore in the second set.
+    `buys` decodes the stream once and loops over two kinds of rows: every
+    prefix row (after the budget each counts a `budget_skip`), and every
+    row outside the prefix whose two ends each received one of the first b
+    prefix rows before it, where it tests for a closing edge as `decide`
+    does. While the budget lasts every prefix row is bought, so the bought
+    ones are an initial run of at most b prefix rows; a row whose ends have
+    a purchased common prefix neighbour is therefore of the second kind.
     """
 
     def __init__(self, config, params, rng):
@@ -254,7 +257,7 @@ class DegreeGreedy(_Base):
                 return False
         return self._budget_left(state)
 
-    def windows(self, state: ProcessState):
+    def buys(self, state: ProcessState):
         codes, n, b, h = state.codes, self.config.n, self.config.b, self.h
         us, vs = decode(n, codes)
         prefix = us < h  # u < v, so these are the rows meeting the prefix
@@ -264,7 +267,20 @@ class DegreeGreedy(_Base):
         reached = np.full(n, codes.size)
         np.minimum.at(reached, vs[first], first)
         rows = np.arange(codes.size)
-        yield np.flatnonzero(prefix | ((reached[us] < rows) & (reached[vs] < rows)))
+        keep = prefix | ((reached[us] < rows) & (reached[vs] < rows))
+        adj = state.purchased.adj
+        left = b - state.purchased.edge_count
+        for i, u, v in zip(np.flatnonzero(keep).tolist(), us[keep].tolist(),
+                           vs[keep].tolist()):
+            if u >= h:
+                common = adj[u] & adj[v]
+                if not common or min(common) >= h:
+                    continue
+            if not left:
+                self.budget_skips += 1
+                continue
+            left -= 1
+            yield i, u, v
 
     def stats(self) -> dict:
         return {"budget_skips": self.budget_skips, "prefix_size": self.h}
@@ -276,12 +292,14 @@ def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int) -> np.ndarr
     return np.flatnonzero(codes[lo:hi] < pair_code(n, r, r + 1)) + lo
 
 
-def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices) -> np.ndarray:
-    """Stream indices in [lo, hi) of the edges with both ends in `vertices`."""
+def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices):
+    """(stream indices, us, vs) of the edges in [lo, hi) with both ends in
+    `vertices`, a collection of vertices."""
     member = np.zeros(n, dtype=bool)
     member[list(vertices)] = True
     us, vs = decode(n, codes[lo:hi])
-    return np.flatnonzero(member[us] & member[vs]) + lo
+    keep = member[us] & member[vs]
+    return np.flatnonzero(keep) + lo, us[keep], vs[keep]
 
 
 def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
@@ -306,8 +324,7 @@ class _SeedPhaseBuilder(_Base):
         self.cap = params.per_vertex_cap
         self.attr_count = [0] * self.r
         self.cap_skips = 0
-        self.frozen_nbrs: Optional[list] = None  # per seed vertex, set(N(v))
-        self.member_of: Optional[list] = None  # vertex -> seed vertices
+        self.frozen_nbrs: Optional[dict] = None  # seed vertex -> set(N(v))
 
     def _seed_decide(self, state: ProcessState, u: int, v: int) -> bool:
         holder = -1
@@ -324,26 +341,92 @@ class _SeedPhaseBuilder(_Base):
         self.attr_count[holder] += 1
         return True
 
-    def _seed_windows(self, codes: np.ndarray, hi: int):
-        """The seed-set rows among the first `hi`, up to the phase-0 cap;
-        after it, only those whose seed ends are all at their per-vertex
-        cap, the rows that still count a `cap_skip`."""
-        n = self.config.n
-        rest = yield from self._until_cap(0, _seed_edges(codes, 0, hi, n, self.r))
-        if rest.size:
+    def _seed_buys(self, state: ProcessState, hi: int):
+        """`buys` for the seed phase over the first `hi` rows: one loop over
+        the seed-set rows while the phase-0 cap and the budget last, in
+        blocks of max(edges left, 32) rows, decoded per block. Past that
+        the per-vertex counts are fixed, so the rows left are counted in one
+        pass: a `cap_skip` where every seed end is at its cap, else a
+        `budget_skip` unless it was the phase cap that ran out."""
+        n, r, cap = self.config.n, self.r, self.cap
+        codes = state.codes
+        rows = _seed_edges(codes, 0, hi, n, r)
+        us, vs = decode(n, codes[rows])
+        attr, bought = self.attr_count, self.p_bought
+        left = self._left(state, 0)
+        done = 0  # rows settled so far
+        while left and done < rows.size:
+            stop = done + max(left, 32)
+            for i, u, v in zip(rows[done:stop].tolist(), us[done:stop].tolist(),
+                               vs[done:stop].tolist()):
+                if attr[u] < cap:  # u < v, so u is a seed
+                    attr[u] += 1
+                elif v < r and attr[v] < cap:
+                    attr[v] += 1
+                else:
+                    self.cap_skips += 1
+                    continue
+                bought[0] += 1
+                left -= 1
+                yield i, u, v
+                if not left:
+                    break
+            done = int(np.searchsorted(rows, i, side="right"))
+        if done < rows.size:
             full = np.ones(n, dtype=bool)  # a vertex outside R holds nothing
-            full[: self.r] = np.array(self.attr_count) >= self.cap
-            us, vs = decode(n, codes[rest])
-            yield rest[full[us] & full[vs]]
+            full[:r] = np.array(attr, dtype=np.int64) >= cap
+            skips = int(np.count_nonzero(full[us[done:]] & full[vs[done:]]))
+            self.cap_skips += skips
+            if bought[0] < self.p_caps[0]:
+                self.budget_skips += rows.size - done - skips
 
     def _freeze(self, state: ProcessState) -> None:
+        """Freeze the purchased neighbourhood of each seed that holds two or
+        more purchased neighbours; a smaller one holds no inside edge."""
+        self.frozen_nbrs = {v: set(nbrs) for v, nbrs in enumerate(state.purchased.adj[: self.r])
+                            if len(nbrs) > 1}
+
+    def _hosts(self, adj, u: int, v: int) -> list[int]:
+        """The seeds whose frozen neighbourhood holds u and v. Edges are never
+        removed, so each is a common neighbour of u and v in `adj`."""
+        frozen = self.frozen_nbrs
+        return [w for w in adj[u] & adj[v]
+                if w in frozen and u in frozen[w] and v in frozen[w]]
+
+    def _hosted_decide(self, state: ProcessState, i: int, u: int, v: int,
+                       hosts_of, place) -> bool:
+        """`decide` for phase i, which buys an edge that `hosts_of` finds
+        hosts for and hands them to `place`."""
+        hosts = hosts_of(state.purchased.adj, u, v)
+        if not hosts or not self._phase_buy(state, i):
+            return False
+        place(hosts, u, v)
+        return True
+
+    def _hosted_buys(self, state: ProcessState, i: int, inside, hosts_of, place):
+        """`buys` for the same phase over `inside`, the (rows, us, vs) of its
+        edges inside the frozen neighbourhoods, while its cap lasts; once the
+        budget is spent each row with hosts counts a `budget_skip`."""
+        bought, cap = self.p_bought, self.p_caps[i]
+        if bought[i] >= cap:
+            return
         adj = state.purchased.adj
-        self.frozen_nbrs = [set(adj[v]) for v in range(self.r)]
-        member_of = [[] for _ in range(self.config.n)]
-        for v in range(self.r):
-            for x in self.frozen_nbrs[v]:
-                member_of[x].append(v)
-        self.member_of = member_of
+        budget = self.config.b - state.purchased.edge_count
+        for row, u, v in zip(*(a.tolist() for a in inside)):
+            if adj[u].isdisjoint(adj[v]):
+                continue  # no common neighbour, so no host
+            hosts = hosts_of(adj, u, v)
+            if not hosts:
+                continue
+            if not budget:
+                self.budget_skips += 1
+                continue
+            bought[i] += 1
+            budget -= 1
+            place(hosts, u, v)
+            yield row, u, v
+            if bought[i] >= cap:
+                return
 
 
 class DiamondShort(_SeedPhaseBuilder):
@@ -364,9 +447,6 @@ class DiamondShort(_SeedPhaseBuilder):
         self.candidates: Optional[set] = None  # pair codes
         self.max_multiplicity = 0
 
-    def _neighborhoods_containing(self, u: int, v: int) -> list[int]:
-        return [w for w in self.member_of[u] if v in self.frozen_nbrs[w]]
-
     def decide(self, state: ProcessState, e: Edge) -> bool:
         clock = state.clock
         u, v = e
@@ -375,30 +455,30 @@ class DiamondShort(_SeedPhaseBuilder):
         if self.frozen_nbrs is None:
             self._freeze(state)
         if clock <= 2 * self.T:
-            holders = self._neighborhoods_containing(u, v)
-            if not holders or not self._phase_buy(state, 1):
-                return False
-            if len(holders) > self.max_multiplicity:
-                self.max_multiplicity = len(holders)
-            self.phase2_edges.append((holders[0], u, v))
-            return True
+            return self._hosted_decide(state, 1, u, v, self._hosts, self._note_phase2)
         if self.candidates is None:
             self._build_candidates(state.codes[: self.T])
         return (pair_code(self.config.n, u, v) in self.candidates
                 and self._phase_buy(state, 2))
 
-    def windows(self, state: ProcessState):
+    def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
-        yield from self._seed_windows(codes, min(T, t))
+        yield from self._seed_buys(state, min(T, t))
         if t <= T:
             return
         self._freeze(state)
-        yield from self._until_cap(
-            1, _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs)))
+        inside = _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs.values()))
+        yield from self._hosted_buys(state, 1, inside, self._hosts, self._note_phase2)
         if t <= 2 * T:
             return
         candidates = self._build_candidates(codes[:T])
-        yield np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T
+        yield from self._buy_rows(
+            state, 2, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T)
+
+    def _note_phase2(self, holders: list[int], u: int, v: int) -> None:
+        if len(holders) > self.max_multiplicity:
+            self.max_multiplicity = len(holders)
+        self.phase2_edges.append((min(holders), u, v))
 
     def _build_candidates(self, phase1_codes) -> np.ndarray:
         """Set `candidates` to the codes of the pairs that extend a phase-2
@@ -450,14 +530,14 @@ class AnchorNeighborhood(_Base):
             self.frozen = set(state.purchased.adj[0])
         return u in self.frozen and v in self.frozen and self._phase_buy(state, 1)
 
-    def windows(self, state: ProcessState):
+    def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         # The anchor is vertex 0, so its edges are those meeting {0}.
-        yield from self._until_cap(0, _seed_edges(codes, 0, min(T, t), n, 1))
+        yield from self._buy_rows(state, 0, _seed_edges(codes, 0, min(T, t), n, 1))
         if t <= T:
             return
         self.frozen = set(state.purchased.adj[0])
-        yield from self._until_cap(1, _inside(codes, T, t, n, self.frozen))
+        yield from self._buy_rows(state, 1, _inside(codes, T, t, n, self.frozen)[0])
 
     def stats(self) -> dict:
         return {
@@ -483,7 +563,7 @@ class FanShort(_SeedPhaseBuilder):
         super().__init__(config, params, rng)
         self.k = params.k
         self.current_round = 0
-        self.matched: Optional[list] = None  # per seed, vertices covered inside N
+        self.matched: Optional[dict] = None  # seed -> vertices covered inside N
         self.survivors: set = set()
         self.gained: set = set()
         self.survivor_sets: list[frozenset] = []
@@ -493,8 +573,8 @@ class FanShort(_SeedPhaseBuilder):
         g = state.purchased
         # Purchases already sitting inside a neighborhood block the vertices
         # they cover (phase-0 edges between two members count).
-        self.matched = [{x for x in inside if not g.adj[x].isdisjoint(inside)}
-                        for inside in self.frozen_nbrs]
+        self.matched = {w: {x for x in inside if not g.adj[x].isdisjoint(inside)}
+                        for w, inside in self.frozen_nbrs.items()}
 
     def _start_round(self, rnd: int, state: ProcessState) -> None:
         """Round 1 freezes the neighborhoods; a later round keeps only the
@@ -507,6 +587,18 @@ class FanShort(_SeedPhaseBuilder):
         self.survivor_sets.append(frozenset(self.survivors))
         self.current_round = rnd
 
+    def _placeable(self, adj, u: int, v: int) -> list[int]:
+        """The surviving hosts whose link matching the edge would grow."""
+        matched, survivors = self.matched, self.survivors
+        return [w for w in self._hosts(adj, u, v)
+                if w in survivors and u not in matched[w] and v not in matched[w]]
+
+    def _place(self, hosts: list[int], u: int, v: int) -> None:
+        for w in hosts:
+            self.matched[w].add(u)
+            self.matched[w].add(v)
+            self.gained.add(w)
+
     def decide(self, state: ProcessState, e: Edge) -> bool:
         u, v = e
         clock, T = state.clock, self.T
@@ -517,33 +609,21 @@ class FanShort(_SeedPhaseBuilder):
         rnd = (clock - 1) // T
         while self.current_round < rnd:
             self._start_round(self.current_round + 1, state)
-        # Only a surviving host whose link matching the edge grows is credited.
-        placeable = [
-            w
-            for w in self.member_of[u]
-            if w in self.survivors and v in self.frozen_nbrs[w]
-            and u not in self.matched[w] and v not in self.matched[w]
-        ]
-        if not placeable or not self._phase_buy(state, rnd):
-            return False
-        for w in placeable:
-            self.matched[w].add(u)
-            self.matched[w].add(v)
-            self.gained.add(w)
-        return True
+        return self._hosted_decide(state, rnd, u, v, self._placeable, self._place)
 
-    def windows(self, state: ProcessState):
+    def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         if T == 0:
             return  # every reveal falls after the last round
-        yield from self._seed_windows(codes, min(T, t))
+        yield from self._seed_buys(state, min(T, t))
         for rnd in range(1, self.k + 1):
             lo = rnd * T
             if lo >= t:
                 return
             self._start_round(rnd, state)
-            live = set().union(*(self.frozen_nbrs[w] for w in self.survivors))
-            yield from self._until_cap(rnd, _inside(codes, lo, min(lo + T, t), n, live))
+            live = set().union(*(self.frozen_nbrs.get(w, ()) for w in self.survivors))
+            yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n, live),
+                                         self._placeable, self._place)
 
     def stats(self) -> dict:
         return {

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,33 @@ def test_link_matching_on_a_star_link_stays_shallow():
     leaves = range(2, 2002)
     g = builder_from(2002, [(0, 1)] + [(0, x) for x in leaves] + [(1, x) for x in leaves])
     assert link_matching_size(g, 0, 2) == 1
+
+
+def test_link_matching_on_hub_links_vs_oracle(rng):
+    # The link of vertex 0 is a hub graph: stars with more leaves than the
+    # greedy matching's cover has vertices, so the kernel drops edges.
+    for _ in range(60):
+        n = int(rng.integers(6, 14))
+        link = [(u + 1, v + 1) for u, v in hub_edges(rng, n - 1, int(rng.integers(1, 4)))]
+        g = builder_from(n, [(0, x) for x in range(1, n)] + link)
+        oracle_val = brute_max_matching(SmallGraph(n, link)) if link else 0
+        for cap in (1, 2, 3, 5):
+            assert link_matching_size(g, 0, cap) == min(oracle_val, cap)
+
+
+def test_matching_below_its_cap_stays_fast():
+    # Below cap, a search over all m edges takes time growing like m^cap;
+    # the greedy matching's kernel keeps at most 22 and 5 of these edges.
+    double_star = builder_from(402, [(0, x) for x in range(2, 202)]
+                               + [(1, x) for x in range(202, 402)])
+    star = builder_from(3001, [(0, x) for x in range(1, 3001)])
+    for g, cap, size in ((double_star, 3, 2), (star, 2, 1)):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert matching_within(g, range(g.n), cap) == size
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.01, (g.n, cap, best)
 
 
 def test_contains_fan_friendship_and_k4():

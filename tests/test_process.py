@@ -29,6 +29,7 @@ from budget_builder.strategies import (
     select_strategy,
 )
 
+from conftest import BuysChecker, PerReveal
 from oracle import SmallGraph, brute_contains
 
 
@@ -229,55 +230,6 @@ def test_early_stop_records_hit_time():
 # -- event-driven trials -----------------------------------------------------
 
 
-class _PerReveal:
-    """Forwards decide and stats only: without `windows`, run_strategy takes
-    the per-reveal loop."""
-
-    def __init__(self, inner):
-        self.name = inner.name
-        self.decide = inner.decide
-        self.stats = inner.stats
-
-
-class _SkipChecker:
-    """A per-reveal run that checks the `windows` contract as it goes.
-
-    Whenever a reveal passes the last index yielded so far, it advances the
-    inner strategy's `windows` until a window reaches that reveal, as the
-    windowed loop does after its last visited row; that runs each window's
-    set-up. Every reveal outside the yielded indices must then leave
-    `decide` False and `stats()` unchanged.
-    """
-
-    def __init__(self, inner):
-        self.name = inner.name
-        self.stats = inner.stats
-        self._inner = inner
-        self._windows = None
-        self._yielded = set()
-        self._last = -1  # the last index yielded so far
-        self.skipped = 0
-
-    def decide(self, state, e):
-        i = state.clock - 1
-        if self._windows is None:
-            self._windows = self._inner.windows(state)
-        while i > self._last:
-            window = next(self._windows, None)
-            if window is None:
-                self._last = state.config.t
-            elif window.size:
-                self._yielded.update(window.tolist())
-                self._last = int(window[-1])
-        if i in self._yielded:
-            return self._inner.decide(state, e)
-        before = self._inner.stats()
-        assert not self._inner.decide(state, e), f"skipped reveal {i} bought {e}"
-        assert self._inner.stats() == before, f"skipped reveal {i} changed a stat"
-        self.skipped += 1
-        return False
-
-
 def _c7_cells():
     xs, ys = grid_values(1.25, 1.35, 0.05), grid_values(0.4, 1.4, 0.1)
     return [(DIAMOND, 800, *cell_from_exponents(800, x, y)[:2], {})
@@ -314,6 +266,12 @@ _SMALL_CELLS = [
     (target, 40, 780, 18,
      {"regime_override": "short", "seed_set_size": 6, "per_vertex_cap": 1})
     for target in (DIAMOND, fan(2))
+] + [
+    # All of K_20 and two or six seeds with a small budget: a round's cap is
+    # spent with budget left and rows ahead that would grow a matching.
+    (fan(3), 20, 190, b, {"regime_override": "short", "seed_set_size": r,
+                          "per_vertex_cap": cap})
+    for b, r, cap in ((6, 2, 2), (12, 6, 3))
 ]
 
 
@@ -344,15 +302,17 @@ _DEGREE_GREEDY_CELLS = [
 
 
 def _trial(cell, seed, early_stop, wrap=lambda s: s):
-    """(record, strategy as run) of one trial; `wrap` may hide `windows`.
+    """(record, strategy as run) of one trial; `wrap` may hide `buys`.
+    `BuysChecker` also gets a second instance of the strategy to settle.
     A cell's last entry is the strategy overrides, or a StrategySpec."""
     target, n, t, b, strategy = cell
     spec = (strategy if isinstance(strategy, StrategySpec)
             else select_strategy(target, n, t, b, strategy))
     config = ProcessConfig(n, t, b, seed=seed)
     inner = build_strategy(spec, config)
-    assert hasattr(inner, "windows"), spec.name
-    strategy = wrap(inner)
+    assert hasattr(inner, "buys"), spec.name
+    strategy = (wrap(inner, build_strategy(spec, config)) if wrap is BuysChecker
+                else wrap(inner))
     rec = run_strategy(config, strategy, detector_for(target),
                        early_stop=early_stop, keep_graph=True)
     for value in (rec.hit_time, rec.edges_bought, rec.clock_at_stop,
@@ -378,7 +338,7 @@ def test_event_driven_and_per_reveal_records_are_identical(cells, seeds, kinds):
             seed = derive_seed(11, cell[1], cell[2], cell[3], j)
             for early_stop in (True, False):
                 fast, _ = _trial(cell, seed, early_stop)
-                slow, _ = _trial(cell, seed, early_stop, _PerReveal)
+                slow, _ = _trial(cell, seed, early_stop, PerReveal)
                 assert pickle.dumps(fast) == pickle.dumps(slow), (cell, j, early_stop)
                 seen.add(fast.strategy)
     assert seen == kinds
@@ -386,65 +346,75 @@ def test_event_driven_and_per_reveal_records_are_identical(cells, seeds, kinds):
 
 @pytest.mark.parametrize("cells", [_REFERENCE_CELLS, _SMALL_CELLS, _DEGREE_GREEDY_CELLS],
                          ids=["reference", "small", "degree-greedy"])
-def test_reveals_outside_the_windows_change_nothing(cells):
+def test_per_reveal_decide_buys_exactly_what_buys_yields(cells):
     skipped = 0
     for cell in cells:
         for j in range(3):
             seed = derive_seed(12, cell[1], cell[2], cell[3], j)
             for early_stop in (True, False):
-                slow, checker = _trial(cell, seed, early_stop, _SkipChecker)
+                slow, checker = _trial(cell, seed, early_stop, BuysChecker)
                 fast, _ = _trial(cell, seed, early_stop)
                 assert pickle.dumps(slow) == pickle.dumps(fast), (cell, j, early_stop)
                 skipped += checker.skipped
     assert skipped > 0
 
 
-class _Visits:
-    """Forwards `windows`, so the windowed loop runs, and records the clock
-    of every row `decide` sees."""
+class _Steps:
+    """Forwards `buys`, so the settled loop runs, and records the clock of
+    every row its step sees (one per yield)."""
 
     def __init__(self, inner):
         self.name = inner.name
         self.stats = inner.stats
-        self.windows = inner.windows
         self.inner = inner
         self.clocks = []
 
-    def decide(self, state, e):
-        self.clocks.append(state.clock)
-        return self.inner.decide(state, e)
+    def buys(self, state):
+        codes, n = state.codes, state.config.n
+        for i, u, v in self.inner.buys(state):
+            assert [u, v] == [x.item() for x in decode(n, codes[i:i + 1])], (i, u, v)
+            self.clocks.append(i + 1)
+            yield i, u, v
+
+
+def _assert_steps_are_the_buys(rec, counter):
+    assert counter.clocks == sorted(set(counter.clocks)), "rows out of stream order"
+    assert len(counter.clocks) == rec.edges_bought
 
 
 @pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL, _C7_CELL], ids=["c4", "c6", "c7"])
 def test_seed_phase_visits_end_at_its_cap(cell):
-    # Before the phase-0 cap is spent each seed row buys or counts a
-    # cap_skip; after it, only cap_skip rows are visited, plus at most the 31
-    # rows a 32-row block can run past the buy that spends the cap.
+    # The settled loop's step runs once per bought row: in the seed phase
+    # exactly its buys, at most its cap, and none past the cap.
     for j in range(5):
         seed = derive_seed(13, cell[1], cell[2], cell[3], j)
-        _, counter = _trial(cell, seed, False, _Visits)
+        rec, counter = _trial(cell, seed, False, _Steps)
+        _assert_steps_are_the_buys(rec, counter)
         inner = counter.inner
         visits = sum(clock <= inner.T for clock in counter.clocks)
-        assert visits <= inner.p_bought[0] + inner.cap_skips + 31, (cell, j)
+        assert visits == inner.p_bought[0] <= inner.p_caps[0], (cell, j)
 
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_degree_greedy_visits_under_two_fifths_of_the_stream(n):
-    # On criterion 8's probe cells the windowed loop visited 21-32% of t
-    # (20 seeds each at n = 200 and 400): the prefix rows, and the rows
-    # whose ends both met one of the first b prefix rows.
+    # On criterion 8's probe cells the step runs once per buy, at most b =
+    # n^1.1 times, below 0.4·t for t = n^1.3.
     cell = _probe_cell(n)
     for j in range(5):
         seed = derive_seed(14, n, cell[2], cell[3], j)
-        _, counter = _trial(cell, seed, False, _Visits)
-        assert len(counter.clocks) <= 0.4 * cell[2], (n, j)
+        rec, counter = _trial(cell, seed, False, _Steps)
+        _assert_steps_are_the_buys(rec, counter)
+        assert len(counter.clocks) <= min(cell[3], 0.4 * cell[2]), (n, j)
 
 
-class _RogueWindows:
+class _RogueBuys:
+    """Buys every reveal, through `buys` or, wrapped, through `decide`."""
+
     name = "rogue"
 
-    def windows(self, state):
-        yield np.arange(state.config.t)
+    def buys(self, state):
+        us, vs = decode(state.config.n, state.codes)
+        yield from zip(range(state.config.t), us.tolist(), vs.tolist())
 
     def decide(self, state, e):
         return True
@@ -465,15 +435,15 @@ class _BlindDetector:
 
 def test_fast_path_over_budget_buy_raises():
     with pytest.raises(BudgetContractViolation):
-        run_strategy(ProcessConfig(n=10, t=20, b=3, seed=5), _RogueWindows(),
+        run_strategy(ProcessConfig(n=10, t=20, b=3, seed=5), _RogueBuys(),
                      detector_for(DIAMOND))
 
 
-@pytest.mark.parametrize("wrap", [lambda s: s, _PerReveal], ids=["fast", "per-reveal"])
+@pytest.mark.parametrize("wrap", [lambda s: s, PerReveal], ids=["fast", "per-reveal"])
 def test_detector_disagreement_raises(wrap):
     # Buying all of K_10 builds a diamond the blind detector never reports.
     with pytest.raises(DetectorMismatch):
-        run_strategy(ProcessConfig(n=10, t=45, b=45, seed=5), wrap(_RogueWindows()),
+        run_strategy(ProcessConfig(n=10, t=45, b=45, seed=5), wrap(_RogueBuys()),
                      _BlindDetector(detector_for(DIAMOND)))
 
 
@@ -484,7 +454,7 @@ def test_event_driven_trial_memory_is_linear_in_t_and_n():
     tracemalloc.start()
     try:
         strategy = build_strategy(spec, config)
-        assert hasattr(strategy, "windows")
+        assert hasattr(strategy, "buys")
         run_strategy(config, strategy, detector_for(DIAMOND), early_stop=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -494,12 +464,12 @@ def test_event_driven_trial_memory_is_linear_in_t_and_n():
 
 def test_windowed_degree_greedy_memory_is_linear_in_t_and_n():
     # A pair table or a pair list over C(n,2) would take ~96 MiB here; one
-    # window over the t codes takes a few arrays of length t or n.
+    # decode of the t codes takes a few arrays of length t or n.
     config = ProcessConfig(n=5000, t=20000, b=2000, seed=4)
     tracemalloc.start()
     try:
         strategy = build_strategy(StrategySpec(StrategyKind.DEGREE_GREEDY), config)
-        assert hasattr(strategy, "windows")
+        assert hasattr(strategy, "buys")
         run_strategy(config, strategy, detector_for(DIAMOND), early_stop=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
