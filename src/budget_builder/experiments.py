@@ -94,29 +94,27 @@ def estimate_from_counts(successes: int, trials: int) -> SuccessEstimate:
     return SuccessEstimate(trials, successes, successes / trials, lo, hi)
 
 
+def _threshold_branches(target: Pattern) -> tuple:
+    """The exponents (a, c) of each regime branch n^a / t^c of the budget
+    threshold; b* is the larger branch."""
+    if target.tag == "diamond":
+        return (6, 4), (4 / 3, 2 / 3)
+    if target.tag == "fan":
+        return (4 * target.k - 1, 3 * target.k - 1), (1, 1 / 2)
+    raise UnsupportedPattern(f"no threshold formula for {target}")
+
+
 def predicted_budget_threshold(target: Pattern, n: int, t: int | float) -> float:
     """The budget threshold b*(n, t) for the target, both regime branches."""
     if t < 1:
         raise ConfigurationError(f"need t >= 1, got {t}")
     ln_n, ln_t = math.log(n), math.log(t)
-    if target.tag == "diamond":
-        return max(math.exp(6 * ln_n - 4 * ln_t),
-                   math.exp(4 / 3 * ln_n - 2 / 3 * ln_t))
-    if target.tag == "fan":
-        k = target.k
-        return max(math.exp((4 * k - 1) * ln_n - (3 * k - 1) * ln_t),
-                   math.exp(ln_n - ln_t / 2))
-    raise UnsupportedPattern(f"no threshold formula for {target}")
+    return max(math.exp(a * ln_n - c * ln_t) for a, c in _threshold_branches(target))
 
 
 def predicted_log_threshold(target: Pattern, x: float) -> float:
     """log_n b* as a function of x = log_n t (the phase-diagram curve)."""
-    if target.tag == "diamond":
-        return max(6 - 4 * x, 4 / 3 - 2 * x / 3)
-    if target.tag == "fan":
-        k = target.k
-        return max(4 * k - 1 - (3 * k - 1) * x, 1 - x / 2)
-    raise UnsupportedPattern(f"no threshold formula for {target}")
+    return max(a - c * x for a, c in _threshold_branches(target))
 
 
 def _target_label(target: Pattern) -> tuple[str, int]:

@@ -32,7 +32,7 @@ the per-reveal twin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -97,8 +97,8 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
 
     The targets are DIAMOND and fan(k). Diamond: short variant up to
     t = n^{7/5}, long after. Fan: short up to t = n^{4/3}, long after.
-    `overrides` may set `regime_override` ("short" or "long"),
-    `seed_set_size` and `per_vertex_cap`; a None value is not set.
+    `overrides` may set `regime_override` ("short" or "long") and, in the
+    short regime only, `seed_set_size` and `per_vertex_cap`; None is unset.
     """
     if target.tag not in ("diamond", "fan"):
         raise UnsupportedPattern(f"no strategy for target {target}")
@@ -122,12 +122,17 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
     diamond, k = target.tag == "diamond", target.k
     x_long = 1.4 if diamond else 4 / 3  # the long regime starts past t = n^x_long
     if regime == "long" or (regime is None and t > n ** x_long):
-        params = StrategyParams(phase_length=t // 2, k=k,
-                                phase_budgets=(b // 2, b // 2))
         kind = StrategyKind.DIAMOND_LONG if diamond else StrategyKind.FAN_LONG
-    elif diamond:
+        for key in _OVERRIDE_KEYS[1:]:  # the long builder has no seed set
+            if overrides.get(key) is not None:
+                raise ConfigurationError(f"the {key} override applies only to the "
+                                         f"short regime, not to {kind.value}")
+        return StrategySpec(kind, StrategyParams(phase_length=t // 2, k=k,
+                                                 phase_budgets=(b // 2, b // 2)))
+    # A set override is at least 1, so `or` keeps it.
+    if diamond:
         phase_length = t // 3
-        r = _geomean_seed_set(
+        r = r_set or _geomean_seed_set(
             7 * math.log(n) - 5 * math.log(max(phase_length, 1)),
             math.log(max(b * n / t, 1.0)),
             n,
@@ -135,13 +140,13 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
         params = StrategyParams(
             phase_length=phase_length,
             seed_set_size=r,
-            per_vertex_cap=math.ceil(3 * phase_length / n),
+            per_vertex_cap=cap_set or math.ceil(3 * phase_length / n),
             phase_budgets=(b // 3, b // 2, b),
         )
         kind = StrategyKind.DIAMOND_SHORT
     else:
         phase_length = t // (k + 1)
-        r = _geomean_seed_set(
+        r = r_set or _geomean_seed_set(
             4 * k * math.log(n) - 3 * k * math.log(max(phase_length, 1)),
             math.log(max(b * n / t, 1.0)),
             n,
@@ -150,8 +155,8 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
         # edge per seed vertex at desk scale, which leaves neighborhoods
         # too small to ever hold a link edge; floor it at the degree
         # concentration bound 3T/n instead.
-        cap = max(phase_length // (2 * k * n) + 1,
-                  math.ceil(3 * phase_length / n))
+        cap = cap_set or max(phase_length // (2 * k * n) + 1,
+                             math.ceil(3 * phase_length / n))
         params = StrategyParams(
             phase_length=phase_length,
             seed_set_size=r,
@@ -160,10 +165,6 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
             k=k,
         )
         kind = StrategyKind.FAN_SHORT
-    if r_set is not None:
-        params = replace(params, seed_set_size=r_set)
-    if cap_set is not None:
-        params = replace(params, per_vertex_cap=cap_set)
     return StrategySpec(kind, params)
 
 
@@ -213,7 +214,7 @@ class _Base:
             self.budget_skips += rows.size - take.size
 
     def stats(self) -> dict:
-        return {"budget_skips": self.budget_skips}
+        return {"budget_skips": self.budget_skips, "phase_bought": tuple(self.p_bought)}
 
 
 class BuyAll(_Base):
@@ -283,7 +284,7 @@ class DegreeGreedy(_Base):
             yield i, u, v
 
     def stats(self) -> dict:
-        return {"budget_skips": self.budget_skips, "prefix_size": self.h}
+        return {**super().stats(), "prefix_size": self.h}
 
 
 def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int) -> np.ndarray:
@@ -326,6 +327,9 @@ class _SeedPhaseBuilder(_Base):
         self.cap_skips = 0
         self.frozen_nbrs: Optional[dict] = None  # seed vertex -> set(N(v))
 
+    def stats(self) -> dict:
+        return {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
+
     def _seed_decide(self, state: ProcessState, u: int, v: int) -> bool:
         holder = -1
         if u < self.r and self.attr_count[u] < self.cap:
@@ -342,12 +346,12 @@ class _SeedPhaseBuilder(_Base):
         return True
 
     def _seed_buys(self, state: ProcessState, hi: int):
-        """`buys` for the seed phase over the first `hi` rows: one loop over
-        the seed-set rows while the phase-0 cap and the budget last, in
-        blocks of max(edges left, 32) rows, decoded per block. Past that
-        the per-vertex counts are fixed, so the rows left are counted in one
-        pass: a `cap_skip` where every seed end is at its cap, else a
-        `budget_skip` unless it was the phase cap that ran out."""
+        """`buys` for the seed phase over the first `hi` rows. The seed-set
+        rows are decoded once; one loop runs over them while the phase-0 cap
+        and the budget last, turning max(edges left, 32) rows at a time into
+        lists. Past that the per-vertex counts are fixed, so the rows left
+        are counted in one pass: a `cap_skip` where every seed end is at its
+        cap, else a `budget_skip` unless it was the phase cap that ran out."""
         n, r, cap = self.config.n, self.r, self.cap
         codes = state.codes
         rows = _seed_edges(codes, 0, hi, n, r)
@@ -386,31 +390,32 @@ class _SeedPhaseBuilder(_Base):
         self.frozen_nbrs = {v: set(nbrs) for v, nbrs in enumerate(state.purchased.adj[: self.r])
                             if len(nbrs) > 1}
 
-    def _hosts(self, adj, u: int, v: int) -> list[int]:
+    def _eligible(self, adj, u: int, v: int) -> list[int]:
         """The seeds whose frozen neighbourhood holds u and v. Edges are never
         removed, so each is a common neighbour of u and v in `adj`."""
         frozen = self.frozen_nbrs
         return [w for w in adj[u] & adj[v]
                 if w in frozen and u in frozen[w] and v in frozen[w]]
 
-    def _hosted_decide(self, state: ProcessState, i: int, u: int, v: int,
-                       hosts_of, place) -> bool:
-        """`decide` for phase i, which buys an edge that `hosts_of` finds
-        hosts for and hands them to `place`."""
-        hosts = hosts_of(state.purchased.adj, u, v)
+    def _place(self, hosts: list[int], u: int, v: int) -> None:
+        """Record a hosted phase's bought edge with its `_eligible` hosts."""
+
+    def _hosted_decide(self, state: ProcessState, i: int, u: int, v: int) -> bool:
+        """`decide` for hosted phase i: buy an edge with eligible hosts."""
+        hosts = self._eligible(state.purchased.adj, u, v)
         if not hosts or not self._phase_buy(state, i):
             return False
-        place(hosts, u, v)
+        self._place(hosts, u, v)
         return True
 
-    def _hosted_buys(self, state: ProcessState, i: int, inside, hosts_of, place):
+    def _hosted_buys(self, state: ProcessState, i: int, inside):
         """`buys` for the same phase over `inside`, the (rows, us, vs) of its
         edges inside the frozen neighbourhoods, while its cap lasts; once the
         budget is spent each row with hosts counts a `budget_skip`."""
         bought, cap = self.p_bought, self.p_caps[i]
         if bought[i] >= cap:
             return
-        adj = state.purchased.adj
+        adj, hosts_of, place = state.purchased.adj, self._eligible, self._place
         budget = self.config.b - state.purchased.edge_count
         for row, u, v in zip(*(a.tolist() for a in inside)):
             if adj[u].isdisjoint(adj[v]):
@@ -455,7 +460,7 @@ class DiamondShort(_SeedPhaseBuilder):
         if self.frozen_nbrs is None:
             self._freeze(state)
         if clock <= 2 * self.T:
-            return self._hosted_decide(state, 1, u, v, self._hosts, self._note_phase2)
+            return self._hosted_decide(state, 1, u, v)
         if self.candidates is None:
             self._build_candidates(state.codes[: self.T])
         return (pair_code(self.config.n, u, v) in self.candidates
@@ -468,17 +473,17 @@ class DiamondShort(_SeedPhaseBuilder):
             return
         self._freeze(state)
         inside = _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs.values()))
-        yield from self._hosted_buys(state, 1, inside, self._hosts, self._note_phase2)
+        yield from self._hosted_buys(state, 1, inside)
         if t <= 2 * T:
             return
         candidates = self._build_candidates(codes[:T])
         yield from self._buy_rows(
             state, 2, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T)
 
-    def _note_phase2(self, holders: list[int], u: int, v: int) -> None:
-        if len(holders) > self.max_multiplicity:
-            self.max_multiplicity = len(holders)
-        self.phase2_edges.append((min(holders), u, v))
+    def _place(self, hosts: list[int], u: int, v: int) -> None:
+        if len(hosts) > self.max_multiplicity:
+            self.max_multiplicity = len(hosts)
+        self.phase2_edges.append((min(hosts), u, v))
 
     def _build_candidates(self, phase1_codes) -> np.ndarray:
         """Set `candidates` to the codes of the pairs that extend a phase-2
@@ -498,10 +503,7 @@ class DiamondShort(_SeedPhaseBuilder):
 
     def stats(self) -> dict:
         return {
-            "budget_skips": self.budget_skips,
-            "cap_skips": self.cap_skips,
-            "phase_bought": tuple(self.p_bought),
-            "seed_set_size": self.r,
+            **super().stats(),
             "candidate_count": -1 if self.candidates is None else len(self.candidates),
             "max_multiplicity": self.max_multiplicity,
         }
@@ -540,11 +542,8 @@ class AnchorNeighborhood(_Base):
         yield from self._buy_rows(state, 1, _inside(codes, T, t, n, self.frozen)[0])
 
     def stats(self) -> dict:
-        return {
-            "budget_skips": self.budget_skips,
-            "phase_bought": tuple(self.p_bought),
-            "neighborhood_size": -1 if self.frozen is None else len(self.frozen),
-        }
+        return {**super().stats(),
+                "neighborhood_size": -1 if self.frozen is None else len(self.frozen)}
 
 
 class FanShort(_SeedPhaseBuilder):
@@ -587,10 +586,10 @@ class FanShort(_SeedPhaseBuilder):
         self.survivor_sets.append(frozenset(self.survivors))
         self.current_round = rnd
 
-    def _placeable(self, adj, u: int, v: int) -> list[int]:
+    def _eligible(self, adj, u: int, v: int) -> list[int]:
         """The surviving hosts whose link matching the edge would grow."""
         matched, survivors = self.matched, self.survivors
-        return [w for w in self._hosts(adj, u, v)
+        return [w for w in super()._eligible(adj, u, v)
                 if w in survivors and u not in matched[w] and v not in matched[w]]
 
     def _place(self, hosts: list[int], u: int, v: int) -> None:
@@ -609,7 +608,7 @@ class FanShort(_SeedPhaseBuilder):
         rnd = (clock - 1) // T
         while self.current_round < rnd:
             self._start_round(self.current_round + 1, state)
-        return self._hosted_decide(state, rnd, u, v, self._placeable, self._place)
+        return self._hosted_decide(state, rnd, u, v)
 
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
@@ -622,17 +621,10 @@ class FanShort(_SeedPhaseBuilder):
                 return
             self._start_round(rnd, state)
             live = set().union(*(self.frozen_nbrs.get(w, ()) for w in self.survivors))
-            yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n, live),
-                                         self._placeable, self._place)
+            yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n, live))
 
     def stats(self) -> dict:
-        return {
-            "budget_skips": self.budget_skips,
-            "cap_skips": self.cap_skips,
-            "phase0_bought": self.p_bought[0],
-            "seed_set_size": self.r,
-            "survivor_history": tuple(map(len, self.survivor_sets)),
-        }
+        return {**super().stats(), "survivor_history": tuple(map(len, self.survivor_sets))}
 
 
 _BUILDERS = {

@@ -299,6 +299,7 @@ _FILES = {
     "typo.cfg": b"trails = 5\n",
     "binary.csv": b"\xff\xfe\n",
     "dup.txt": b"0 1\n1 0\n",
+    "cap.cfg": b"per_vertex_cap = 3\n",
 }
 
 
@@ -332,6 +333,13 @@ _FILES = {
         _SWEEP_N40 + ["--y-min", "nan"],
         _SWEEP_N40 + ["--y-max", "inf"],
         _SWEEP_N40 + ["--x-max", "1.3", "--x-step", "1e-300"],  # counted, never built
+        # Seed-set overrides where the long regime has no seed set to read
+        # them: k4m-long chosen by t > n^{7/5}, or tk-long and k4m-long forced.
+        ["run", "--target", "k4m", "--n", "400", "--t", "20000", "--b", "80",
+         "--trials", "3", "--seed", "1", "--r-override", "5", "--per-vertex-cap", "2"],
+        ["run", "--target", "tk", "--k", "2", "--n", "50", "--t", "150", "--b", "40",
+         "--trials", "2", "--seed", "1", "--regime", "long", "--config", "{tmp}/cap.cfg"],
+        _SWEEP_N40 + ["--jobs", "1", "--regime", "long", "--r-override", "5"],
     ],
 )
 def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):

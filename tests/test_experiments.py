@@ -10,6 +10,7 @@ from budget_builder.experiments import (
     PhasePoint,
     SuccessEstimate,
     _isotonic,
+    _threshold_branches,
     estimate_crossover,
     estimate_from_counts,
     grid_values,
@@ -66,6 +67,18 @@ def test_fan_threshold_crossover_point():
     for k in range(1, 6):
         assert math.isclose(4 * k - 1 - (3 * k - 1) * (4 / 3), 1 / 3, rel_tol=1e-12)
     assert math.isclose(1 - (4 / 3) / 2, 1 / 3, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("target", [DIAMOND, fan(1), fan(2), fan(3), fan(5)])
+def test_strategy_regime_switches_where_the_threshold_branches_meet(target):
+    (a1, c1), (a2, c2) = _threshold_branches(target)
+    x_star = (a1 - a2) / (c1 - c2)  # where n^a1 / t^c1 = n^a2 / t^c2
+    assert abs(x_star - (7 / 5 if target == DIAMOND else 4 / 3)) < 1e-12
+    short = {StrategyKind.DIAMOND_SHORT, StrategyKind.FAN_SHORT}
+    for n in (50, 200, 400, 800, 1600):  # n^{x*} at least 0.08 from an integer
+        t = math.floor(n ** x_star)
+        assert select_strategy(target, n, t, 100).kind in short
+        assert select_strategy(target, n, t + 1, 100).kind not in short
 
 
 def test_one_fan_formula_matches_three_cycle_formula():
@@ -213,6 +226,18 @@ def test_sweep_grid_checks_every_override_before_any_trial(monkeypatch):
     with pytest.raises(ConfigurationError, match="n=50"):
         sweep_grid(DIAMOND, [200, 50], [1.2], [0.8], 3, 8,
                    overrides={"seed_set_size": 60})
+
+
+def test_sweep_grid_refuses_seed_overrides_in_long_cells_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a cell ran before every override was checked")
+
+    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    # x = 1.3 selects k4m-short, which reads the seed set; x = 1.5 selects
+    # k4m-long, which has none.
+    with pytest.raises(ConfigurationError, match="seed_set_size override .* k4m-long"):
+        sweep_grid(DIAMOND, [200], [1.3, 1.5], [0.8], 3, 8,
+                   overrides={"seed_set_size": 10})
 
 
 def test_sweep_grid_checks_every_target_size_before_any_trial(monkeypatch):

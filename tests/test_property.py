@@ -29,8 +29,8 @@ _TARGETS = (DIAMOND, fan(1), fan(2), fan(3))
 
 @st.composite
 def _trials(draw):
-    """(target, config, spec, early stop): a phased builder with any of its
-    overrides, or `degree-greedy` (one draw in five)."""
+    """(target, config, spec, early stop): a phased builder with any of the
+    overrides its regime reads, or `degree-greedy` (one draw in five)."""
     target = draw(st.sampled_from(_TARGETS))
     n = draw(st.integers(target.num_vertices, 60))
     t = draw(st.integers(1, n * (n - 1) // 2))
@@ -39,11 +39,15 @@ def _trials(draw):
     if draw(st.integers(0, 4)) == 0:
         spec = StrategySpec(StrategyKind.DEGREE_GREEDY)
     else:
-        spec = select_strategy(target, n, t, b, {
-            "regime_override": draw(st.sampled_from([None, "short", "long"])),
-            "seed_set_size": draw(st.none() | st.integers(1, n)),
-            "per_vertex_cap": draw(st.none() | st.integers(1, 12)),
-        })
+        overrides = {"regime_override": draw(st.sampled_from([None, "short", "long"]))}
+        spec = select_strategy(target, n, t, b, overrides)
+        # The seed-set overrides apply only to the short regime.
+        if spec.kind in (StrategyKind.DIAMOND_SHORT, StrategyKind.FAN_SHORT):
+            spec = select_strategy(target, n, t, b, {
+                **overrides,
+                "seed_set_size": draw(st.none() | st.integers(1, n)),
+                "per_vertex_cap": draw(st.none() | st.integers(1, 12)),
+            })
     return target, config, spec, draw(st.booleans())
 
 

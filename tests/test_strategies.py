@@ -96,6 +96,48 @@ def test_seed_set_override():
     assert spec.params.seed_set_size == 17
 
 
+@pytest.mark.parametrize("key", ["seed_set_size", "per_vertex_cap"])
+@pytest.mark.parametrize("target, t, regime, name", [
+    (DIAMOND, 20000, None, "k4m-long"),  # t > 400^{7/5}
+    (fan(2), 2000, "long", "tk-long"),
+], ids=["k4m-long", "tk-long"])
+def test_seed_overrides_are_refused_by_the_long_regime(key, target, t, regime, name):
+    # The long builders have no seed set, so neither value would be read.
+    with pytest.raises(ConfigurationError, match=f"the {key} override .* not to {name}$"):
+        select_strategy(target, 400, t, 80, {"regime_override": regime, key: 3})
+
+
+# Each builder's phase_stats keys beyond budget_skips and phase_bought.
+_OWN_STATS = {
+    "buy-all": set(),
+    "degree-greedy": {"prefix_size"},
+    "k4m-long": {"neighborhood_size"},
+    "tk-long": {"neighborhood_size"},
+    "k4m-short": {"cap_skips", "seed_set_size", "candidate_count", "max_multiplicity"},
+    "tk-short": {"cap_skips", "seed_set_size", "survivor_history"},
+}
+
+
+@pytest.mark.parametrize("target, spec", [
+    (DIAMOND, StrategySpec(StrategyKind.BUY_ALL)),
+    (DIAMOND, StrategySpec(StrategyKind.DEGREE_GREEDY)),
+    *((target, select_strategy(target, 60, 300, 40, {"regime_override": regime}))
+      for target in (DIAMOND, fan(2), fan(3)) for regime in ("short", "long")),
+], ids=lambda v: v.name if isinstance(v, StrategySpec) else str(v))
+def test_phase_stats_share_one_schema(target, spec):
+    config = ProcessConfig(n=60, t=300, b=40, seed=4)
+    rec = run_strategy(config, build_strategy(spec, config), detector_for(target),
+                       early_stop=False)
+    stats = rec.phase_stats
+    assert set(stats) == {"budget_skips", "phase_bought"} | _OWN_STATS[spec.name]
+    # One count per phase cap; a phased builder credits each buy to one phase.
+    assert len(stats["phase_bought"]) == len(spec.params.phase_budgets)
+    if spec.params.phase_budgets:
+        assert sum(stats["phase_bought"]) == rec.edges_bought
+    if spec.kind is StrategyKind.FAN_SHORT:
+        assert len(stats["phase_bought"]) == target.k + 1
+
+
 # -- diamond short phases ----------------------------------------------------
 
 
@@ -326,8 +368,8 @@ def test_fan_short_phase0_bound_invariant():
     strat = build_strategy(spec, config)
     rec = run_strategy(config, strat, detector_for(fan(2)), early_stop=False)
     stats = rec.phase_stats
-    assert stats["phase0_bought"] <= stats["seed_set_size"] * spec.params.per_vertex_cap
-    assert stats["phase0_bought"] <= spec.params.phase_budgets[0]
+    assert stats["phase_bought"][0] <= stats["seed_set_size"] * spec.params.per_vertex_cap
+    assert stats["phase_bought"][0] <= spec.params.phase_budgets[0]
 
 
 # -- baselines ---------------------------------------------------------------
