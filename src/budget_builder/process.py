@@ -15,18 +15,22 @@ sources, each an iterator of `(i, u, v)`: the stream index and the ends
   The generator resumes only after its last row is bought and detected, so
   it may then do set-up that reads the purchased graph (a freeze, a
   candidate build, a round advance).
-- `_decided_buys` serves every other strategy (`buy-all`, and any wrapper
-  or test double that has only `decide`, `stats` and `name`): it calls
-  `next_edge` and `decide` on every reveal.
+- `_decided_buys` serves a wrapper that exposes only `decide`, `stats` and
+  `name` (the benchmark's tracer, the tests' `PerReveal`, a test double):
+  it calls `next_edge` and `decide` on every reveal. Every strategy
+  `build_strategy` returns has `buys`, and its `decide` reads the answer
+  off that generator, so both sources run the same purchase rule.
 
-The `buys` contract: yield exactly the rows `decide` would buy, and before
-each yield have every stat counted for the rows up to and including it;
-once exhausted, have them counted for the whole stream. An early stop
-leaves the generator suspended at the hit row, so its stats are those of
-the revealed prefix. The step sets `state.clock` to the position of each
-bought row (index + 1), and to t at the end of a run without an early
-stop, so for a given seed both sources give identical `TrialRecord`s,
-`phase_stats` included.
+The `buys` contract: yield the rows the strategy buys, each decided from
+the revealed prefix and the purchased graph, and before each yield have
+every stat counted for the rows up to and including it; once exhausted,
+have them counted for the whole stream. The hand-written per-reveal rules
+in `tests/per_reveal.py` are the reference it is checked against. An
+early stop leaves the generator suspended at the hit row, so its stats are
+those of the revealed prefix. The step sets `state.clock` to the position
+of each bought row (index + 1), and to t at the end of a run without an
+early stop, so for a given seed both sources give identical
+`TrialRecord`s, `phase_stats` included.
 """
 
 from __future__ import annotations

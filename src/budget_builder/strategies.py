@@ -13,20 +13,21 @@ still draws a strategy RNG substream per trial, which no strategy reads;
 deleting it waits for a benchmark change, since the benchmark's tests
 count two substreams per trial.
 
-The phased builders (`DiamondShort`, `AnchorNeighborhood`, `FanShort`) and
-`DegreeGreedy` also have `buys(state)` for the settled loop (contract in
+Every strategy settles its purchases in `buys(state)` (contract in
 `process`): a generator that yields `(i, u, v)` for each row of
 `state.codes` it buys, in stream order, with every stat counted for the
 rows up to and including i before the yield. At each phase start it does
-the set-up `decide` would do at that phase's first reveal, then runs one
-loop over that phase's rows that can buy or change a stat: seed-set edges
-found from their codes, edges inside the frozen neighborhoods from a
+that phase's set-up (a freeze, a candidate build, a round start), then runs
+one loop over that phase's rows that can buy or change a stat: seed-set
+edges found from their codes, edges inside the frozen neighborhoods from a
 vertex mask, candidate pairs from a sorted code array. Once a phase's cap
 or the budget is spent its counts are fixed, so the rows left in it are
 counted in bulk: the seed phase's `cap_skip`s in one vectorised pass, and
 the `budget_skip`s of a phase that buys every row it reaches (the anchor
-phases, `DiamondShort`'s last phase) by their number. `decide` stays as
-the per-reveal twin.
+phases, `DiamondShort`'s last phase, `buy-all`) by their number.
+`_Base.decide` answers reveal by reveal from the same generator, for a
+caller that asks on every reveal; the hand-written per-reveal rules that
+`buys` is checked against live in `tests/per_reveal.py`.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
 
 class _Base:
     """Budget check on the purchased graph's edge count, per-phase purchase
-    caps; `name` (the StrategyKind value) is set by build_strategy."""
+    caps; `name` (the StrategyKind value) is set by build_strategy. Each
+    builder states its purchase rule once, in `buys`; `decide` reads it."""
 
     def __init__(self, config: ProcessConfig, params: StrategyParams, rng):
         self.config = config
@@ -179,20 +181,20 @@ class _Base:
         self.T = params.phase_length
         self.p_caps = params.phase_budgets
         self.p_bought = [0] * len(self.p_caps)
+        self._settled = None  # the `buys` generator, once `decide` starts it
+        self._row = -1  # the row it yielded last
 
-    def _budget_left(self, state: ProcessState) -> bool:
-        if state.purchased.edge_count >= self.config.b:
-            self.budget_skips += 1
-            return False
-        return True
-
-    def _phase_buy(self, state: ProcessState, i: int) -> bool:
-        """Buy in phase i unless its cap is reached or the budget is spent
-        (the cap is checked first, so only budget refusals are counted)."""
-        if self.p_bought[i] >= self.p_caps[i] or not self._budget_left(state):
-            return False
-        self.p_bought[i] += 1
-        return True
+    def decide(self, state: ProcessState, e: Edge) -> bool:
+        """Whether `buys` buys reveal i = state.clock - 1, for a caller that
+        asks on every reveal in order. The generator is resumed only at the
+        first reveal past the row it yielded last, so, as in the settled
+        loop, after that row was bought and detected."""
+        i = state.clock - 1
+        if self._settled is None:
+            self._settled = self.buys(state)
+        if self._row < i:
+            self._row = next(self._settled, (self.config.t,))[0]
+        return self._row == i
 
     def _left(self, state: ProcessState, i: int) -> int:
         """How many more edges phase i can buy: its cap left, or the budget
@@ -218,8 +220,15 @@ class _Base:
 
 
 class BuyAll(_Base):
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        return self._budget_left(state)
+    def buys(self, state: ProcessState):
+        """The first b rows, decoded once. The reveals after them each count
+        a `budget_skip`, all at once after the last yield: no reveal before
+        the budget runs out is a skip."""
+        codes = state.codes
+        take = min(codes.size, self.config.b - state.purchased.edge_count)
+        us, vs = decode(self.config.n, codes[:take])
+        yield from zip(range(take), us.tolist(), vs.tolist())
+        self.budget_skips += codes.size - take
 
 
 class DegreeGreedy(_Base):
@@ -240,23 +249,15 @@ class DegreeGreedy(_Base):
     `buys` decodes the stream once and loops over two kinds of rows: every
     prefix row (after the budget each counts a `budget_skip`), and every
     row outside the prefix whose two ends each received one of the first b
-    prefix rows before it, where it tests for a closing edge as `decide`
-    does. While the budget lasts every prefix row is bought, so the bought
-    ones are an initial run of at most b prefix rows; a row whose ends have
-    a purchased common prefix neighbour is therefore of the second kind.
+    prefix rows before it, where it tests for a closing edge. While the
+    budget lasts every prefix row is bought, so the bought ones are an
+    initial run of at most b prefix rows; a row whose ends have a purchased
+    common prefix neighbour is therefore of the second kind.
     """
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.h = max(1, min(config.n, config.b * config.n // (4 * max(config.t, 1))))
-
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        if e.u >= self.h and e.v >= self.h:
-            adj = state.purchased.adj
-            common = adj[e.u] & adj[e.v]
-            if not common or min(common) >= self.h:
-                return False
-        return self._budget_left(state)
 
     def buys(self, state: ProcessState):
         codes, n, b, h = state.codes, self.config.n, self.config.b, self.h
@@ -330,21 +331,6 @@ class _SeedPhaseBuilder(_Base):
     def stats(self) -> dict:
         return {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
 
-    def _seed_decide(self, state: ProcessState, u: int, v: int) -> bool:
-        holder = -1
-        if u < self.r and self.attr_count[u] < self.cap:
-            holder = u
-        elif v < self.r and self.attr_count[v] < self.cap:
-            holder = v
-        if holder < 0:
-            if u < self.r or v < self.r:
-                self.cap_skips += 1
-            return False
-        if not self._phase_buy(state, 0):
-            return False
-        self.attr_count[holder] += 1
-        return True
-
     def _seed_buys(self, state: ProcessState, hi: int):
         """`buys` for the seed phase over the first `hi` rows. The seed-set
         rows are decoded once; one loop runs over them while the phase-0 cap
@@ -400,18 +386,11 @@ class _SeedPhaseBuilder(_Base):
     def _place(self, hosts: list[int], u: int, v: int) -> None:
         """Record a hosted phase's bought edge with its `_eligible` hosts."""
 
-    def _hosted_decide(self, state: ProcessState, i: int, u: int, v: int) -> bool:
-        """`decide` for hosted phase i: buy an edge with eligible hosts."""
-        hosts = self._eligible(state.purchased.adj, u, v)
-        if not hosts or not self._phase_buy(state, i):
-            return False
-        self._place(hosts, u, v)
-        return True
-
     def _hosted_buys(self, state: ProcessState, i: int, inside):
-        """`buys` for the same phase over `inside`, the (rows, us, vs) of its
-        edges inside the frozen neighbourhoods, while its cap lasts; once the
-        budget is spent each row with hosts counts a `budget_skip`."""
+        """`buys` for hosted phase i over `inside`, the (rows, us, vs) of its
+        edges inside the frozen neighbourhoods: buy each edge with eligible
+        hosts while the phase cap lasts; once the budget is spent each such
+        row counts a `budget_skip`."""
         bought, cap = self.p_bought, self.p_caps[i]
         if bought[i] >= cap:
             return
@@ -449,22 +428,8 @@ class DiamondShort(_SeedPhaseBuilder):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
-        self.candidates: Optional[set] = None  # pair codes
+        self.candidate_codes: Optional[np.ndarray] = None  # sorted pair codes
         self.max_multiplicity = 0
-
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        clock = state.clock
-        u, v = e
-        if clock <= self.T:
-            return self._seed_decide(state, u, v)
-        if self.frozen_nbrs is None:
-            self._freeze(state)
-        if clock <= 2 * self.T:
-            return self._hosted_decide(state, 1, u, v)
-        if self.candidates is None:
-            self._build_candidates(state.codes[: self.T])
-        return (pair_code(self.config.n, u, v) in self.candidates
-                and self._phase_buy(state, 2))
 
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
@@ -486,8 +451,9 @@ class DiamondShort(_SeedPhaseBuilder):
         self.phase2_edges.append((min(hosts), u, v))
 
     def _build_candidates(self, phase1_codes) -> np.ndarray:
-        """Set `candidates` to the codes of the pairs that extend a phase-2
-        triangle to a diamond, unrevealed in `phase1_codes`; return them sorted."""
+        """Set `candidate_codes` to the sorted codes of the pairs that extend
+        a phase-2 triangle to a diamond, unrevealed in `phase1_codes`, and
+        return them."""
         n = self.config.n
         cand = set()
         for seed, x, y in self.phase2_edges:
@@ -497,14 +463,14 @@ class DiamondShort(_SeedPhaseBuilder):
                 for a in (x, y):
                     cand.add(pair_code(n, a, z) if a < z else pair_code(n, z, a))
         codes = np.array(sorted(cand), dtype=np.int64)
-        codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
-        self.candidates = set(codes.tolist())
-        return codes
+        self.candidate_codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
+        return self.candidate_codes
 
     def stats(self) -> dict:
         return {
             **super().stats(),
-            "candidate_count": -1 if self.candidates is None else len(self.candidates),
+            "candidate_count": (-1 if self.candidate_codes is None
+                                else self.candidate_codes.size),
             "max_multiplicity": self.max_multiplicity,
         }
 
@@ -522,15 +488,6 @@ class AnchorNeighborhood(_Base):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.frozen: Optional[set] = None
-
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        clock = state.clock
-        u, v = e
-        if clock <= self.T:
-            return u == 0 and self._phase_buy(state, 0)  # edges have u < v
-        if self.frozen is None:
-            self.frozen = set(state.purchased.adj[0])
-        return u in self.frozen and v in self.frozen and self._phase_buy(state, 1)
 
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
@@ -561,7 +518,6 @@ class FanShort(_SeedPhaseBuilder):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.k = params.k
-        self.current_round = 0
         self.matched: Optional[dict] = None  # seed -> vertices covered inside N
         self.survivors: set = set()
         self.gained: set = set()
@@ -584,7 +540,6 @@ class FanShort(_SeedPhaseBuilder):
         else:
             self.survivors, self.gained = self.gained, set()
         self.survivor_sets.append(frozenset(self.survivors))
-        self.current_round = rnd
 
     def _eligible(self, adj, u: int, v: int) -> list[int]:
         """The surviving hosts whose link matching the edge would grow."""
@@ -597,18 +552,6 @@ class FanShort(_SeedPhaseBuilder):
             self.matched[w].add(u)
             self.matched[w].add(v)
             self.gained.add(w)
-
-    def decide(self, state: ProcessState, e: Edge) -> bool:
-        u, v = e
-        clock, T = state.clock, self.T
-        if clock <= T:
-            return self._seed_decide(state, u, v)
-        if clock > (self.k + 1) * T:  # past the last round; always so at T = 0
-            return False
-        rnd = (clock - 1) // T
-        while self.current_round < rnd:
-            self._start_round(self.current_round + 1, state)
-        return self._hosted_decide(state, rnd, u, v)
 
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T

@@ -43,23 +43,25 @@ def rng():
 
 
 class FakeState:
-    """Minimal stand-in for ProcessState when driving strategies by hand."""
+    """Minimal stand-in for ProcessState when driving strategies by hand:
+    the stream's pair codes are all known before the first reveal, as once
+    `draw_codes` has run."""
 
-    def __init__(self, n):
+    def __init__(self, n, codes):
         self.clock = 0
         self.purchased = BuilderGraph(n)
-        self.codes = []  # pair codes of the reveals so far
+        self.codes = codes
 
 
 def drive(strategy, n, edges, budget):
-    """Feed a fixed edge sequence to a strategy; returns (decisions, state)."""
+    """Feed a fixed edge sequence to a strategy's `decide`, which settles
+    its purchases from the whole sequence; returns (decisions, state)."""
     from budget_builder.process import Edge, pair_code
 
-    state = FakeState(n)
+    state = FakeState(n, np.array([pair_code(n, u, v) for u, v in edges], dtype=np.int64))
     decisions = []
     for u, v in edges:
         state.clock += 1
-        state.codes.append(pair_code(n, u, v))
         buy = strategy.decide(state, Edge(u, v))
         decisions.append(buy)
         if buy:
@@ -70,7 +72,9 @@ def drive(strategy, n, edges, budget):
 
 class PerReveal:
     """Forwards decide and stats only: without `buys`, run_strategy asks
-    `decide` on every reveal."""
+    `decide` on every reveal. Around a strategy `build_strategy` returns
+    this is the path the benchmark's tracer takes; around a
+    `per_reveal.reference_strategy` it runs the hand-written rules."""
 
     def __init__(self, inner):
         self.name = inner.name
@@ -79,14 +83,16 @@ class PerReveal:
 
 
 class BuysChecker:
-    """A per-reveal run that checks the `buys` contract as it goes.
+    """A per-reveal run of the reference rules that checks the `buys`
+    contract as it goes.
 
-    A second instance of the strategy, `settled`, runs its `buys` generator
-    on the same state, one yield ahead: it is resumed at the first reveal
-    after its last yielded row was bought, as the settled loop resumes it.
-    `decide` must buy exactly the rows `buys` yields, and at each of them
-    both instances' `stats()` must agree: the generator has counted every
-    stat up to its row before the yield. (A reveal `decide` refuses may
+    `settled`, an instance built by `build_strategy`, runs its `buys`
+    generator on the same state, one yield ahead: it is resumed at the
+    first reveal after its last yielded row was bought, as the settled
+    loop resumes it. The reference `inner` (from `reference_strategy`)
+    must buy exactly the rows `buys` yields, and at each of them both
+    instances' `stats()` must agree: the generator has counted every stat
+    up to its row before the yield. (A reveal the reference refuses may
     still count a skip; the generator counts those between its yields.)
     """
 
@@ -113,9 +119,9 @@ class BuysChecker:
             self._advance(state)
         bought = self._inner.decide(state, e)
         if i == self._next:
-            assert bought, f"buys yielded reveal {i}, decide refused {e}"
+            assert bought, f"buys yielded reveal {i}, the reference refused {e}"
             assert self._inner.stats() == self._seen, f"stats differ at bought reveal {i}"
         else:
-            assert not bought, f"decide bought reveal {i}, buys skipped it"
+            assert not bought, f"the reference bought reveal {i}, buys skipped it"
             self.skipped += 1
         return bought

@@ -31,6 +31,7 @@ from budget_builder.strategies import (
 
 from conftest import BuysChecker, PerReveal
 from oracle import SmallGraph, brute_contains
+from per_reveal import reference_strategy
 
 
 def test_new_process_initial_state():
@@ -236,8 +237,10 @@ def _c7_cells():
             for x in xs for y in ys]
 
 
-# (target, n, t, b, strategy overrides): the reference cells, then small
-# cells in both regimes, including ones whose phases outrun t.
+# (target, n, t, b, strategy overrides or a StrategySpec): the reference
+# cells, then small cells in both regimes, including ones whose phases
+# outrun t.
+_BUY_ALL = StrategySpec(StrategyKind.BUY_ALL)
 _C4_CELL = (DIAMOND, 400, 2000, 2560, {})
 _C6_CELL = (fan(2), 400, 2000, 1638, {})
 _C7_CELL = (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2)[:2], {})
@@ -247,6 +250,11 @@ _REFERENCE_CELLS = [
     _C6_CELL,
     (fan(2), 400, 3000, 512, {}),
     _C7_CELL,
+    # buy-all: a diamond hit before the budget of 1,200 runs out (after
+    # 589-1,011 buys at the twin test's seeds); then a budget spent
+    # mid-stream, mostly with no 2-fan.
+    (DIAMOND, 400, 2000, 1200, _BUY_ALL),
+    (fan(2), 400, 2000, 400, _BUY_ALL),
 ]
 _SMALL_CELLS = [
     (target, n, t, b, {"regime_override": regime})
@@ -272,6 +280,12 @@ _SMALL_CELLS = [
     (fan(3), 20, 190, b, {"regime_override": "short", "seed_set_size": r,
                           "per_vertex_cap": cap})
     for b, r, cap in ((6, 2, 2), (12, 6, 3))
+] + [
+    # buy-all with b = 0, with b >= t, with a budget of 25 that a triangle
+    # hit mostly beats, and with one that a diamond hit mostly does not.
+    (target, n, t, b, _BUY_ALL)
+    for target, n, t, b in ((DIAMOND, 30, 100, 0), (fan(1), 12, 66, 66),
+                            (fan(1), 20, 190, 25), (DIAMOND, 30, 100, 30))
 ]
 
 
@@ -301,15 +315,17 @@ _DEGREE_GREEDY_CELLS = [
 ]
 
 
-def _trial(cell, seed, early_stop, wrap=lambda s: s):
-    """(record, strategy as run) of one trial; `wrap` may hide `buys`.
-    `BuysChecker` also gets a second instance of the strategy to settle.
-    A cell's last entry is the strategy overrides, or a StrategySpec."""
+def _trial(cell, seed, early_stop, wrap=lambda s: s, make=build_strategy):
+    """(record, strategy as run) of one trial of the strategy `make` builds:
+    `build_strategy`, or the per-reveal `reference_strategy`. `wrap` may
+    hide `buys`; `BuysChecker` also gets an instance from `build_strategy`
+    to settle. A cell's last entry is the strategy overrides, or a
+    StrategySpec."""
     target, n, t, b, strategy = cell
     spec = (strategy if isinstance(strategy, StrategySpec)
             else select_strategy(target, n, t, b, strategy))
     config = ProcessConfig(n, t, b, seed=seed)
-    inner = build_strategy(spec, config)
+    inner = make(spec, config)
     assert hasattr(inner, "buys"), spec.name
     strategy = (wrap(inner, build_strategy(spec, config)) if wrap is BuysChecker
                 else wrap(inner))
@@ -322,7 +338,7 @@ def _trial(cell, seed, early_stop, wrap=lambda s: s):
     return rec, strategy
 
 
-_ALL_KINDS = {"k4m-short", "k4m-long", "tk-short", "tk-long"}
+_ALL_KINDS = {"k4m-short", "k4m-long", "tk-short", "tk-long", "buy-all"}
 
 
 @pytest.mark.parametrize(
@@ -332,16 +348,44 @@ _ALL_KINDS = {"k4m-short", "k4m-long", "tk-short", "tk-long"}
     ids=["reference", "criterion-7", "small", "degree-greedy"],
 )
 def test_event_driven_and_per_reveal_records_are_identical(cells, seeds, kinds):
+    # The settled run against the per-reveal reference rules, and against
+    # `decide` on every reveal, the path the benchmark's tracer takes.
     seen = set()
     for cell in cells:
         for j in range(seeds):
             seed = derive_seed(11, cell[1], cell[2], cell[3], j)
             for early_stop in (True, False):
-                fast, _ = _trial(cell, seed, early_stop)
-                slow, _ = _trial(cell, seed, early_stop, PerReveal)
-                assert pickle.dumps(fast) == pickle.dumps(slow), (cell, j, early_stop)
-                seen.add(fast.strategy)
+                fast = pickle.dumps(_trial(cell, seed, early_stop)[0])
+                slow, _ = _trial(cell, seed, early_stop, PerReveal, reference_strategy)
+                assert fast == pickle.dumps(slow), (cell, j, early_stop)
+                asked, _ = _trial(cell, seed, early_stop, PerReveal)
+                assert fast == pickle.dumps(asked), (cell, j, early_stop)
+                seen.add(slow.strategy)
     assert seen == kinds
+
+
+# (cell, seed) for each kind where the settled loop, with early stop off,
+# buys the last reveal, t - 1: `decide` then never resumes `buys` after its
+# last yield, so the stats must be complete at that yield.
+_LAST_REVEAL_BOUGHT = [
+    ((DIAMOND, 10, 20, 20, _BUY_ALL), 0),
+    ((DIAMOND, 12, 40, 30, StrategySpec(StrategyKind.DEGREE_GREEDY)), 0),
+    ((DIAMOND, 8, 28, 28, {"regime_override": "long"}), 4),
+    ((fan(2), 8, 28, 28, {"regime_override": "long"}), 12),
+    ((DIAMOND, 8, 27, 27, {"regime_override": "short"}), 6),
+    ((fan(1), 6, 14, 14, {"regime_override": "short"}), 1),
+]
+
+
+@pytest.mark.parametrize("cell, seed", _LAST_REVEAL_BOUGHT,
+                         ids=["buy-all", "degree-greedy", "k4m-long", "tk-long",
+                              "k4m-short", "tk-short"])
+def test_last_reveal_bought_records_are_identical(cell, seed):
+    fast, steps = _trial(cell, seed, False, _Steps)
+    assert steps.clocks[-1] == cell[2], steps.clocks
+    asked, _ = _trial(cell, seed, False, PerReveal)
+    slow, _ = _trial(cell, seed, False, PerReveal, reference_strategy)
+    assert pickle.dumps(fast) == pickle.dumps(asked) == pickle.dumps(slow)
 
 
 @pytest.mark.parametrize("cells", [_REFERENCE_CELLS, _SMALL_CELLS, _DEGREE_GREEDY_CELLS],
@@ -352,7 +396,8 @@ def test_per_reveal_decide_buys_exactly_what_buys_yields(cells):
         for j in range(3):
             seed = derive_seed(12, cell[1], cell[2], cell[3], j)
             for early_stop in (True, False):
-                slow, checker = _trial(cell, seed, early_stop, BuysChecker)
+                slow, checker = _trial(cell, seed, early_stop, BuysChecker,
+                                       reference_strategy)
                 fast, _ = _trial(cell, seed, early_stop)
                 assert pickle.dumps(slow) == pickle.dumps(fast), (cell, j, early_stop)
                 skipped += checker.skipped

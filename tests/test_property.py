@@ -1,5 +1,6 @@
 """Property-based twin test: on cells drawn inside `ProcessConfig`'s checks,
-a strategy's `buys` and its per-reveal `decide` give the same trial.
+a strategy's `buys`, its `decide` asked on every reveal and the per-reveal
+reference rules (`tests/per_reveal.py`) give the same trial.
 
 Runs derandomized and without an example database, so every run checks
 the same cases.
@@ -23,6 +24,7 @@ from budget_builder.strategies import (
 )
 
 from conftest import BuysChecker, PerReveal
+from per_reveal import reference_strategy
 
 _TARGETS = (DIAMOND, fan(1), fan(2), fan(3))
 
@@ -30,14 +32,16 @@ _TARGETS = (DIAMOND, fan(1), fan(2), fan(3))
 @st.composite
 def _trials(draw):
     """(target, config, spec, early stop): a phased builder with any of the
-    overrides its regime reads, or `degree-greedy` (one draw in five)."""
+    overrides its regime reads, or `degree-greedy` or `buy-all` (one draw
+    in five)."""
     target = draw(st.sampled_from(_TARGETS))
     n = draw(st.integers(target.num_vertices, 60))
     t = draw(st.integers(1, n * (n - 1) // 2))
     b = draw(st.integers(0, 16) | st.integers(0, 2 * t))  # small budgets bind
     config = ProcessConfig(n, t, b, seed=draw(st.integers(0, 2**63 - 1)))
     if draw(st.integers(0, 4)) == 0:
-        spec = StrategySpec(StrategyKind.DEGREE_GREEDY)
+        spec = StrategySpec(draw(st.sampled_from([StrategyKind.DEGREE_GREEDY,
+                                                  StrategyKind.BUY_ALL])))
     else:
         overrides = {"regime_override": draw(st.sampled_from([None, "short", "long"]))}
         spec = select_strategy(target, n, t, b, overrides)
@@ -51,9 +55,9 @@ def _trials(draw):
     return target, config, spec, draw(st.booleans())
 
 
-def _record(trial, wrap):
+def _record(trial, wrap, make=build_strategy):
     target, config, spec, early_stop = trial
-    strategy = wrap(build_strategy(spec, config))
+    strategy = wrap(make(spec, config))
     return run_strategy(config, strategy, detector_for(target),
                         early_stop=early_stop, keep_graph=True)
 
@@ -62,8 +66,10 @@ def _record(trial, wrap):
 @given(_trials())
 def test_settled_and_per_reveal_records_are_identical(trial):
     # The pickled graph pins the purchase order as well as the edge set.
-    fast = _record(trial, lambda s: s)
-    assert pickle.dumps(fast) == pickle.dumps(_record(trial, PerReveal))
+    fast = pickle.dumps(_record(trial, lambda s: s))
+    assert fast == pickle.dumps(_record(trial, PerReveal, reference_strategy))
+    assert fast == pickle.dumps(_record(trial, PerReveal))
     _, config, spec, _ = trial
-    checked = _record(trial, lambda s: BuysChecker(s, build_strategy(spec, config)))
-    assert pickle.dumps(fast) == pickle.dumps(checked)
+    checked = _record(trial, lambda s: BuysChecker(s, build_strategy(spec, config)),
+                      reference_strategy)
+    assert fast == pickle.dumps(checked)

@@ -177,7 +177,7 @@ def test_k4m_short_phase2_double_neighborhood_completes_diamond():
 
 def test_k4m_short_phase3_only_buys_candidates():
     # T = 3. Phase 1 grows N(0) = {3,4,5}; phase 2 buys (3,4); the candidate
-    # set is {(3,5), (4,5)}, kept as pair codes, and phase 3 ignores
+    # set is {(3,5), (4,5)}, kept as sorted pair codes, and phase 3 ignores
     # everything else.
     config = ProcessConfig(n=8, t=9, b=9, seed=0)
     strat = _k4m_short(config, seed_set_size=1, per_vertex_cap=3)
@@ -188,7 +188,7 @@ def test_k4m_short_phase3_only_buys_candidates():
     ]
     decisions, state = drive(strat, 8, edges, config.b)
     assert decisions == [True, True, True, True, False, False, True, False, False]
-    assert strat.candidates == {pair_code(8, 3, 5), pair_code(8, 4, 5)}
+    assert strat.candidate_codes.tolist() == sorted([pair_code(8, 3, 5), pair_code(8, 4, 5)])
     assert contains_diamond(state.purchased)
 
 
@@ -206,7 +206,7 @@ def test_k4m_short_candidates_exclude_phase1_reveals():
     assert decisions == [True, True, True, False,
                          True, False, False, False,
                          False, True]
-    assert strat.candidates == {pair_code(8, 4, 5)}
+    assert strat.candidate_codes.tolist() == [pair_code(8, 4, 5)]
     assert contains_diamond(state.purchased)
 
 
@@ -458,7 +458,8 @@ def test_tiny_configs_do_not_crash():
 
 def test_online_replay_property():
     # Decisions on a shared prefix are identical across runs whose streams
-    # diverge afterwards.
+    # diverge afterwards: `buys` reads the whole stream up front, yet each
+    # row it buys depends only on the rows before it.
     rng = np.random.default_rng(2024)
     pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
     idx = rng.permutation(len(pairs))
