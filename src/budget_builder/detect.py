@@ -8,7 +8,11 @@ the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
 The purchased graph answers membership from `g.adj`, one neighbour set per
 vertex. This is the one module that reads `BuilderGraph._edges`, its edges
-in insertion order, kept for the whole-graph scans and the edge count.
+in insertion order, kept for the edge count, `edges()`, `contains_diamond`
+and the edge table (`_edge_table`): ends, degrees and codegrees from one
+codegree pass, cached on the graph (not pickled) and rebuilt only once
+the edge count has changed, as edges are never removed. Every whole-graph
+count reads that table, so a graph counted many ways pays for one pass.
 """
 
 from __future__ import annotations
@@ -74,14 +78,24 @@ def fan(k: int) -> Pattern:
 
 class BuilderGraph:
     """Simple undirected graph: one adjacency set per vertex (the membership
-    test), plus the edges (pairs u < v) in insertion order for the scans."""
+    test), plus the edges (pairs u < v) in insertion order for the scans
+    and a cached edge table for the counts."""
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj", "_edges", "_table")
 
     def __init__(self, n: int):
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
         self._edges: list[tuple[int, int]] = []
+        self._table: tuple | None = None  # see _edge_table
+
+    def __getstate__(self):  # the slots' default state, less the table
+        return None, {"n": self.n, "adj": self.adj, "_edges": self._edges}
+
+    def __setstate__(self, state):
+        slots = state[1]
+        self.n, self.adj, self._edges = slots["n"], slots["adj"], slots["_edges"]
+        self._table = None
 
     @property
     def edge_count(self) -> int:
@@ -118,7 +132,10 @@ def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
     test gives the same answer immediately before and after insertion.
     """
     adj = g.adj
-    common = adj[u] & adj[v]
+    nu, nv = adj[u], adj[v]
+    if nu.isdisjoint(nv):
+        return False
+    common = nu & nv
     if len(common) >= 2:
         return True
     for w in common:
@@ -192,17 +209,16 @@ def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
 def contains_fan(g: BuilderGraph, k: int) -> bool:
     """True iff some vertex centers k triangles that pairwise share only it.
 
-    A k-fan's centre has at least k link edges (one per triangle) and
-    degree at least 2k, so only the vertices that pass both, by the link
-    counts of one codegree pass (`_twice_link_counts`), reach the exact
-    matching search.
+    A k-fan's centre has degree at least 2k and at least k link edges
+    (one per triangle), so only the vertices that pass both, by the edge
+    table's degrees and link counts (`_twice_link_counts`), reach the
+    exact matching search.
     """
     if k < 1:
         raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
-    adj = g.adj
-    return any(links2 >= 2 * k and len(adj[v]) >= 2 * k
-               and link_matching_size(g, v, k) >= k
-               for v, links2 in enumerate(_twice_link_counts(g)))
+    _, _, deg, _ = _edge_table(g)
+    centres = np.flatnonzero((deg >= 2 * k) & (_twice_link_counts(g) >= 2 * k))
+    return any(link_matching_size(g, v, k) >= k for v in centres.tolist())
 
 
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
@@ -219,6 +235,21 @@ def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
     return _max_matching_edges(edges, cap)
 
 
+def _edge_table(g: BuilderGraph) -> tuple:
+    """(tails, heads, deg, codeg): each edge's ends and codegree, in
+    `_edges` order, and each vertex's degree, as int64 arrays. Cached on
+    the graph; one codegree pass rebuilds it once the edge count changed."""
+    table = g._table
+    m = len(g._edges)
+    if table is None or len(table[0]) != m:
+        adj = g.adj
+        ends = np.fromiter(chain.from_iterable(g._edges), np.int64, 2 * m)
+        codeg = np.fromiter((len(adj[u] & adj[v]) for u, v in g._edges), np.int64, m)
+        deg = np.fromiter(map(len, adj), np.int64, g.n)
+        table = g._table = (ends[0::2], ends[1::2], deg, codeg)
+    return table
+
+
 def _c4_count(g: BuilderGraph) -> int:
     """Sum over vertex pairs of C(codeg, 2), halved (each 4-cycle has two
     diagonal pairs), from a wedge table.
@@ -229,13 +260,11 @@ def _c4_count(g: BuilderGraph) -> int:
     its run of keys, and the count is sum c(c - 1) / 4. The table holds
     one int64 per wedge, sum C(d, 2) of them.
     """
-    n, m = g.n, g.edge_count
-    deg = np.fromiter(map(len, g.adj), np.int64, n)
+    tails, heads, deg, _ = _edge_table(g)
+    n, m = g.n, len(tails)
     wedges = int((deg * (deg - 1) // 2).sum())
     if wedges == 0:
         return 0
-    ends = np.fromiter(chain.from_iterable(g._edges), np.int64, 2 * m)
-    tails, heads = ends[0::2], ends[1::2]
     arcs = np.concatenate((tails * n + heads, heads * n + tails))
     arcs.sort()
     nbrs = arcs % n
@@ -264,22 +293,22 @@ def count_pattern(g: BuilderGraph, p: Pattern) -> int:
       less the pairs of ends that coincide, one per common neighbour).
 
     P3: sum of C(d, 2). C4: sum over vertex pairs of C(codeg, 2), halved,
-    from a wedge table (`_c4_count`).
+    from a wedge table (`_c4_count`). Every count reads the graph's edge
+    table (`_edge_table`).
     """
-    adj = g.adj
-    if p.tag == "triangle":
-        return sum(len(adj[u] & adj[v]) for u, v in g._edges) // 3
-    if p.tag == "p3":
-        return sum(d * (d - 1) // 2 for d in map(len, adj))
-    if p.tag == "p4":
-        return sum((len(adj[u]) - 1) * (len(adj[v]) - 1) - len(adj[u] & adj[v])
-                   for u, v in g._edges)
     if p.tag == "c4":
         return _c4_count(g)
-    if p.tag == "paw":
-        return sum(c * (len(adj[u]) + len(adj[v]) - 4)
-                   for u, v in g._edges if (c := len(adj[u] & adj[v]))) // 2
-    raise UnsupportedPattern(f"count_pattern does not support {p}")
+    if p.tag not in ("triangle", "p3", "p4", "paw"):
+        raise UnsupportedPattern(f"count_pattern does not support {p}")
+    tails, heads, deg, codeg = _edge_table(g)
+    if p.tag == "triangle":
+        return int(codeg.sum()) // 3
+    if p.tag == "p3":
+        return int((deg * (deg - 1) // 2).sum())
+    du, dv = deg[tails], deg[heads]
+    if p.tag == "p4":
+        return int(((du - 1) * (dv - 1) - codeg).sum())
+    return int((codeg * (du + dv - 4)).sum()) // 2
 
 
 def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
@@ -295,45 +324,41 @@ def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
     raise UnsupportedPattern(f"contains_pattern does not support {p}")
 
 
-def _twice_link_counts(g: BuilderGraph) -> list[int]:
-    """Twice each vertex's link-edge count, from one codegree pass.
+def _twice_link_counts(g: BuilderGraph) -> np.ndarray:
+    """Twice each vertex's link-edge count, from the edge table's codegrees.
 
     A vertex's link edges are its triangles. An edge uv lies in c_uv of
     them, and each triangle at u is seen from both of its edges at u, so
     adding c_uv to u and to v counts every link edge twice.
     """
-    adj = g.adj
-    twice = [0] * g.n
-    for u, v in g._edges:
-        c = len(adj[u] & adj[v])
-        if c:
-            twice[u] += c
-            twice[v] += c
-    return twice
+    tails, heads, _, codeg = _edge_table(g)
+    twice = np.bincount(np.concatenate((tails, heads)), np.tile(codeg, 2), g.n)
+    return twice.astype(np.int64)
 
 
 def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
     """How many vertices center an l-fan, for l = 1..max_k.
 
-    The link counts come from the codegree pass `contains_fan` also reads
+    The link counts come from the edge table `contains_fan` also reads
     (`_twice_link_counts`). A vertex with no link edge centers no fan and
     one with exactly one centers a 1-fan only; only a vertex with two or
     more reaches the exact matching search.
     """
     counts = [0] * max_k
-    for v, links2 in enumerate(_twice_link_counts(g)):
-        if links2:
-            size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
-            for level in range(min(size, max_k)):
-                counts[level] += 1
+    twice = _twice_link_counts(g)
+    centres = np.flatnonzero(twice)
+    for v, links2 in zip(centres.tolist(), twice[centres].tolist()):
+        size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
+        for level in range(min(size, max_k)):
+            counts[level] += 1
     return counts
 
 
 class DiamondTracker:
     """Incremental diamond detection over purchased edges."""
 
-    def after_insert(self, g: BuilderGraph, u: int, v: int) -> bool:
-        return diamond_through_edge(g, u, v)
+    # Called once per buy, so the check itself, with no wrapper call.
+    after_insert = staticmethod(diamond_through_edge)
 
     def confirm(self, g: BuilderGraph) -> bool:
         return contains_diamond(g)

@@ -202,16 +202,21 @@ def run_strategy(
         purchases = strategy.buys(state)
     else:
         purchases = _decided_buys(state, strategy)
+    # Bound once per trial: the benchmark's tracer patches these before
+    # the trial starts, so it still sees every call.
+    insert_edge, after_insert = g.insert_edge, detector.after_insert
+    left = config.b  # budget left; every insert below spends one edge
     hit_time = None
     for i, u, v in purchases:
         state.clock = i + 1
-        if g.edge_count >= config.b:
+        if not left:
             raise BudgetContractViolation(
                 f"{strategy.name} bought edge ({u}, {v}) at clock "
                 f"{state.clock} with budget {config.b} exhausted"
             )
-        g.insert_edge(u, v)
-        if hit_time is None and detector.after_insert(g, u, v):
+        left -= 1
+        insert_edge(u, v)
+        if hit_time is None and after_insert(g, u, v):
             hit_time = state.clock
             if early_stop:
                 break

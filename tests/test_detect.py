@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from budget_builder.detect import (
     count_pattern,
     diamond_completing_check,
     fan,
+    fan_center_counts,
     link_matching_size,
     matching_within,
     read_edge_list,
@@ -261,6 +263,37 @@ def test_count_identities_on_complete_graphs():
         assert count_pattern(km, TRIANGLE) == comb(m, 3)
         assert count_pattern(km, C4) == 3 * comb(m, 4)
         assert count_pattern(km, P3) == m * comb(m - 1, 2)
+
+
+def _every_count(g):
+    return ([count_pattern(g, p) for p in (TRIANGLE, C4, PAW, P3, P4)],
+            fan_center_counts(g, 3), [contains_fan(g, k) for k in (1, 2, 3)])
+
+
+def test_counts_after_an_insert_match_a_fresh_graph(rng):
+    # The counts share an edge table cached on the graph; inserts after a
+    # count must reach the next one. Vertex 0 centres one triangle and has
+    # two more neighbours, 3 and 4, away from a random graph on 5..19.
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)]
+    edges += [(u + 5, v + 5) for u, v in gnm_edges(rng, 15, 40)]
+    g = builder_from(20, edges)
+    before = _every_count(g)
+    # (3, 4) closes a new triangle and makes 0 a 2-fan centre.
+    new = [(3, 4), (1, 5)]
+    for u, v in new:
+        g.insert_edge(u, v)
+    after = _every_count(g)
+    assert after == _every_count(builder_from(20, edges + new))
+    assert after[0][0] == before[0][0] + 1
+    assert after[1][1] == before[1][1] + 1
+
+
+def test_a_count_leaves_the_pickled_graph_unchanged(rng):
+    g = builder_from(30, gnm_edges(rng, 30, 90))
+    before = pickle.dumps(g)
+    counts = _every_count(g)
+    assert pickle.dumps(g) == before
+    assert _every_count(pickle.loads(before)) == counts
 
 
 def test_monotonicity_under_insertion(rng):

@@ -478,9 +478,11 @@ class _BlindDetector:
         return False
 
 
-def test_fast_path_over_budget_buy_raises():
-    with pytest.raises(BudgetContractViolation):
-        run_strategy(ProcessConfig(n=10, t=20, b=3, seed=5), _RogueBuys(),
+@pytest.mark.parametrize("wrap", [lambda s: s, PerReveal], ids=["fast", "per-reveal"])
+def test_fast_path_over_budget_buy_raises(wrap):
+    # Both sources report the clock of the first buy past the budget.
+    with pytest.raises(BudgetContractViolation, match="at clock 4 with budget 3"):
+        run_strategy(ProcessConfig(n=10, t=20, b=3, seed=5), wrap(_RogueBuys()),
                      detector_for(DIAMOND))
 
 
