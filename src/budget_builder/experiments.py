@@ -144,6 +144,14 @@ def run_one_trial(
     )
 
 
+def _trial_configs(base: ProcessConfig, trials: int):
+    """The configs of trials 0, 1, ..., trials - 1, seeded (master_seed,
+    index), made as they are read; `trials` is checked first."""
+    if trials < 1:
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
+    return (replace(base, seed=derive_seed(base.seed, i)) for i in range(trials))
+
+
 def run_trial_batch(
     target: Pattern,
     base: ProcessConfig,
@@ -154,15 +162,10 @@ def run_trial_batch(
     keep_graph: bool = False,
 ) -> list[TrialRecord]:
     """Independent trials with seeds derived as (master_seed, index)."""
-    if trials < 1:
-        raise ConfigurationError(f"need trials >= 1, got {trials}")
-    records = []
-    for i in range(trials):
-        cfg = replace(base, seed=derive_seed(base.seed, i))
-        records.append(
-            run_one_trial(target, cfg, spec, early_stop=early_stop, keep_graph=keep_graph)
-        )
-    return records
+    return [
+        run_one_trial(target, cfg, spec, early_stop=early_stop, keep_graph=keep_graph)
+        for cfg in _trial_configs(base, trials)
+    ]
 
 
 def run_trials(
@@ -173,8 +176,12 @@ def run_trials(
     *,
     early_stop: bool = True,
 ) -> SuccessEstimate:
-    records = run_trial_batch(target, base, spec, trials, early_stop=early_stop)
-    return estimate_from_counts(sum(r.success for r in records), trials)
+    """The trials of `run_trial_batch`, counted as they run; no record is kept."""
+    successes = sum(
+        run_one_trial(target, cfg, spec, early_stop=early_stop).success
+        for cfg in _trial_configs(base, trials)
+    )
+    return estimate_from_counts(successes, trials)
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -56,6 +58,9 @@ class Edge(NamedTuple):
     v: int
 
 
+MAX_N = 2**25  # `decode`'s closed form is exact while (2n - 1)^2 < 2^52
+
+
 @dataclass(frozen=True)
 class ProcessConfig:
     """One cell (n, t, b) of the model and a trial seed; checked when built,
@@ -73,6 +78,10 @@ class ProcessConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigurationError(f"need n >= 2, got n={self.n}")
+        if self.n > MAX_N:
+            raise ConfigurationError(
+                f"need n <= 2^25 = {MAX_N}, the pair-code decoder's range, got n={self.n}"
+            )
         if not 1 <= self.t <= self.num_pairs:
             raise ConfigurationError(
                 f"need 1 <= t <= C(n,2) = {self.num_pairs}, got t={self.t}"
@@ -102,20 +111,45 @@ def pair_code(n: int, u, v):
     return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
-@lru_cache(maxsize=8)
-def _row_starts(n: int) -> np.ndarray:
-    """The first code of each of the n rows, built once per n (read-only)."""
-    rows = np.arange(n, dtype=np.int64)
-    starts = pair_code(n, rows, rows + 1)
-    starts.flags.writeable = False
-    return starts
+def _upper_ends(m: int, codes: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """v = c - s(u) + u + 1 for codes c in rows u, where s(u) = u(m - u)/2
+    is the first code of row u; computed as c - u(m - 2 - u)/2 + 1."""
+    vs = m - 2 - us
+    vs *= us
+    vs >>= 1
+    np.subtract(codes, vs, out=vs)
+    vs += 1
+    return vs
+
+
+def _settle(m: int, codes: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(us, vs) from row estimates that are exact or one too large, in one
+    integer correction: u is too large exactly where its row starts past
+    c, that is, where v <= u."""
+    vs = _upper_ends(m, codes, us)
+    past = vs <= us
+    if past.any():
+        us -= past
+        vs = _upper_ends(m, codes, us)
+    return us, vs
 
 
 def decode(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(us, vs) of an int64 code array, by a search over the row starts."""
-    starts = _row_starts(n)
-    us = np.searchsorted(starts, codes, side="right") - 1
-    return us, codes - starts[us] + us + 1
+    """(us, vs) of an int64 code array, in closed form.
+
+    With m = 2n - 1, row u starts at code s(u) = u(m - u)/2, so the row of
+    code c is u = floor((m - sqrt(m^2 - 8c))/2), computed here as
+    floor(n - 1/2 - sqrt(m^2/4 - 2c)). `ProcessConfig` keeps n <= 2^25, so
+    m^2 < 2^52: the sqrt's argument is an exact float and the sqrt is
+    correctly rounded, which can leave u one too large, never too small;
+    `_settle` corrects it. Every caller decodes through here.
+    """
+    m = 2 * n - 1
+    f = codes * -2.0
+    f += m * m / 4
+    np.sqrt(f, out=f)
+    np.subtract(n - 0.5, f, out=f)
+    return _settle(m, codes, f.astype(np.int64))
 
 
 def draw_codes(config: ProcessConfig) -> np.ndarray:
@@ -146,9 +180,10 @@ def next_edge(state: ProcessState) -> Edge:
     return _new_edge(Edge, (state._us[c], state._vs[c]))
 
 
-@dataclass(slots=True)
-class TrialRecord:
-    """Outcome of one simulated trial. Slotted: a batch keeps one per trial."""
+class TrialCell(NamedTuple):
+    """What every trial of one cell shares: its CSV labels, (n, t, b), and
+    the key layout of its records' `phase_stats`, one (key, size) per key,
+    where size is the length of a tuple value and None marks any other."""
 
     target: str
     k: int
@@ -156,13 +191,60 @@ class TrialRecord:
     t: int
     b: int
     strategy: str
+    stats_layout: tuple
+
+
+# One shared TrialCell per distinct cell, so a kept record adds one pointer.
+_trial_cell = lru_cache(maxsize=256)(TrialCell)
+
+
+def _flat_stats(stats: dict) -> tuple[tuple, tuple]:
+    """(layout, values) of a `stats()` dict: each tuple value's items are
+    spread in place, any other value is one item."""
+    layout, values = [], []
+    for key, value in stats.items():
+        if type(value) is tuple:
+            layout.append((key, len(value)))
+            values.extend(value)
+        else:
+            layout.append((key, None))
+            values.append(value)
+    return tuple(layout), tuple(values)
+
+
+@dataclass(slots=True)
+class TrialRecord:
+    """Outcome of one simulated trial. A batch keeps one per trial, so a
+    record holds only what varies between trials: the per-cell fields
+    (target, k, n, t, b, strategy) are read from one shared `TrialCell`,
+    `success` from `hit_time`, and `phase_stats` is rebuilt, same keys,
+    order and value types, from the flat tuple `stats_values` and the
+    cell's layout."""
+
+    cell: TrialCell
     seed: int
-    success: bool
     hit_time: Optional[int]
     edges_bought: int
     clock_at_stop: int
-    phase_stats: dict
+    stats_values: tuple
     purchased: Optional[BuilderGraph] = None  # the live graph, with keep_graph
+
+    target = property(attrgetter("cell.target"))
+    k = property(attrgetter("cell.k"))
+    n = property(attrgetter("cell.n"))
+    t = property(attrgetter("cell.t"))
+    b = property(attrgetter("cell.b"))
+    strategy = property(attrgetter("cell.strategy"))
+
+    @property
+    def success(self) -> bool:
+        return self.hit_time is not None
+
+    @property
+    def phase_stats(self) -> dict:
+        values = iter(self.stats_values)
+        return {key: next(values) if size is None else tuple(islice(values, size))
+                for key, size in self.cell.stats_layout}
 
 
 def _decided_buys(state: ProcessState, strategy):
@@ -228,18 +310,8 @@ def run_strategy(
             f"incremental hit={success} but batch containment disagrees "
             f"(strategy={strategy.name}, seed={config.seed})"
         )
-    return TrialRecord(
-        target=target_label,
-        k=target_k,
-        n=config.n,
-        t=config.t,
-        b=config.b,
-        strategy=strategy.name,
-        seed=config.seed,
-        success=success,
-        hit_time=hit_time,
-        edges_bought=g.edge_count,
-        clock_at_stop=state.clock,
-        phase_stats=strategy.stats(),
-        purchased=g if keep_graph else None,
-    )
+    layout, values = _flat_stats(strategy.stats())
+    cell = _trial_cell(target_label, target_k, config.n, config.t, config.b,
+                       strategy.name, layout)
+    return TrialRecord(cell, config.seed, hit_time, g.edge_count, state.clock,
+                       values, g if keep_graph else None)

@@ -292,6 +292,19 @@ _PROBE_N40 = ["probe", "--n-list", "40", "--t-exp", "1.3", "--b-exp", "1.1",
               "--trials", "2", "--seed", "1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--target", "k4m", "--n", "33554433", "--t", "150", "--b", "40",
+     "--trials", "2", "--seed", "1"],
+    [*_SWEEP_N40[:3], "--n-list", "33554433", *_SWEEP_N40[5:]],
+    ["probe", "--n-list", "33554433", *_PROBE_N40[3:]],
+], ids=["run", "sweep", "probe"])
+def test_n_past_the_decoder_range_exits_2(argv, capsys):
+    # Refused when the config is built, before any graph on n vertices is.
+    assert parse_and_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need n <= 2^25") and err.count("\n") == 1
+
+
 _FILES = {
     "bad.cfg": b"seed = abc\n",
     "float-n.cfg": b"n = 40.0\n",

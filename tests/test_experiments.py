@@ -119,6 +119,18 @@ def test_run_trials_rejects_zero_trials():
     base = ProcessConfig(n=20, t=40, b=0, seed=5)
     with pytest.raises(ConfigurationError):
         run_trials(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 0)
+    with pytest.raises(ConfigurationError):
+        run_trial_batch(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 0)
+
+
+def test_run_trials_counts_the_successes_the_batch_records():
+    # run_trials keeps no record; it must still run the batch's seeds.
+    base = ProcessConfig(n=60, t=400, b=60, seed=4)
+    spec = select_strategy(DIAMOND, 60, 400, 60)
+    est = run_trials(DIAMOND, base, spec, 20)
+    records = run_trial_batch(DIAMOND, base, spec, 20)
+    assert est.successes == sum(r.success for r in records)
+    assert 0 < est.successes < 20  # a cell where each trial's outcome counts
 
 
 def test_run_trials_buy_all_triangle_matches_offline_fraction():

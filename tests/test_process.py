@@ -1,3 +1,4 @@
+import gc
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -12,13 +13,15 @@ from budget_builder.errors import (
     DetectorMismatch,
     StreamExhausted,
 )
-from budget_builder.experiments import cell_from_exponents, grid_values
+from budget_builder.experiments import cell_from_exponents, grid_values, run_trial_batch
 from budget_builder.process import (
     Edge,
     ProcessConfig,
+    _settle,
     decode,
     new_process,
     next_edge,
+    pair_code,
     run_strategy,
 )
 from budget_builder.rng import derive_seed
@@ -91,7 +94,7 @@ def test_full_reveal_k30_distinct():
 
 def test_stream_memory_is_linear_in_t_and_n():
     # A C(n,2)-sized code array would take ~96 MiB here; the stream should
-    # hold only its t pairs and the n row offsets.
+    # hold only its t pairs.
     tracemalloc.start()
     try:
         state = new_process(ProcessConfig(n=5000, t=1000, b=0, seed=4))
@@ -107,6 +110,67 @@ def test_decode_matches_a_pair_table():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         us, vs = decode(n, np.arange(len(pairs), dtype=np.int64))
         assert list(zip(us.tolist(), vs.tolist())) == pairs, n
+
+
+def _searchsorted_decode(n, codes):
+    """The reference decoder: a search over the n row starts."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = pair_code(n, rows, rows + 1)
+    us = np.searchsorted(starts, codes, side="right") - 1
+    return us, codes - starts[us] + us + 1
+
+
+def _row_ends(n, rows):
+    """The first and last code of each of `rows`: pairs (r, r + 1), (r, n - 1)."""
+    return np.concatenate([pair_code(n, rows, rows + 1), pair_code(n, rows, n - 1)])
+
+
+def _assert_decodes_like_the_search(n, codes):
+    us, vs = decode(n, codes)
+    ref_us, ref_vs = _searchsorted_decode(n, codes)
+    assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs), n
+
+
+def test_decode_matches_the_search_on_every_code_up_to_n_200():
+    for n in range(2, 201):
+        _assert_decodes_like_the_search(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+
+
+def test_decode_matches_the_search_on_every_row_end_up_to_n_1e5():
+    # Within a row the float estimate grows with the code, so a row's last
+    # code is where it comes closest to the next row, and its first code
+    # where it must land exactly.
+    sizes = [*range(201, 1000), *np.geomspace(1000, 10**5, 60).astype(int).tolist()]
+    for n in sizes:
+        _assert_decodes_like_the_search(n, _row_ends(n, np.arange(n - 1, dtype=np.int64)))
+
+
+def test_one_correction_settles_a_row_estimate_one_too_large():
+    # Within ProcessConfig's range the float estimate is never off on the
+    # codes above, so the correction is checked on estimates pushed up by
+    # one wherever a coin says so.
+    coin = np.random.default_rng(3)
+    for n in range(2, 121):
+        codes = np.arange(n * (n - 1) // 2, dtype=np.int64)
+        ref_us, ref_vs = _searchsorted_decode(n, codes)
+        us, vs = _settle(2 * n - 1, codes, ref_us + coin.integers(0, 2, codes.size))
+        assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs), n
+
+
+def test_decoder_range_is_owned_by_the_config():
+    top = 2**25
+    assert ProcessConfig(n=top, t=1, b=0, seed=1).n == top
+    with pytest.raises(ConfigurationError, match=r"n <= 2\^25"):
+        ProcessConfig(n=top + 1, t=1, b=0, seed=1)
+    # A search table at this n would take 256 MiB, so sampled rows are
+    # checked against the pairs their end codes name.
+    rows = np.unique(np.concatenate([
+        np.arange(4), top - 2 - np.arange(4),
+        np.random.default_rng(7).integers(0, top - 1, 20_000),
+    ])).astype(np.int64)
+    us, vs = decode(top, _row_ends(top, rows))
+    assert np.array_equal(us, np.concatenate([rows, rows]))
+    assert np.array_equal(vs, np.concatenate([rows + 1, np.full(rows.size, top - 1)]))
 
 
 def test_stream_determinism_and_seed_sensitivity():
@@ -522,3 +586,25 @@ def test_windowed_degree_greedy_memory_is_linear_in_t_and_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_kept_trial_records_stay_lean():
+    # A batch keeps one record per trial. On the long-stream cell a record
+    # keeps about 240 bytes; 452 before the per-cell fields were shared and
+    # the phase stats flattened. The bound is loose on purpose: allocator
+    # and interpreter versions move the figure, a fat record would not fit.
+    base = ProcessConfig(400, 20000, 80, seed=21)
+    spec = select_strategy(DIAMOND, 400, 20000, 80)
+    run_trial_batch(DIAMOND, base, spec, 1)  # warm the per-cell caches
+    trials = 500
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = run_trial_batch(DIAMOND, base, spec, trials)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == trials
+    assert kept / trials <= 320, kept / trials

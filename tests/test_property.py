@@ -41,12 +41,9 @@ _KINDS = {
 
 
 @st.composite
-def _trials(draw):
-    """(target, config, spec, early stop): one of the six builder kinds,
-    drawn first so no kind depends on the draws after it (the 300
-    derandomized examples give each kind 30 to 68), then a target it
-    builds; a phased builder gets any of the overrides its regime reads."""
-    kind = draw(st.sampled_from(list(_KINDS)))
+def _trials(draw, kind):
+    """(target, config, spec, early stop) for one builder kind: a target it
+    builds, and for a phased builder any of the overrides its regime reads."""
     targets, regime = _KINDS[kind]
     target = draw(st.sampled_from(targets))
     n = draw(st.integers(target.num_vertices, 60))
@@ -73,9 +70,12 @@ def _record(trial, wrap, make=build_strategy):
                         early_stop=early_stop, keep_graph=True)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_trials())
-def test_settled_and_per_reveal_records_are_identical(trial):
+# Each kind gets its own 50 examples, so no edit to the draws can starve one.
+@pytest.mark.parametrize("kind", list(_KINDS), ids=lambda kind: kind.value)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_settled_and_per_reveal_records_are_identical(kind, data):
+    trial = data.draw(_trials(kind))
     # The pickled graph pins the purchase order as well as the edge set.
     fast = pickle.dumps(_record(trial, lambda s: s))
     assert fast == pickle.dumps(_record(trial, PerReveal, reference_strategy))
