@@ -262,7 +262,7 @@ def _cmd_probe(args) -> int:
     if args.out:
         check_csv_out(args.out, PROBE_COLUMNS, args.seed)
     # Every n's config is built, and so checked, before the first probe.
-    cells = [ProcessConfig(n, *cell_from_exponents(n, args.t_exp, args.b_exp)[:2],
+    cells = [ProcessConfig(n, *cell_from_exponents(n, args.t_exp, args.b_exp),
                            seed=args.seed)
              for n in args.n_list]
     all_records = []

@@ -57,7 +57,6 @@ class PhasePoint:
     b: int
     estimate: SuccessEstimate
     y_star_pred: float
-    t_clamped: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,21 +203,19 @@ Y_RANGE = (0.0, 1.5)
 MAX_CELLS = 10_000  # the most values one grid axis, or cells one sweep, may hold
 
 
-def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int, bool]:
-    """(t, b, t_clamped) for t = n^x and b = n^y, rounded, with t clamped
-    to [1, C(n, 2)]; t_clamped says whether the clamp moved t."""
+def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int]:
+    """(t, b) for t = n^x and b = n^y, rounded, with t clamped to [1, C(n, 2)]."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ConfigurationError(f"exponents must be finite, got x={x}, y={y}")
     try:
         t_raw, b = round(math.pow(n, x)), round(math.pow(n, y))
     except (ValueError, OverflowError):
         raise ConfigurationError(f"n^x or n^y is not a finite real: n={n}, x={x}, y={y}")
-    t = min(max(t_raw, 1), n * (n - 1) // 2)
-    return t, b, t != t_raw
+    return min(max(t_raw, 1), n * (n - 1) // 2), b
 
 
 def _sweep_cell(args) -> PhasePoint:
-    (target, x, y, base, t_clamped, spec, trials, early_stop) = args
+    (target, x, y, base, spec, trials, early_stop) = args
     return PhasePoint(
         n=base.n,
         x=x,
@@ -227,7 +224,6 @@ def _sweep_cell(args) -> PhasePoint:
         b=base.b,
         estimate=run_trials(target, base, spec, trials, early_stop=early_stop),
         y_star_pred=predicted_log_threshold(target, x),
-        t_clamped=t_clamped,
     )
 
 
@@ -265,12 +261,12 @@ def sweep_grid(
     for n in n_list:
         for x in x_grid:
             for y in y_grid:
-                t, b, t_clamped = cell_from_exponents(n, x, y)
+                t, b = cell_from_exponents(n, x, y)
                 # Nested split (master, n, x, y) -> cell, (cell, i) -> trial:
                 # a single-cell sweep is a trial batch from the cell seed.
                 base = ProcessConfig(n, t, b, derive_seed(master_seed, n, x, y))
                 spec = select_strategy(target, n, t, b, overrides)
-                cells.append((target, x, y, base, t_clamped, spec, trials, early_stop))
+                cells.append((target, x, y, base, spec, trials, early_stop))
     return _map_jobs(_sweep_cell, cells, jobs)
 
 

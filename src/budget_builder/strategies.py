@@ -130,43 +130,23 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
                                          f"short regime, not to {kind.value}")
         return StrategySpec(kind, StrategyParams(phase_length=t // 2, k=k,
                                                  phase_budgets=(b // 2, b // 2)))
-    # A set override is at least 1, so `or` keeps it.
+    # Per target: the phase count, the window's lower end n^a / T^c, and the
+    # per-phase budgets.
     if diamond:
-        phase_length = t // 3
-        r = r_set or _geomean_seed_set(
-            7 * math.log(n) - 5 * math.log(max(phase_length, 1)),
-            math.log(max(b * n / t, 1.0)),
-            n,
-        )
-        params = StrategyParams(
-            phase_length=phase_length,
-            seed_set_size=r,
-            per_vertex_cap=cap_set or math.ceil(3 * phase_length / n),
-            phase_budgets=(b // 3, b // 2, b),
-        )
-        kind = StrategyKind.DIAMOND_SHORT
+        kind, phases, (a, c) = StrategyKind.DIAMOND_SHORT, 3, (7, 5)
+        budgets = (b // 3, b // 2, b)
     else:
-        phase_length = t // (k + 1)
-        r = r_set or _geomean_seed_set(
-            4 * k * math.log(n) - 3 * k * math.log(max(phase_length, 1)),
-            math.log(max(b * n / t, 1.0)),
-            n,
-        )
-        # The formal per-vertex stopping size T/2kn collapses to one
-        # edge per seed vertex at desk scale, which leaves neighborhoods
-        # too small to ever hold a link edge; floor it at the degree
-        # concentration bound 3T/n instead.
-        cap = cap_set or max(phase_length // (2 * k * n) + 1,
-                             math.ceil(3 * phase_length / n))
-        params = StrategyParams(
-            phase_length=phase_length,
-            seed_set_size=r,
-            per_vertex_cap=cap,
-            phase_budgets=(k * b // (k + 1),) + (b // (k + 1),) * k,
-            k=k,
-        )
-        kind = StrategyKind.FAN_SHORT
-    return StrategySpec(kind, params)
+        kind, phases, (a, c) = StrategyKind.FAN_SHORT, k + 1, (4 * k, 3 * k)
+        budgets = (k * b // (k + 1),) + (b // (k + 1),) * k
+    phase_length = t // phases
+    # A set override is at least 1, so `or` keeps it. A seed is capped at the
+    # degree bound 3T/n; the fan's formal T/2kn never exceeds it.
+    r = r_set or _geomean_seed_set(a * math.log(n) - c * math.log(max(phase_length, 1)),
+                                   math.log(max(b * n / t, 1.0)), n)
+    return StrategySpec(kind, StrategyParams(
+        phase_length=phase_length, seed_set_size=r,
+        per_vertex_cap=cap_set or math.ceil(3 * phase_length / n),
+        phase_budgets=budgets, k=k))
 
 
 class _Base:

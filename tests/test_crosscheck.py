@@ -60,7 +60,7 @@ _CELLS = {
     "k4m-long": (DIAMOND, 400, 20000, 80, None),
     "c6": (fan(2), 400, 2000, 1638, None),
     "tk-long": (fan(2), 400, 3000, 512, None),
-    "c7": (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2)[:2], None),
+    "c7": (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2), None),
     **{f"probe-{n}": (DIAMOND, n, round(n ** 1.3), round(n ** 1.1), _GREEDY)
        for n in (200, 400, 800)},
 }

@@ -219,7 +219,6 @@ def test_sweep_single_cell_equals_run_trials():
 def test_sweep_grid_clamps_t_to_pair_count():
     points = sweep_grid(DIAMOND, [10], [2.0], [0.5], 5, 8)
     assert points[0].t == 45
-    assert points[0].t_clamped
 
 
 def test_sweep_grid_validates_ranges():

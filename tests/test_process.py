@@ -297,7 +297,7 @@ def test_early_stop_records_hit_time():
 
 def _c7_cells():
     xs, ys = grid_values(1.25, 1.35, 0.05), grid_values(0.4, 1.4, 0.1)
-    return [(DIAMOND, 800, *cell_from_exponents(800, x, y)[:2], {})
+    return [(DIAMOND, 800, *cell_from_exponents(800, x, y), {})
             for x in xs for y in ys]
 
 
@@ -307,7 +307,7 @@ def _c7_cells():
 _BUY_ALL = StrategySpec(StrategyKind.BUY_ALL)
 _C4_CELL = (DIAMOND, 400, 2000, 2560, {})
 _C6_CELL = (fan(2), 400, 2000, 1638, {})
-_C7_CELL = (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2)[:2], {})
+_C7_CELL = (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2), {})
 _REFERENCE_CELLS = [
     _C4_CELL,
     (DIAMOND, 400, 20000, 80, {}),

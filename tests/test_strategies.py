@@ -53,6 +53,32 @@ def test_select_fan_short_regime():
     assert spec.params.phase_budgets == (341, 170, 170)
 
 
+_K4M, _TK = StrategyKind.DIAMOND_SHORT, StrategyKind.FAN_SHORT
+_SET = {"regime_override": "short", "seed_set_size": 17, "per_vertex_cap": 5}
+
+
+@pytest.mark.parametrize("target, n, t, b, overrides, kind, params", [
+    # T = 0: the cap is ceil(0) = 0 for both builders, and no builder reads it.
+    (DIAMOND, 400, 2, 90, None, _K4M, StrategyParams(0, 400, 0, (30, 45, 90))),
+    (fan(2), 400, 2, 90, None, _TK, StrategyParams(0, 400, 0, (60, 30, 30), 2)),
+    (fan(3), 400, 3, 90, None, _TK, StrategyParams(0, 400, 0, (67, 22, 22, 22), 3)),
+    # r clamped to n, and r from the window (the criterion-7 cell x=1.35, y=1.2).
+    (DIAMOND, 400, 2000, 2560, None, _K4M, StrategyParams(666, 400, 5, (853, 1280, 2560))),
+    (DIAMOND, 800, 8302, 3046, None, _K4M, StrategyParams(2767, 616, 11, (1015, 1523, 3046))),
+    # Set overrides are kept, here on cells the long regime would take.
+    (DIAMOND, 400, 20000, 80, _SET, _K4M, StrategyParams(6666, 17, 5, (26, 40, 80))),
+    (fan(2), 400, 20000, 80, _SET, _TK, StrategyParams(6666, 17, 5, (53, 26, 26), 2)),
+    # The fan's split: k b / (k + 1) for the seed phase, b / (k + 1) per round.
+    (fan(1), 400, 2000, 512, None, _TK, StrategyParams(1000, 51, 8, (256, 256), 1)),
+    (fan(2), 400, 2000, 512, None, _TK, StrategyParams(666, 400, 5, (341, 170, 170), 2)),
+    (fan(3), 400, 2000, 512, None, _TK,
+     StrategyParams(500, 400, 4, (384, 128, 128, 128), 3)),
+], ids=["k4m-T0", "fan2-T0", "fan3-T0", "r-clamped", "r-window", "k4m-set", "fan2-set",
+        "fan1-split", "fan2-split", "fan3-split"])
+def test_short_regime_recipe(target, n, t, b, overrides, kind, params):
+    assert select_strategy(target, n, t, b, overrides) == StrategySpec(kind, params)
+
+
 def test_select_fan_long_regime():
     spec = select_strategy(fan(2), 400, 3000, 512)
     assert spec.kind is StrategyKind.FAN_LONG  # 3000 > 400^{4/3}
