@@ -17,14 +17,15 @@ Every strategy settles its purchases in `buys(state)` (contract in
 `process`): a generator that yields `(i, u, v)` for each row of
 `state.codes` it buys, in stream order, with every stat counted for the
 rows up to and including i before the yield. At each phase start it does
-that phase's set-up (a freeze, a candidate build, a round start), then runs
-one loop over that phase's rows that can buy or change a stat: seed-set
-edges found from their codes, edges inside the frozen neighborhoods from a
-vertex mask, candidate pairs from a sorted code array. Once a phase's cap
-or the budget is spent its counts are fixed, so the rows left in it are
-counted in bulk: the seed phase's `cap_skip`s in one vectorised pass, and
-the `budget_skip`s of a phase that buys every row it reaches (the anchor
-phases, `DiamondShort`'s last phase, `buy-all`) by their number.
+that phase's set-up (a freeze sharing the graph's sets, a candidate build,
+a round start), then runs one loop over that phase's rows that can buy or
+change a stat: seed-set edges found from their codes, edges inside the
+frozen neighborhoods from a vertex mask, candidate pairs from a sorted
+code array. Once a phase's cap or the budget is spent its counts are
+fixed, so the rows left in it are counted in bulk: the seed phase's
+`cap_skip`s in one vectorised pass, and the `budget_skip`s of a phase that
+buys every row it reaches (the anchor phases, `DiamondShort`'s last phase,
+`buy-all`) by their number.
 `_Base.decide` answers reveal by reveal from the same generator, for a
 caller that asks on every reveal; the hand-written per-reveal rules that
 `buys` is checked against live in `tests/per_reveal.py`.
@@ -306,7 +307,8 @@ class _SeedPhaseBuilder(_Base):
         self.cap = params.per_vertex_cap
         self.attr_count = [0] * self.r
         self.cap_skips = 0
-        self.frozen_nbrs: Optional[dict] = None  # seed vertex -> set(N(v))
+        self.frozen_nbrs: Optional[dict] = None  # seed v -> seed-phase N(v); see _freeze
+        self.seed_ends = None  # ([u], [v]) of the seed-phase buys, if read
 
     def stats(self) -> dict:
         return {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
@@ -322,7 +324,7 @@ class _SeedPhaseBuilder(_Base):
         codes = state.codes
         rows = _seed_edges(codes, 0, hi, n, r)
         us, vs = decode(n, codes[rows])
-        attr, bought = self.attr_count, self.p_bought
+        attr, bought, ends = self.attr_count, self.p_bought, self.seed_ends
         left = self._left(state, 0)
         done = 0  # rows settled so far
         while left and done < rows.size:
@@ -338,6 +340,9 @@ class _SeedPhaseBuilder(_Base):
                     continue
                 bought[0] += 1
                 left -= 1
+                if ends:
+                    ends[0].append(u)
+                    ends[1].append(v)
                 yield i, u, v
                 if not left:
                     break
@@ -352,9 +357,17 @@ class _SeedPhaseBuilder(_Base):
 
     def _freeze(self, state: ProcessState) -> None:
         """Freeze the purchased neighbourhood of each seed that holds two or
-        more purchased neighbours; a smaller one holds no inside edge."""
-        self.frozen_nbrs = {v: set(nbrs) for v, nbrs in enumerate(state.purchased.adj[: self.r])
+        more purchased neighbours; a smaller one holds no inside edge. It is
+        the graph's own set, not a copy, until `_unshare` copies it."""
+        self.frozen_nbrs = {v: nbrs for v, nbrs in enumerate(state.purchased.adj[: self.r])
                             if len(nbrs) > 1}
+
+    def _unshare(self, adj, u: int, v: int) -> None:
+        """Called before each buy (u, v) after the freeze: a frozen end that
+        still shares its set with the graph gets a copy, before it grows."""
+        for x in (u, v):
+            if self.frozen_nbrs.get(x) is adj[x]:
+                self.frozen_nbrs[x] = set(adj[x])
 
     def _eligible(self, adj, u: int, v: int) -> list[int]:
         """The seeds whose frozen neighbourhood holds u and v. Edges are never
@@ -388,6 +401,7 @@ class _SeedPhaseBuilder(_Base):
             bought[i] += 1
             budget -= 1
             place(hosts, u, v)
+            self._unshare(adj, u, v)
             yield row, u, v
             if bought[i] >= cap:
                 return
@@ -422,8 +436,11 @@ class DiamondShort(_SeedPhaseBuilder):
         if t <= 2 * T:
             return
         candidates = self._build_candidates(codes[:T])
-        yield from self._buy_rows(
-            state, 2, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T)
+        adj = state.purchased.adj
+        for row in self._buy_rows(
+                state, 2, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T):
+            self._unshare(adj, row[1], row[2])
+            yield row
 
     def _place(self, hosts: list[int], u: int, v: int) -> None:
         if len(hosts) > self.max_multiplicity:
@@ -498,18 +515,25 @@ class FanShort(_SeedPhaseBuilder):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.k = params.k
-        self.matched: Optional[dict] = None  # seed -> vertices covered inside N
+        self.seed_ends = ([], [])  # read by `_freeze`
+        self.matched: Optional[dict] = None  # seed -> its blocked vertices, if any
         self.survivors: set = set()
         self.gained: set = set()
         self.survivor_sets: list[frozenset] = []
 
     def _freeze(self, state: ProcessState) -> None:
+        """The base freeze, then the blocked vertices. Every purchased edge
+        is a seed-phase buy yet, so a member of N(w) is blocked iff a buy
+        (x, y) covers it with w a common neighbour of x and y."""
         super()._freeze(state)
-        g = state.purchased
-        # Purchases already sitting inside a neighborhood block the vertices
-        # they cover (phase-0 edges between two members count).
-        self.matched = {w: {x for x in inside if not g.adj[x].isdisjoint(inside)}
-                        for w, inside in self.frozen_nbrs.items()}
+        adj, frozen = state.purchased.adj, self.frozen_nbrs
+        self.matched = matched = {}
+        for x, y in zip(*self.seed_ends):
+            if adj[x].isdisjoint(adj[y]):
+                continue
+            for w in adj[x] & adj[y]:
+                if w in frozen:
+                    matched.setdefault(w, set()).update((x, y))
 
     def _start_round(self, rnd: int, state: ProcessState) -> None:
         """Round 1 freezes the neighborhoods; a later round keeps only the
@@ -524,13 +548,12 @@ class FanShort(_SeedPhaseBuilder):
     def _eligible(self, adj, u: int, v: int) -> list[int]:
         """The surviving hosts whose link matching the edge would grow."""
         matched, survivors = self.matched, self.survivors
-        return [w for w in super()._eligible(adj, u, v)
-                if w in survivors and u not in matched[w] and v not in matched[w]]
+        return [w for w in super()._eligible(adj, u, v) if w in survivors
+                and u not in matched.get(w, ()) and v not in matched.get(w, ())]
 
     def _place(self, hosts: list[int], u: int, v: int) -> None:
         for w in hosts:
-            self.matched[w].add(u)
-            self.matched[w].add(v)
+            self.matched.setdefault(w, set()).update((u, v))
             self.gained.add(w)
 
     def buys(self, state: ProcessState):

@@ -5,10 +5,13 @@ Each class subclasses a `budget_builder.strategies` builder and overrides
 its `decide` with a hand-written rule that asks, reveal by reveal, whether
 to buy, and counts its stats as it goes. State that a phase needs is set up
 lazily, at the first reveal of the phase that reads it: the neighbourhood
-freeze, the candidate build, the round advance. The builder's `buys` is
-inherited, so run a reference through `conftest.PerReveal`, which hides
-`buys`, to take the per-reveal source. `reference_strategy(spec, config)`
-mirrors `build_strategy`. Not part of the installed package.
+freeze, the candidate build, the round advance. The freeze here copies
+each seed's neighbourhood and, for the fan, rebuilds the blocked vertices
+from adjacency, where `buys` shares the graph's sets and reads the blocked
+vertices off the seed-phase buys. The builder's `buys` is inherited, so
+run a reference through `conftest.PerReveal`, which hides `buys`, to take
+the per-reveal source. `reference_strategy(spec, config)` mirrors
+`build_strategy`. Not part of the installed package.
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ class DegreeGreedy(_Rules, strategies.DegreeGreedy):
 
 
 class _SeedRules(_Rules):
-    """The seed phase and the hosted phases of the short builders."""
+    """The seed phase and the hosted phases of the short builders, with the
+    copying freeze: each frozen neighbourhood a set of its own, so no later
+    buy can change it."""
+
+    def _freeze(self, state: ProcessState) -> None:
+        self.frozen_nbrs = {v: set(nbrs) for v, nbrs in enumerate(state.purchased.adj[: self.r])
+                            if len(nbrs) > 1}
 
     def _seed_decide(self, state: ProcessState, u: int, v: int) -> bool:
         holder = -1
@@ -114,6 +123,15 @@ class FanShort(_SeedRules, strategies.FanShort):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.current_round = 0
+
+    def _freeze(self, state: ProcessState) -> None:
+        """The copying freeze, then the blocked vertices read off each
+        member's whole adjacency set: the members with a neighbour inside
+        the neighbourhood, an empty set for a seed with none."""
+        super()._freeze(state)
+        adj = state.purchased.adj
+        self.matched = {w: {x for x in inside if not adj[x].isdisjoint(inside)}
+                        for w, inside in self.frozen_nbrs.items()}
 
     def _start_round(self, rnd: int, state: ProcessState) -> None:
         super()._start_round(rnd, state)

@@ -13,7 +13,9 @@ from budget_builder.detect import (
 )
 from budget_builder.errors import ConfigurationError, UnsupportedPattern
 from budget_builder.process import ProcessConfig, pair_code, run_strategy
+from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
+    FanShort,
     StrategyKind,
     StrategyParams,
     StrategySpec,
@@ -21,7 +23,9 @@ from budget_builder.strategies import (
     select_strategy,
 )
 
-from conftest import drive
+from conftest import PerReveal, drive
+from per_reveal import reference_strategy
+from test_process import _C4_CELL, _C6_CELL, _SMALL_CELLS, _trial
 
 
 def build(kind, config, **params):
@@ -396,6 +400,46 @@ def test_fan_short_phase0_bound_invariant():
     stats = rec.phase_stats
     assert stats["phase_bought"][0] <= stats["seed_set_size"] * spec.params.per_vertex_cap
     assert stats["phase_bought"][0] <= spec.params.phase_budgets[0]
+
+
+# -- the neighbourhood freeze ------------------------------------------------
+
+
+def _reference_run(cell, seed):
+    """The per-reveal reference instance after a full-stream run."""
+    kept = []
+    _trial(cell, seed, False, lambda inner: kept.append(inner) or PerReveal(inner),
+           reference_strategy)
+    return kept[0]
+
+
+def test_frozen_neighbourhoods_stay_those_of_the_seed_phase():
+    # The settled freeze shares the graph's sets and reads the fan's blocked
+    # vertices off the seed-phase buys; the reference copies each set and
+    # rebuilds the blocked vertices from adjacency. After the whole stream,
+    # when every later buy has been inserted, both must agree, and a seed
+    # that no buy after the freeze touched must still hold adj[w] itself.
+    shared = copied = 0
+    for cell in [_C4_CELL, _C6_CELL, (fan(3), 400, 2000, 1638, {})] + _SMALL_CELLS:
+        for j in range(3):
+            seed = derive_seed(13, cell[1], cell[2], cell[3], j)
+            rec, strat = _trial(cell, seed, False)
+            ref = _reference_run(cell, seed)
+            if getattr(strat, "frozen_nbrs", None) is None:
+                assert getattr(ref, "frozen_nbrs", None) is None, (cell, j)
+                continue
+            assert strat.frozen_nbrs == ref.frozen_nbrs, (cell, j)
+            if isinstance(strat, FanShort):  # the reference keeps empty sets too
+                blocked = {w: m for w, m in ref.matched.items() if m}
+                assert strat.matched == blocked, (cell, j)
+            adj = rec.purchased.adj
+            later = rec.purchased._edges[rec.phase_stats["phase_bought"][0]:]
+            touched = {x for edge in later for x in edge}
+            for w, nbrs in strat.frozen_nbrs.items():
+                assert (nbrs is adj[w]) == (w not in touched), (cell, j, w)
+                shared += w not in touched
+                copied += w in touched
+    assert shared and copied
 
 
 # -- baselines ---------------------------------------------------------------
