@@ -7,7 +7,8 @@ Copies are unlabeled subgraph embeddings (labeled embeddings divided by
 the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 
 The purchased graph answers membership from `g.adj`, one neighbour set per
-vertex. This is the one module that reads `BuilderGraph._edges`, its edges
+vertex; a vertex without an edge reads one shared empty frozenset until its
+first edge. This is the one module that reads `BuilderGraph._edges`, its edges
 in insertion order, kept for the edge count, `edges()`, `contains_diamond`
 and the edge table (`_edge_table`): ends, degrees and codegrees from one
 codegree pass, cached on the graph (not pickled) and rebuilt only once
@@ -76,16 +77,21 @@ def fan(k: int) -> Pattern:
     return Pattern("fan", k)
 
 
+_NO_NBRS = frozenset()  # the neighbour set of every vertex without an edge
+
+
 class BuilderGraph:
     """Simple undirected graph: one adjacency set per vertex (the membership
     test), plus the edges (pairs u < v) in insertion order for the scans
-    and a cached edge table for the counts."""
+    and a cached edge table for the counts. A vertex without an edge reads the
+    shared empty frozenset `_NO_NBRS` until `insert_edge`, the only writer of
+    `adj`, gives it its own set at its first edge: n vertices cost no n sets."""
 
     __slots__ = ("n", "adj", "_edges", "_table")
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.adj: list[set[int] | frozenset] = [_NO_NBRS] * n
         self._edges: list[tuple[int, int]] = []
         self._table: tuple | None = None  # see _edge_table
 
@@ -93,8 +99,10 @@ class BuilderGraph:
         return None, {"n": self.n, "adj": self.adj, "_edges": self._edges}
 
     def __setstate__(self, state):
+        # pickle and deepcopy make a new empty frozenset; map it back to _NO_NBRS
         slots = state[1]
-        self.n, self.adj, self._edges = slots["n"], slots["adj"], slots["_edges"]
+        self.n, self._edges = slots["n"], slots["_edges"]
+        self.adj = [nbrs or _NO_NBRS for nbrs in slots["adj"]]
         self._table = None
 
     @property
@@ -106,11 +114,20 @@ class BuilderGraph:
             u, v = v, u
         if u == v or u < 0 or v >= self.n:
             raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-        if v in self.adj[u]:
+        adj = self.adj
+        nbrs = adj[u]
+        if v in nbrs:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
         self._edges.append((u, v))
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        if nbrs is _NO_NBRS:
+            adj[u] = {v}
+        else:
+            nbrs.add(v)
+        nbrs = adj[v]
+        if nbrs is _NO_NBRS:
+            adj[v] = {u}
+        else:
+            nbrs.add(u)
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edges)

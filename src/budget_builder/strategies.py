@@ -278,6 +278,9 @@ def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int) -> np.ndarr
 def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices):
     """(stream indices, us, vs) of the edges in [lo, hi) with both ends in
     `vertices`, a collection of vertices."""
+    if not vertices:  # an empty set hosts no edge, so decode nothing
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     member = np.zeros(n, dtype=bool)
     member[list(vertices)] = True
     us, vs = decode(n, codes[lo:hi])
@@ -307,7 +310,9 @@ class _SeedPhaseBuilder(_Base):
         self.cap = params.per_vertex_cap
         self.attr_count = [0] * self.r
         self.cap_skips = 0
-        self.frozen_nbrs: Optional[dict] = None  # seed v -> seed-phase N(v); see _freeze
+        # seed v -> seed-phase N(v), never the graph's shared empty frozenset; see _freeze
+        self.frozen_nbrs: Optional[dict] = None
+        self.touched: list[int] = []  # the seeds the seed phase's settled rows meet
         self.seed_ends = None  # ([u], [v]) of the seed-phase buys, if read
 
     def stats(self) -> dict:
@@ -347,9 +352,15 @@ class _SeedPhaseBuilder(_Base):
                 if not left:
                     break
             done = int(np.searchsorted(rows, i, side="right"))
+        # Mark the seeds the settled rows meet (u < v makes u one); no other has an edge.
+        seen = np.zeros(r, dtype=bool)
+        seen[us[:done]] = True
+        seen[vs[:done][vs[:done] < r]] = True
+        self.touched = touched = np.flatnonzero(seen).tolist()
         if done < rows.size:
             full = np.ones(n, dtype=bool)  # a vertex outside R holds nothing
-            full[:r] = np.array(attr, dtype=np.int64) >= cap
+            full[:r] = False
+            full[[w for w in touched if attr[w] >= cap]] = True
             skips = int(np.count_nonzero(full[us[done:]] & full[vs[done:]]))
             self.cap_skips += skips
             if bought[0] < self.p_caps[0]:
@@ -357,10 +368,12 @@ class _SeedPhaseBuilder(_Base):
 
     def _freeze(self, state: ProcessState) -> None:
         """Freeze the purchased neighbourhood of each seed that holds two or
-        more purchased neighbours; a smaller one holds no inside edge. It is
-        the graph's own set, not a copy, until `_unshare` copies it."""
-        self.frozen_nbrs = {v: nbrs for v, nbrs in enumerate(state.purchased.adj[: self.r])
-                            if len(nbrs) > 1}
+        more purchased neighbours; a smaller one holds no inside edge. Only the
+        `touched` seeds are read: any other has no edge yet, so it reads the
+        graph's shared empty frozenset. A frozen set is the graph's own, not a
+        copy, until `_unshare` copies it."""
+        adj = state.purchased.adj
+        self.frozen_nbrs = {w: adj[w] for w in self.touched if len(adj[w]) > 1}
 
     def _unshare(self, adj, u: int, v: int) -> None:
         """Called before each buy (u, v) after the freeze: a frozen end that
@@ -460,8 +473,10 @@ class DiamondShort(_SeedPhaseBuilder):
                 for a in (x, y):
                     cand.add(pair_code(n, a, z) if a < z else pair_code(n, z, a))
         codes = np.array(sorted(cand), dtype=np.int64)
-        self.candidate_codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
-        return self.candidate_codes
+        if cand:  # with no candidate, phase 1's codes need no sort
+            codes = codes[~_in_sorted(codes, np.sort(phase1_codes))]
+        self.candidate_codes = codes
+        return codes
 
     def stats(self) -> dict:
         return {

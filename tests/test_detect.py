@@ -1,3 +1,4 @@
+import copy
 import pickle
 import time
 
@@ -294,6 +295,22 @@ def test_a_count_leaves_the_pickled_graph_unchanged(rng):
     counts = _every_count(g)
     assert pickle.dumps(g) == before
     assert _every_count(pickle.loads(before)) == counts
+
+
+def test_round_trips_take_edges_at_edgeless_vertices():
+    # Vertices 5..9 have no edge and read one shared empty set. A pickled or
+    # deep-copied graph must still give such a vertex its own set at its
+    # first edge, and end up as a fresh graph on the same edges would.
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4)]
+    later = [(5, 7), (2, 9)]
+    fresh = builder_from(10, edges + later)
+    g = builder_from(10, edges)
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        for u, v in later:
+            clone.insert_edge(u, v)
+        assert clone.adj == fresh.adj and clone.edges() == fresh.edges()
+        assert pickle.dumps(clone) == pickle.dumps(fresh)
+    assert g.edge_count == len(edges) and not g.adj[5] and not g.adj[9]
 
 
 def test_monotonicity_under_insertion(rng):

@@ -1,8 +1,12 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
 
 from budget_builder.detect import (
     DIAMOND,
+    BuilderGraph,
     TRIANGLE,
     contains_diamond,
     contains_fan,
@@ -12,6 +16,7 @@ from budget_builder.detect import (
     matching_within,
 )
 from budget_builder.errors import ConfigurationError, UnsupportedPattern
+from budget_builder.experiments import cell_from_exponents
 from budget_builder.process import ProcessConfig, pair_code, run_strategy
 from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
@@ -405,6 +410,14 @@ def test_fan_short_phase0_bound_invariant():
 # -- the neighbourhood freeze ------------------------------------------------
 
 
+# k4m-short with r = n: a trial buys at most 300 edges among 25,600 vertices.
+_LARGE_CELL = (DIAMOND, 25_600, 2000, 300, {})
+# Criterion-7 cells whose seed phase spends its cap early, so the rows left in
+# it are counted in bulk, and whose frozen neighbourhoods are none or few.
+_TINY_BUDGET_CELLS = [(DIAMOND, 800, *cell_from_exponents(800, 1.35, y), {})
+                      for y in (0.4, 0.6, 0.9)]
+
+
 def _reference_run(cell, seed):
     """The per-reveal reference instance after a full-stream run."""
     kept = []
@@ -420,7 +433,8 @@ def test_frozen_neighbourhoods_stay_those_of_the_seed_phase():
     # when every later buy has been inserted, both must agree, and a seed
     # that no buy after the freeze touched must still hold adj[w] itself.
     shared = copied = 0
-    for cell in [_C4_CELL, _C6_CELL, (fan(3), 400, 2000, 1638, {})] + _SMALL_CELLS:
+    for cell in [_C4_CELL, _C6_CELL, (fan(3), 400, 2000, 1638, {}), _LARGE_CELL,
+                 *_TINY_BUDGET_CELLS] + _SMALL_CELLS:
         for j in range(3):
             seed = derive_seed(13, cell[1], cell[2], cell[3], j)
             rec, strat = _trial(cell, seed, False)
@@ -440,6 +454,37 @@ def test_frozen_neighbourhoods_stay_those_of_the_seed_phase():
                 shared += w not in touched
                 copied += w in touched
     assert shared and copied
+
+
+def test_a_trial_gives_sets_only_to_the_vertices_it_buys_at():
+    rec, _ = _trial(_LARGE_CELL, derive_seed(13, *_LARGE_CELL[1:4], 0), False)
+    g = rec.purchased
+    ends = {x for edge in g._edges for x in edge}
+    none = BuilderGraph(1).adj[0]  # the one empty set every edgeless vertex reads
+    assert 0 < len(ends) < g.n
+    assert all((nbrs is none) == (v not in ends) for v, nbrs in enumerate(g.adj))
+    assert all(type(g.adj[v]) is set for v in ends)
+
+
+def _trial_seconds(n: int, seed: int) -> float:
+    spec = select_strategy(DIAMOND, n, 2000, 300)
+    config = ProcessConfig(n, 2000, 300, seed=seed)
+    start = time.perf_counter()
+    run_strategy(config, build_strategy(spec, config), detector_for(DIAMOND))
+    return time.perf_counter() - start
+
+
+def test_trial_cost_does_not_grow_with_n_at_fixed_t_and_b():
+    # A timing test. At t = 2000 and b = 300 a trial touches at most 600
+    # vertices, so its cost should not follow n; a step that is O(n) per
+    # trial (n sets, a scan of every seed) made n = 25,600 cost ~8x
+    # n = 2,000. The bound is loose because the host may be shared.
+    times = {2000: [], 25_600: []}
+    for j in range(41):  # alternated, so drift in the host's speed hits both
+        for n, runs in times.items():
+            runs.append(_trial_seconds(n, derive_seed(29, n, 2000, 300, j)))
+    ratio = statistics.median(times[25_600]) / statistics.median(times[2000])
+    assert ratio < 3, ratio
 
 
 # -- baselines ---------------------------------------------------------------
