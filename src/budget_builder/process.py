@@ -196,6 +196,10 @@ class TrialCell(NamedTuple):
 
 # One shared TrialCell per distinct cell, so a kept record adds one pointer.
 _trial_cell = lru_cache(maxsize=256)(TrialCell)
+# Likewise one shared `stats_values` tuple per recently seen value (`tuple`
+# returns a tuple argument itself): 3,000 criterion-5 trials hold 72 distinct
+# stats, so a kept long-regime record adds one pointer, not a 72-byte tuple.
+_shared_values = lru_cache(maxsize=256)(tuple)
 
 
 def _flat_stats(stats: dict) -> tuple[tuple, tuple]:
@@ -219,7 +223,7 @@ class TrialRecord:
     (target, k, n, t, b, strategy) are read from one shared `TrialCell`,
     `success` from `hit_time`, and `phase_stats` is rebuilt, same keys,
     order and value types, from the flat tuple `stats_values` and the
-    cell's layout."""
+    cell's layout. Records with equal stats mostly share one tuple."""
 
     cell: TrialCell
     seed: int
@@ -314,4 +318,4 @@ def run_strategy(
     cell = _trial_cell(target_label, target_k, config.n, config.t, config.b,
                        strategy.name, layout)
     return TrialRecord(cell, config.seed, hit_time, g.edge_count, state.clock,
-                       values, g if keep_graph else None)
+                       _shared_values(values), g if keep_graph else None)

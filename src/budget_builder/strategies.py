@@ -25,7 +25,9 @@ code array. Once a phase's cap or the budget is spent its counts are
 fixed, so the rows left in it are counted in bulk: the seed phase's
 `cap_skip`s in one vectorised pass, and the `budget_skip`s of a phase that
 buys every row it reaches (the anchor phases, `DiamondShort`'s last phase,
-`buy-all`) by their number.
+`buy-all`) by their number. The anchor's second phase is read span by
+span, each span twice as long as the one before, so an early stop a few
+buys into it decodes only the spans it reached.
 `_Base.decide` answers reveal by reveal from the same generator, for a
 caller that asks on every reveal; the hand-written per-reveal rules that
 `buys` is checked against live in `tests/per_reveal.py`.
@@ -183,18 +185,19 @@ class _Base:
         return max(0, min(self.p_caps[i] - self.p_bought[i],
                           self.config.b - state.purchased.edge_count))
 
-    def _buy_rows(self, state: ProcessState, i: int, rows: np.ndarray):
-        """`buys` for a phase that buys each of its `rows` while its cap and
-        the budget last: yield the first ones, then count a `budget_skip`
-        for each row left, unless it was the cap that ran out."""
-        take = rows[: self._left(state, i)]
-        us, vs = decode(self.config.n, state.codes[take])
+    def _buy_rows(self, state: ProcessState, i: int, found):
+        """`buys` for a phase that buys each row of `found`, the (rows, us,
+        vs) its caller selected, while its cap and the budget last: yield
+        the first ones, then count a `budget_skip` for each row left,
+        unless it was the cap that ran out."""
+        rows, us, vs = found
+        take = self._left(state, i)
         bought = self.p_bought
-        for row, u, v in zip(take.tolist(), us.tolist(), vs.tolist()):
+        for row, u, v in zip(rows[:take].tolist(), us[:take].tolist(), vs[:take].tolist()):
             bought[i] += 1
             yield row, u, v
         if bought[i] < self.p_caps[i]:
-            self.budget_skips += rows.size - take.size
+            self.budget_skips += max(rows.size - take, 0)
 
     def stats(self) -> dict:
         return {"budget_skips": self.budget_skips, "phase_bought": tuple(self.p_bought)}
@@ -275,10 +278,18 @@ def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int) -> np.ndarr
     return np.flatnonzero(codes[lo:hi] < pair_code(n, r, r + 1)) + lo
 
 
+def _ends(codes: np.ndarray, rows: np.ndarray, n: int):
+    """(rows, us, vs) of the stream indices `rows`; decodes nothing when
+    there is none."""
+    if not rows.size:
+        return rows, rows, rows
+    return (rows, *decode(n, codes[rows]))
+
+
 def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices):
     """(stream indices, us, vs) of the edges in [lo, hi) with both ends in
     `vertices`, a collection of vertices."""
-    if not vertices:  # an empty set hosts no edge, so decode nothing
+    if len(vertices) < 2:  # too few vertices to host an edge, so decode nothing
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
     member = np.zeros(n, dtype=bool)
@@ -449,9 +460,9 @@ class DiamondShort(_SeedPhaseBuilder):
         if t <= 2 * T:
             return
         candidates = self._build_candidates(codes[:T])
+        rows = np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T
         adj = state.purchased.adj
-        for row in self._buy_rows(
-                state, 2, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T):
+        for row in self._buy_rows(state, 2, _ends(codes, rows, n)):
             self._unshare(adj, row[1], row[2])
             yield row
 
@@ -487,6 +498,9 @@ class DiamondShort(_SeedPhaseBuilder):
         }
 
 
+_FIRST_SPAN = 1024  # reveals in the first span of the anchor's phase 2
+
+
 class AnchorNeighborhood(_Base):
     """Long-time builder shared by the diamond and fan targets.
 
@@ -495,6 +509,12 @@ class AnchorNeighborhood(_Base):
     neighborhood, up to half the budget. The diamond completes at a cherry
     inside the neighborhood, the k-fan at k disjoint inside edges; the
     incremental detector picks either up.
+
+    Phase 2 is read span by span: `_FIRST_SPAN` reveals, then twice as
+    many as the span before, while the phase can still buy. A hit comes a
+    few inside buys into the phase, so an early stop decodes only the spans
+    it reached. Once the budget, not the cap, is spent, the inside rows
+    left in the phase are counted as `budget_skip`s in one selection.
     """
 
     def __init__(self, config, params, rng):
@@ -504,11 +524,18 @@ class AnchorNeighborhood(_Base):
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         # The anchor is vertex 0, so its edges are those meeting {0}.
-        yield from self._buy_rows(state, 0, _seed_edges(codes, 0, min(T, t), n, 1))
+        anchor = _seed_edges(codes, 0, min(T, t), n, 1)
+        yield from self._buy_rows(state, 0, _ends(codes, anchor, n))
         if t <= T:
             return
-        self.frozen = set(state.purchased.adj[0])
-        yield from self._buy_rows(state, 1, _inside(codes, T, t, n, self.frozen)[0])
+        self.frozen = frozen = set(state.purchased.adj[0])
+        lo, width = T, _FIRST_SPAN
+        while lo < t and self._left(state, 1):
+            hi = min(lo + width, t)
+            yield from self._buy_rows(state, 1, _inside(codes, lo, hi, n, frozen))
+            lo, width = hi, 2 * width
+        if lo < t and self.p_bought[1] < self.p_caps[1]:
+            self.budget_skips += _inside(codes, lo, t, n, frozen)[0].size
 
     def stats(self) -> dict:
         return {**super().stats(),

@@ -590,9 +590,10 @@ def test_windowed_degree_greedy_memory_is_linear_in_t_and_n():
 
 def test_kept_trial_records_stay_lean():
     # A batch keeps one record per trial. On the long-stream cell a record
-    # keeps about 240 bytes; 452 before the per-cell fields were shared and
-    # the phase stats flattened. The bound is loose on purpose: allocator
-    # and interpreter versions move the figure, a fat record would not fit.
+    # keeps about 170 bytes; 240 before records with equal stats shared one
+    # tuple, 452 before the per-cell fields were shared and the phase stats
+    # flattened. The bound is loose on purpose: allocator and interpreter
+    # versions move the figure, a fat record would not fit.
     base = ProcessConfig(400, 20000, 80, seed=21)
     spec = select_strategy(DIAMOND, 400, 20000, 80)
     run_trial_batch(DIAMOND, base, spec, 1)  # warm the per-cell caches

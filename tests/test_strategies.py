@@ -1,9 +1,11 @@
+import pickle
 import statistics
 import time
 
 import numpy as np
 import pytest
 
+from budget_builder import strategies
 from budget_builder.detect import (
     DIAMOND,
     BuilderGraph,
@@ -308,6 +310,65 @@ def test_fan_long_buys_nonmatching_neighborhood_edge():
     decisions, state = drive(strat, 12, edges, config.b)
     assert decisions == [True, True, True, True, False, True, True, True]
     assert contains_fan(state.purchased, 2)  # via disjoint (2,3) and (4,5)
+
+
+def _anchor_spec(T, caps):
+    return StrategySpec(StrategyKind.DIAMOND_LONG,
+                        StrategyParams(phase_length=T, phase_budgets=caps))
+
+
+# Long-regime cells whose phase 2 (10,000 or 15,000 reveals) covers four
+# spans: 1,024 reveals, then 2,048, 4,096 and the rest.
+_SPAN_CELLS = [(DIAMOND, 400, 20000, b, {}) for b in (0, 1, 2, 80, 400)] + [
+    (fan(2), 400, 20000, 200, {}),
+    (fan(3), 300, 30000, 600, {}),
+    # Phase caps above b: phase 1 buys 12 anchor edges, so phase 2 has 3
+    # buys left of its cap of 40, and the budget runs out in a later span
+    # with inside rows ahead. The neighbourhood is small, so hits come late.
+    (DIAMOND, 400, 20000, 15, _anchor_spec(10000, (12, 40))),
+    # All of K_200 with caps of b each: a quarter of phase 2's rows lie in the
+    # anchor's ~100 neighbours, so most span boundaries fall next to an
+    # inside row, and the budget runs out in the third span.
+    (DIAMOND, 200, 19900, 1000, _anchor_spec(9950, (1000, 1000))),
+]
+
+
+def test_spanned_anchor_phase_matches_the_per_reveal_reference():
+    late_hits = budget_bound = 0
+    for cell in _SPAN_CELLS:
+        for j in range(6):
+            seed = derive_seed(17, cell[1], cell[2], cell[3], j)
+            for early_stop in (True, False):
+                fast, strat = _trial(cell, seed, early_stop)
+                slow, _ = _trial(cell, seed, early_stop, PerReveal, reference_strategy)
+                assert pickle.dumps(fast) == pickle.dumps(slow), (cell, j, early_stop)
+                T, stats = strat.T, fast.phase_stats
+                late_hits += (early_stop and fast.hit_time is not None
+                              and fast.hit_time - 1 >= T + strategies._FIRST_SPAN)
+                budget_bound += (stats["phase_bought"][1] < strat.p_caps[1]
+                                 and stats["budget_skips"] > 0)
+    assert late_hits and budget_bound, (late_hits, budget_bound)
+
+
+def test_an_early_stop_selects_only_the_spans_it_reached(monkeypatch):
+    # Criterion 5's cell hits a few inside buys into phase 2. Span k ends at
+    # T + (2^(k+1) - 1) * width, so the span holding hit row h ends no later
+    # than T + 2(h - T + 1) + width; selecting all of phase 2 reaches t.
+    reach = []
+    inside = strategies._inside
+
+    def spy(codes, lo, hi, n, vertices):
+        reach.append(hi)
+        return inside(codes, lo, hi, n, vertices)
+
+    monkeypatch.setattr(strategies, "_inside", spy)
+    cell = (DIAMOND, 400, 20000, 80, {})
+    for j in range(20):
+        reach.clear()
+        rec, strat = _trial(cell, derive_seed(19, 400, 20000, 80, j), True)
+        h, T = rec.hit_time - 1, strat.T
+        assert h >= T, (j, h)
+        assert max(reach) <= T + 2 * (h - T + 1) + strategies._FIRST_SPAN, (j, h, reach)
 
 
 # -- fan short ---------------------------------------------------------------
