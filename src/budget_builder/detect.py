@@ -254,15 +254,16 @@ def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
 
 def _edge_table(g: BuilderGraph) -> tuple:
     """(tails, heads, deg, codeg): each edge's ends and codegree, in
-    `_edges` order, and each vertex's degree, as int64 arrays. Cached on
-    the graph; one codegree pass rebuilds it once the edge count changed."""
+    `_edges` order, and each vertex's degree, counted from the edge ends,
+    as int64 arrays. Cached on the graph; one codegree pass rebuilds it
+    once the edge count changed."""
     table = g._table
     m = len(g._edges)
     if table is None or len(table[0]) != m:
         adj = g.adj
         ends = np.fromiter(chain.from_iterable(g._edges), np.int64, 2 * m)
         codeg = np.fromiter((len(adj[u] & adj[v]) for u, v in g._edges), np.int64, m)
-        deg = np.fromiter(map(len, adj), np.int64, g.n)
+        deg = np.bincount(ends, minlength=g.n).astype(np.int64, copy=False)
         table = g._table = (ends[0::2], ends[1::2], deg, codeg)
     return table
 

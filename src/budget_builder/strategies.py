@@ -21,13 +21,11 @@ that phase's set-up (a freeze sharing the graph's sets, a candidate build,
 a round start), then runs one loop over that phase's rows that can buy or
 change a stat: seed-set edges found from their codes, edges inside the
 frozen neighborhoods from a vertex mask, candidate pairs from a sorted
-code array. Once a phase's cap or the budget is spent its counts are
-fixed, so the rows left in it are counted in bulk: the seed phase's
-`cap_skip`s in one vectorised pass, and the `budget_skip`s of a phase that
-buys every row it reaches (the anchor phases, `DiamondShort`'s last phase,
-`buy-all`) by their number. The anchor's second phase is read span by
-span, each span twice as long as the one before, so an early stop a few
-buys into it decodes only the spans it reached.
+code array. Once the seed phase's cap or the budget is spent its
+per-seed counts are fixed, so the rows left in it are counted in one
+vectorised pass. The anchor's second phase is read span by span, each
+span twice as long as the one before, so an early stop a few buys into it
+decodes only the spans it reached.
 `_Base.decide` answers reveal by reveal from the same generator, for a
 caller that asks on every reveal; the hand-written per-reveal rules that
 `buys` is checked against live in `tests/per_reveal.py`.
@@ -272,18 +270,18 @@ class DegreeGreedy(_Base):
         return {**super().stats(), "prefix_size": self.h}
 
 
-def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int) -> np.ndarray:
-    """Stream indices in [lo, hi) of the edges meeting {0, ..., r-1}: as
-    u < v, those whose code lies below the first of row r."""
-    return np.flatnonzero(codes[lo:hi] < pair_code(n, r, r + 1)) + lo
-
-
 def _ends(codes: np.ndarray, rows: np.ndarray, n: int):
     """(rows, us, vs) of the stream indices `rows`; decodes nothing when
     there is none."""
     if not rows.size:
         return rows, rows, rows
     return (rows, *decode(n, codes[rows]))
+
+
+def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int):
+    """(stream indices, us, vs) of the edges in [lo, hi) meeting
+    {0, ..., r-1}: as u < v, those whose code lies below the first of row r."""
+    return _ends(codes, np.flatnonzero(codes[lo:hi] < pair_code(n, r, r + 1)) + lo, n)
 
 
 def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices):
@@ -337,9 +335,7 @@ class _SeedPhaseBuilder(_Base):
         are counted in one pass: a `cap_skip` where every seed end is at its
         cap, else a `budget_skip` unless it was the phase cap that ran out."""
         n, r, cap = self.config.n, self.r, self.cap
-        codes = state.codes
-        rows = _seed_edges(codes, 0, hi, n, r)
-        us, vs = decode(n, codes[rows])
+        rows, us, vs = _seed_edges(state.codes, 0, hi, n, r)
         attr, bought, ends = self.attr_count, self.p_bought, self.seed_ends
         left = self._left(state, 0)
         done = 0  # rows settled so far
@@ -511,10 +507,9 @@ class AnchorNeighborhood(_Base):
     incremental detector picks either up.
 
     Phase 2 is read span by span: `_FIRST_SPAN` reveals, then twice as
-    many as the span before, while the phase can still buy. A hit comes a
-    few inside buys into the phase, so an early stop decodes only the spans
-    it reached. Once the budget, not the cap, is spent, the inside rows
-    left in the phase are counted as `budget_skip`s in one selection.
+    many as the span before, until the phase's cap is reached. A hit
+    comes a few inside buys into the phase, so an early stop decodes only
+    the spans it reached.
     """
 
     def __init__(self, config, params, rng):
@@ -524,18 +519,16 @@ class AnchorNeighborhood(_Base):
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         # The anchor is vertex 0, so its edges are those meeting {0}.
-        anchor = _seed_edges(codes, 0, min(T, t), n, 1)
-        yield from self._buy_rows(state, 0, _ends(codes, anchor, n))
+        yield from self._buy_rows(state, 0, _seed_edges(codes, 0, min(T, t), n, 1))
         if t <= T:
             return
-        self.frozen = frozen = set(state.purchased.adj[0])
+        # No phase-2 buy meets the anchor, so its set stays the frozen one.
+        self.frozen = frozen = state.purchased.adj[0]
         lo, width = T, _FIRST_SPAN
-        while lo < t and self._left(state, 1):
+        while lo < t and self.p_bought[1] < self.p_caps[1]:
             hi = min(lo + width, t)
             yield from self._buy_rows(state, 1, _inside(codes, lo, hi, n, frozen))
             lo, width = hi, 2 * width
-        if lo < t and self.p_bought[1] < self.p_caps[1]:
-            self.budget_skips += _inside(codes, lo, t, n, frozen)[0].size
 
     def stats(self) -> dict:
         return {**super().stats(),
@@ -550,8 +543,10 @@ class FanShort(_SeedPhaseBuilder):
     when it is vertex-disjoint from the edges already bought inside that
     neighborhood; at each round boundary only seeds whose neighborhood
     gained an edge survive. A seed that collects k disjoint inside edges is
-    the center of a k-fan. Phase budgets and purchases are indexed
-    (phase 0, round 1, ..., round k).
+    the center of a k-fan. Only a frozen seed can host, so round 1's
+    survivors are the frozen seeds, though `survivor_history[0]` is still
+    r. Phase budgets and purchases are indexed (phase 0, round 1, ...,
+    round k).
     """
 
     def __init__(self, config, params, rng):
@@ -559,9 +554,9 @@ class FanShort(_SeedPhaseBuilder):
         self.k = params.k
         self.seed_ends = ([], [])  # read by `_freeze`
         self.matched: Optional[dict] = None  # seed -> its blocked vertices, if any
-        self.survivors: set = set()
+        self.survivors = set()  # round 1: `frozen_nbrs` itself
         self.gained: set = set()
-        self.survivor_sets: list[frozenset] = []
+        self.survivor_history: list[int] = []  # survivors at each round's start
 
     def _freeze(self, state: ProcessState) -> None:
         """The base freeze, then the blocked vertices. Every purchased edge
@@ -578,14 +573,16 @@ class FanShort(_SeedPhaseBuilder):
                     matched.setdefault(w, set()).update((x, y))
 
     def _start_round(self, rnd: int, state: ProcessState) -> None:
-        """Round 1 freezes the neighborhoods; a later round keeps only the
-        seeds whose neighborhood gained an edge in the round before."""
+        """Round 1 freezes the neighborhoods and starts from the frozen seeds,
+        counted as r survivors; a later round keeps only the seeds whose
+        neighborhood gained an edge in the round before."""
         if rnd == 1:
             self._freeze(state)
-            self.survivors = set(range(self.r))
+            self.survivors = self.frozen_nbrs
+            self.survivor_history.append(self.r)
         else:
             self.survivors, self.gained = self.gained, set()
-        self.survivor_sets.append(frozenset(self.survivors))
+            self.survivor_history.append(len(self.survivors))
 
     def _eligible(self, adj, u: int, v: int) -> list[int]:
         """The surviving hosts whose link matching the edge would grow."""
@@ -608,11 +605,11 @@ class FanShort(_SeedPhaseBuilder):
             if lo >= t:
                 return
             self._start_round(rnd, state)
-            live = set().union(*(self.frozen_nbrs.get(w, ()) for w in self.survivors))
+            live = set().union(*map(self.frozen_nbrs.get, self.survivors))
             yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n, live))
 
     def stats(self) -> dict:
-        return {**super().stats(), "survivor_history": tuple(map(len, self.survivor_sets))}
+        return {**super().stats(), "survivor_history": tuple(self.survivor_history)}
 
 
 _BUILDERS = {

@@ -423,6 +423,19 @@ def test_fan_short_completes_fan_via_disjoint_rounds():
     assert contains_fan(state.purchased, 2)
 
 
+def _record_rounds(strat):
+    """Wrap `strat._start_round` to copy the survivors after each call;
+    return the list the copies go to, one per round started."""
+    rounds, start = [], strat._start_round
+
+    def start_round(rnd, state):
+        start(rnd, state)
+        rounds.append(set(strat.survivors))
+
+    strat._start_round = start_round
+    return rounds
+
+
 def test_fan_short_round_survivors_hold_a_link_matching_of_their_round():
     # T = 7, seeds {0, 1}: N(0) = {5,6,8,9}, N(1) = {5,6,7}. Round 1 buys
     # (6,7) in N(1) and (8,9) in N(0). Round 2's (5,6) lies in both, but
@@ -430,6 +443,7 @@ def test_fan_short_round_survivors_hold_a_link_matching_of_their_round():
     config = ProcessConfig(n=16, t=21, b=12, seed=0)
     strat = _fan_short(config, 2, seed_set_size=2, per_vertex_cap=4)
     assert strat.T == 7
+    started = _record_rounds(strat)
     outside = [(2, 3), (2, 4), (3, 4), (10, 11), (10, 12), (11, 12),
                (12, 13), (13, 14), (14, 15), (2, 10), (3, 11)]
     edges = (
@@ -438,7 +452,7 @@ def test_fan_short_round_survivors_hold_a_link_matching_of_their_round():
         + [(5, 6)] + outside[5:]                                  # round 2
     )
     _, state = drive(strat, 16, edges, config.b)
-    rounds = list(strat.survivor_sets[1:]) + [frozenset(strat.gained)]
+    rounds = started[1:] + [set(strat.gained)]
     for i, survivors in enumerate(rounds, start=1):
         for w in survivors:
             assert matching_within(state.purchased, strat.frozen_nbrs[w], 2) >= i
@@ -450,11 +464,15 @@ def test_fan_short_survivor_sets_nested():
     spec = select_strategy(fan(2), 100, 450, 200)
     assert spec.kind is StrategyKind.FAN_SHORT
     strat = build_strategy(spec, config)
+    started = _record_rounds(strat)
     run_strategy(config, strat, detector_for(fan(2)), early_stop=False)
-    sets = list(strat.survivor_sets) + [frozenset(strat.gained)]
+    sets = started + [set(strat.gained)]
     assert sets
     for earlier, later in zip(sets, sets[1:]):
         assert later <= earlier
+    # Round 1 counts all r seeds; a later round, the seeds it started with.
+    r = spec.params.seed_set_size
+    assert strat.stats()["survivor_history"] == (r, *map(len, started[1:]))
 
 
 def test_fan_short_phase0_bound_invariant():
@@ -527,23 +545,25 @@ def test_a_trial_gives_sets_only_to_the_vertices_it_buys_at():
     assert all(type(g.adj[v]) is set for v in ends)
 
 
-def _trial_seconds(n: int, seed: int) -> float:
-    spec = select_strategy(DIAMOND, n, 2000, 300)
+def _trial_seconds(target, n: int, seed: int) -> float:
+    spec = select_strategy(target, n, 2000, 300)
     config = ProcessConfig(n, 2000, 300, seed=seed)
     start = time.perf_counter()
-    run_strategy(config, build_strategy(spec, config), detector_for(DIAMOND))
+    run_strategy(config, build_strategy(spec, config), detector_for(target))
     return time.perf_counter() - start
 
 
-def test_trial_cost_does_not_grow_with_n_at_fixed_t_and_b():
-    # A timing test. At t = 2000 and b = 300 a trial touches at most 600
-    # vertices, so its cost should not follow n; a step that is O(n) per
-    # trial (n sets, a scan of every seed) made n = 25,600 cost ~8x
-    # n = 2,000. The bound is loose because the host may be shared.
+@pytest.mark.parametrize("target", [DIAMOND, fan(2)], ids=str)
+def test_trial_cost_does_not_grow_with_n_at_fixed_t_and_b(target):
+    # A timing test of both short builders. At t = 2000 and b = 300 a trial
+    # touches at most 600 vertices, so its cost should not follow n; a step
+    # that is O(n) or O(r) per trial (n sets, a scan of every seed, a round
+    # started from all r seeds, degrees read off all n sets) made n = 25,600
+    # cost 6-10x n = 2,000. The bound is loose because the host may be shared.
     times = {2000: [], 25_600: []}
     for j in range(41):  # alternated, so drift in the host's speed hits both
         for n, runs in times.items():
-            runs.append(_trial_seconds(n, derive_seed(29, n, 2000, 300, j)))
+            runs.append(_trial_seconds(target, n, derive_seed(29, n, 2000, 300, j)))
     ratio = statistics.median(times[25_600]) / statistics.median(times[2000])
     assert ratio < 3, ratio
 
