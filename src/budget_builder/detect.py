@@ -10,10 +10,11 @@ The purchased graph answers membership from `g.adj`, one neighbour set per
 vertex; a vertex without an edge reads one shared empty frozenset until its
 first edge. This is the one module that reads `BuilderGraph._edges`, its edges
 in insertion order, kept for the edge count, `edges()`, `contains_diamond`
-and the edge table (`_edge_table`): ends, degrees and codegrees from one
-codegree pass, cached on the graph (not pickled) and rebuilt only once
-the edge count has changed, as edges are never removed. Every whole-graph
-count reads that table, so a graph counted many ways pays for one pass.
+and the edge table (`_edge_table`): ends, degrees, codegrees and link
+counts from one codegree pass, cached on the graph (not pickled) and
+rebuilt only once the edge count has changed, as edges are never removed.
+Every whole-graph count and the batch fan check read that table, so a
+graph counted many ways pays for one pass.
 """
 
 from __future__ import annotations
@@ -228,13 +229,13 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
 
     A k-fan's centre has degree at least 2k and at least k link edges
     (one per triangle), so only the vertices that pass both, by the edge
-    table's degrees and link counts (`_twice_link_counts`), reach the
+    table's degrees and doubled link counts (`_edge_table`), reach the
     exact matching search.
     """
     if k < 1:
         raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
-    _, _, deg, _ = _edge_table(g)
-    centres = np.flatnonzero((deg >= 2 * k) & (_twice_link_counts(g) >= 2 * k))
+    _, _, deg, _, twice = _edge_table(g)
+    centres = np.flatnonzero((deg >= 2 * k) & (twice >= 2 * k))
     return any(link_matching_size(g, v, k) >= k for v in centres.tolist())
 
 
@@ -253,10 +254,15 @@ def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
 
 
 def _edge_table(g: BuilderGraph) -> tuple:
-    """(tails, heads, deg, codeg): each edge's ends and codegree, in
-    `_edges` order, and each vertex's degree, counted from the edge ends,
-    as int64 arrays. Cached on the graph; one codegree pass rebuilds it
-    once the edge count changed."""
+    """(tails, heads, deg, codeg, twice): each edge's ends and codegree, in
+    `_edges` order, and each vertex's degree and twice its link-edge count,
+    both counted from the edge ends, as int64 arrays. Cached on the graph;
+    one codegree pass rebuilds it once the edge count changed.
+
+    A vertex's link edges are its triangles. An edge uv lies in c_uv of
+    them, and each triangle at u is seen from both of its edges at u, so
+    adding c_uv to u and to v counts every link edge twice.
+    """
     table = g._table
     m = len(g._edges)
     if table is None or len(table[0]) != m:
@@ -264,7 +270,9 @@ def _edge_table(g: BuilderGraph) -> tuple:
         ends = np.fromiter(chain.from_iterable(g._edges), np.int64, 2 * m)
         codeg = np.fromiter((len(adj[u] & adj[v]) for u, v in g._edges), np.int64, m)
         deg = np.bincount(ends, minlength=g.n).astype(np.int64, copy=False)
-        table = g._table = (ends[0::2], ends[1::2], deg, codeg)
+        # `ends` runs tail, head, tail, head, so each codegree weighs two ends in a row.
+        twice = np.bincount(ends, np.repeat(codeg, 2), g.n).astype(np.int64)
+        table = g._table = (ends[0::2], ends[1::2], deg, codeg, twice)
     return table
 
 
@@ -278,7 +286,7 @@ def _c4_count(g: BuilderGraph) -> int:
     its run of keys, and the count is sum c(c - 1) / 4. The table holds
     one int64 per wedge, sum C(d, 2) of them.
     """
-    tails, heads, deg, _ = _edge_table(g)
+    tails, heads, deg, _, _ = _edge_table(g)
     n, m = g.n, len(tails)
     wedges = int((deg * (deg - 1) // 2).sum())
     if wedges == 0:
@@ -318,7 +326,7 @@ def count_pattern(g: BuilderGraph, p: Pattern) -> int:
         return _c4_count(g)
     if p.tag not in ("triangle", "p3", "p4", "paw"):
         raise UnsupportedPattern(f"count_pattern does not support {p}")
-    tails, heads, deg, codeg = _edge_table(g)
+    tails, heads, deg, codeg, _ = _edge_table(g)
     if p.tag == "triangle":
         return int(codeg.sum()) // 3
     if p.tag == "p3":
@@ -342,28 +350,16 @@ def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
     raise UnsupportedPattern(f"contains_pattern does not support {p}")
 
 
-def _twice_link_counts(g: BuilderGraph) -> np.ndarray:
-    """Twice each vertex's link-edge count, from the edge table's codegrees.
-
-    A vertex's link edges are its triangles. An edge uv lies in c_uv of
-    them, and each triangle at u is seen from both of its edges at u, so
-    adding c_uv to u and to v counts every link edge twice.
-    """
-    tails, heads, _, codeg = _edge_table(g)
-    twice = np.bincount(np.concatenate((tails, heads)), np.tile(codeg, 2), g.n)
-    return twice.astype(np.int64)
-
-
 def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
     """How many vertices center an l-fan, for l = 1..max_k.
 
-    The link counts come from the edge table `contains_fan` also reads
-    (`_twice_link_counts`). A vertex with no link edge centers no fan and
+    The doubled link counts come from the edge table (`_edge_table`) that
+    `contains_fan` also reads. A vertex with no link edge centers no fan and
     one with exactly one centers a 1-fan only; only a vertex with two or
     more reaches the exact matching search.
     """
     counts = [0] * max_k
-    twice = _twice_link_counts(g)
+    *_, twice = _edge_table(g)
     centres = np.flatnonzero(twice)
     for v, links2 in zip(centres.tolist(), twice[centres].tolist()):
         size = 1 if links2 == 2 else link_matching_size(g, v, max_k)

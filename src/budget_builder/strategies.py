@@ -310,7 +310,9 @@ class _SeedPhaseBuilder(_Base):
     During the seed phase (the first T reveals) an edge meeting the seed set
     R = {0, ..., r-1} is bought for the first endpoint in R whose per-vertex
     cap is not yet reached, while the phase-0 budget lasts. At the end of
-    the phase each seed's purchased neighborhood is frozen.
+    the phase each seed's purchased neighborhood is frozen. `_hosted_buys`
+    hands each hosted buy to the subclass's `_place`; a builder that keeps
+    the seed-phase buys takes them as `_seed_buys` yields them.
     """
 
     def __init__(self, config, params, rng):
@@ -322,7 +324,6 @@ class _SeedPhaseBuilder(_Base):
         # seed v -> seed-phase N(v), never the graph's shared empty frozenset; see _freeze
         self.frozen_nbrs: Optional[dict] = None
         self.touched: list[int] = []  # the seeds the seed phase's settled rows meet
-        self.seed_ends = None  # ([u], [v]) of the seed-phase buys, if read
 
     def stats(self) -> dict:
         return {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
@@ -336,7 +337,7 @@ class _SeedPhaseBuilder(_Base):
         cap, else a `budget_skip` unless it was the phase cap that ran out."""
         n, r, cap = self.config.n, self.r, self.cap
         rows, us, vs = _seed_edges(state.codes, 0, hi, n, r)
-        attr, bought, ends = self.attr_count, self.p_bought, self.seed_ends
+        attr, bought = self.attr_count, self.p_bought
         left = self._left(state, 0)
         done = 0  # rows settled so far
         while left and done < rows.size:
@@ -352,9 +353,6 @@ class _SeedPhaseBuilder(_Base):
                     continue
                 bought[0] += 1
                 left -= 1
-                if ends:
-                    ends[0].append(u)
-                    ends[1].append(v)
                 yield i, u, v
                 if not left:
                     break
@@ -395,9 +393,6 @@ class _SeedPhaseBuilder(_Base):
         frozen = self.frozen_nbrs
         return [w for w in adj[u] & adj[v]
                 if w in frozen and u in frozen[w] and v in frozen[w]]
-
-    def _place(self, hosts: list[int], u: int, v: int) -> None:
-        """Record a hosted phase's bought edge with its `_eligible` hosts."""
 
     def _hosted_buys(self, state: ProcessState, i: int, inside):
         """`buys` for hosted phase i over `inside`, the (rows, us, vs) of its
@@ -463,6 +458,7 @@ class DiamondShort(_SeedPhaseBuilder):
             yield row
 
     def _place(self, hosts: list[int], u: int, v: int) -> None:
+        """Record a phase-2 buy under its smallest host, and the most hosts a buy had."""
         if len(hosts) > self.max_multiplicity:
             self.max_multiplicity = len(hosts)
         self.phase2_edges.append((min(hosts), u, v))
@@ -552,7 +548,7 @@ class FanShort(_SeedPhaseBuilder):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.k = params.k
-        self.seed_ends = ([], [])  # read by `_freeze`
+        self.seed_rows: list[tuple] = []  # (i, u, v) of each seed-phase buy; see _freeze
         self.matched: Optional[dict] = None  # seed -> its blocked vertices, if any
         self.survivors = set()  # round 1: `frozen_nbrs` itself
         self.gained: set = set()
@@ -561,11 +557,11 @@ class FanShort(_SeedPhaseBuilder):
     def _freeze(self, state: ProcessState) -> None:
         """The base freeze, then the blocked vertices. Every purchased edge
         is a seed-phase buy yet, so a member of N(w) is blocked iff a buy
-        (x, y) covers it with w a common neighbour of x and y."""
+        (x, y) in `seed_rows` covers it with w a common neighbour of x and y."""
         super()._freeze(state)
         adj, frozen = state.purchased.adj, self.frozen_nbrs
         self.matched = matched = {}
-        for x, y in zip(*self.seed_ends):
+        for _, x, y in self.seed_rows:
             if adj[x].isdisjoint(adj[y]):
                 continue
             for w in adj[x] & adj[y]:
@@ -591,6 +587,7 @@ class FanShort(_SeedPhaseBuilder):
                 and u not in matched.get(w, ()) and v not in matched.get(w, ())]
 
     def _place(self, hosts: list[int], u: int, v: int) -> None:
+        """Block u and v at each host, which survives into the next round."""
         for w in hosts:
             self.matched.setdefault(w, set()).update((u, v))
             self.gained.add(w)
@@ -599,7 +596,9 @@ class FanShort(_SeedPhaseBuilder):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         if T == 0:
             return  # every reveal falls after the last round
-        yield from self._seed_buys(state, min(T, t))
+        for row in self._seed_buys(state, min(T, t)):
+            self.seed_rows.append(row)
+            yield row
         for rnd in range(1, self.k + 1):
             lo = rnd * T
             if lo >= t:

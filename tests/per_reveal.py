@@ -8,10 +8,12 @@ lazily, at the first reveal of the phase that reads it: the neighbourhood
 freeze, the candidate build, the round advance. The freeze here copies
 each seed's neighbourhood and, for the fan, rebuilds the blocked vertices
 from adjacency, where `buys` shares the graph's sets and reads the blocked
-vertices off the seed-phase buys. The builder's `buys` is inherited, so
-run a reference through `conftest.PerReveal`, which hides `buys`, to take
-the per-reveal source. `reference_strategy(spec, config)` mirrors
-`build_strategy`. Not part of the installed package.
+vertices off the seed-phase buys that `FanShort.seed_rows` records. This
+reference records no seed row, so the two freezes share no state. The
+builder's `buys` is inherited, so run a reference through
+`conftest.PerReveal`, which hides `buys`, to take the per-reveal source.
+`reference_strategy(spec, config)` mirrors `build_strategy`. Not part of
+the installed package.
 """
 
 from __future__ import annotations
