@@ -76,11 +76,11 @@ class ProbeRecord:
     scale_c4: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval; stays honest for estimates pinned near 0 or 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at `WILSON_Z`; honest for estimates near 0 or 1."""
     if trials <= 0:
         raise ConfigurationError("wilson_interval needs trials >= 1")
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -182,8 +181,7 @@ def next_edge(state: ProcessState) -> Edge:
 
 class TrialCell(NamedTuple):
     """What every trial of one cell shares: its CSV labels, (n, t, b), and
-    the key layout of its records' `phase_stats`, one (key, size) per key,
-    where size is the length of a tuple value and None marks any other."""
+    the keys of its records' `phase_stats`, in the order `stats()` gives."""
 
     target: str
     k: int
@@ -191,29 +189,15 @@ class TrialCell(NamedTuple):
     t: int
     b: int
     strategy: str
-    stats_layout: tuple
+    stats_keys: tuple
 
 
 # One shared TrialCell per distinct cell, so a kept record adds one pointer.
 _trial_cell = lru_cache(maxsize=256)(TrialCell)
 # Likewise one shared `stats_values` tuple per recently seen value (`tuple`
 # returns a tuple argument itself): 3,000 criterion-5 trials hold 72 distinct
-# stats, so a kept long-regime record adds one pointer, not a 72-byte tuple.
+# stats, so a kept long-regime record adds one pointer, not its own tuples.
 _shared_values = lru_cache(maxsize=256)(tuple)
-
-
-def _flat_stats(stats: dict) -> tuple[tuple, tuple]:
-    """(layout, values) of a `stats()` dict: each tuple value's items are
-    spread in place, any other value is one item."""
-    layout, values = [], []
-    for key, value in stats.items():
-        if type(value) is tuple:
-            layout.append((key, len(value)))
-            values.extend(value)
-        else:
-            layout.append((key, None))
-            values.append(value)
-    return tuple(layout), tuple(values)
 
 
 @dataclass(slots=True)
@@ -221,9 +205,9 @@ class TrialRecord:
     """Outcome of one simulated trial. A batch keeps one per trial, so a
     record holds only what varies between trials: the per-cell fields
     (target, k, n, t, b, strategy) are read from one shared `TrialCell`,
-    `success` from `hit_time`, and `phase_stats` is rebuilt, same keys,
-    order and value types, from the flat tuple `stats_values` and the
-    cell's layout. Records with equal stats mostly share one tuple."""
+    `success` from `hit_time`, and `phase_stats` zips the cell's keys with
+    `stats_values`, the values as `stats()` returned them. Records with
+    equal stats mostly share one tuple."""
 
     cell: TrialCell
     seed: int
@@ -246,9 +230,7 @@ class TrialRecord:
 
     @property
     def phase_stats(self) -> dict:
-        values = iter(self.stats_values)
-        return {key: next(values) if size is None else tuple(islice(values, size))
-                for key, size in self.cell.stats_layout}
+        return dict(zip(self.cell.stats_keys, self.stats_values))
 
 
 def _decided_buys(state: ProcessState, strategy):
@@ -314,8 +296,9 @@ def run_strategy(
             f"incremental hit={success} but batch containment disagrees "
             f"(strategy={strategy.name}, seed={config.seed})"
         )
-    layout, values = _flat_stats(strategy.stats())
+    stats = strategy.stats()
     cell = _trial_cell(target_label, target_k, config.n, config.t, config.b,
-                       strategy.name, layout)
+                       strategy.name, tuple(stats))
     return TrialRecord(cell, config.seed, hit_time, g.edge_count, state.clock,
-                       _shared_values(values), g if keep_graph else None)
+                       _shared_values(tuple(stats.values())),
+                       g if keep_graph else None)

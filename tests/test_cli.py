@@ -160,31 +160,28 @@ def test_bb_seed_env_fallback(tmp_path, monkeypatch):
 
 
 def test_config_file_merging_flags_win(tmp_path):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text("n = 40\nt = 120\nb = 30  # budget\ntrials = 5\nseed = 7\n")
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    code = parse_and_dispatch(
-        ["run", "--target", "k4m", "--n", "40", "--t", "120", "--b", "30",
-         "--trials", "3", "--config", str(cfg), "--seed", "7", "--out", str(out_a)]
+    # One file serves run and sweep: each verb skips the other's keys, the
+    # file's own config line is skipped, and a false boolean leaves its
+    # flag off (early stop changes edges_bought on this cell).
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(
+        "target = k4m\nn = 30\nt = 100\nb = 100  # budget\ntrials = 5\nseed = 11\n"
+        "n-list = 40\nx-min = 1.2\nx-max = 1.2\nx-step = 0.1\n"
+        "y_min = 0.4\ny_max = 0.4\ny_step = 0.1\njobs = 1\n"
+        "config = elsewhere.cfg\nno-early-stop = false\n"
     )
-    assert code == 0
-    # trials came from the flag (3), not the file (5)
-    assert len(out_a.read_text().splitlines()) == 2 + 3
-    parse_and_dispatch(
-        ["run", "--target", "k4m", "--n", "40", "--t", "120", "--b", "30",
-         "--trials", "5", "--seed", "7", "--out", str(out_b)]
-    )
-    # but a file-only value applies when the flag is absent
-    out_c = tmp_path / "c.csv"
-    cfg2 = tmp_path / "only_trials.cfg"
-    cfg2.write_text("trials=5\n")
-    code = parse_and_dispatch(
-        ["run", "--target", "k4m", "--n", "40", "--t", "120", "--b", "30",
-         "--config", str(cfg2), "--seed", "7", "--out", str(out_c)]
-    )
-    assert code == 0
-    assert out_c.read_text().splitlines()[1:] == out_b.read_text().splitlines()[1:]
+    flags = ["run", "--target", "k4m", "--n", "30", "--t", "100", "--b", "100",
+             "--trials", "5", "--seed", "11"]
+    out = {name: tmp_path / f"{name}.csv" for name in ("file", "flags", "trials", "sweep")}
+    assert parse_and_dispatch(["run", "--config", str(cfg), "--out", str(out["file"])]) == 0
+    assert parse_and_dispatch(flags + ["--out", str(out["flags"])]) == 0
+    assert out["file"].read_text() == out["flags"].read_text()
+    # trials comes from the flag (3), not the file (5)
+    assert parse_and_dispatch(["run", "--config", str(cfg), "--trials", "3",
+                               "--out", str(out["trials"])]) == 0
+    assert len(out["trials"].read_text().splitlines()) == 2 + 3
+    assert parse_and_dispatch(["sweep", "--config", str(cfg), "--out", str(out["sweep"])]) == 0
+    assert len(out["sweep"].read_text().splitlines()) == 2 + 1
 
 
 def test_contract_violation_exits_3(monkeypatch):
@@ -313,6 +310,9 @@ _FILES = {
     "binary.csv": b"\xff\xfe\n",
     "dup.txt": b"0 1\n1 0\n",
     "cap.cfg": b"per_vertex_cap = 3\n",
+    "no-eq.cfg": b"n 40\n",
+    "bad-bool.cfg": b"no-early-stop = maybe\n",
+    "triangle.txt": b"0 1\n1 2\n0 2\n",
 }
 
 
@@ -353,6 +353,12 @@ _FILES = {
         ["run", "--target", "tk", "--k", "2", "--n", "50", "--t", "150", "--b", "40",
          "--trials", "2", "--seed", "1", "--regime", "long", "--config", "{tmp}/cap.cfg"],
         _SWEEP_N40 + ["--jobs", "1", "--regime", "long", "--r-override", "5"],
+        _RUN_N50 + ["--seed", "1", "--config", "{tmp}/no-eq.cfg"],
+        _RUN_N50 + ["--seed", "1", "--config", "{tmp}/bad-bool.cfg"],
+        _RUN_N50 + ["--seed", "1", "--config", "{tmp}/no-such.cfg"],
+        ["detect", "--graph", "{tmp}/triangle.txt", "--pattern", "tk:x"],
+        ["detect", "--graph", "{tmp}/triangle.txt", "--pattern", "tk:0"],
+        _SWEEP_N40 + ["--y-min", "0.6"],  # above --y-max 0.4
     ],
 )
 def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):

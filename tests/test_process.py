@@ -27,6 +27,7 @@ from budget_builder.process import (
 from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
     StrategyKind,
+    StrategyParams,
     StrategySpec,
     build_strategy,
     select_strategy,
@@ -308,6 +309,13 @@ _BUY_ALL = StrategySpec(StrategyKind.BUY_ALL)
 _C4_CELL = (DIAMOND, 400, 2000, 2560, {})
 _C6_CELL = (fan(2), 400, 2000, 1638, {})
 _C7_CELL = (DIAMOND, 800, *cell_from_exponents(800, 1.35, 1.2), {})
+
+
+def _hand_cell(target, n, t, b, kind, T, budgets, r=0, cap=0, k=0):
+    """A cell whose spec is built by hand, not by `select_strategy`."""
+    return (target, n, t, b, StrategySpec(kind, StrategyParams(T, r, cap, budgets, k)))
+
+
 _REFERENCE_CELLS = [
     _C4_CELL,
     (DIAMOND, 400, 20000, 80, {}),
@@ -344,6 +352,19 @@ _SMALL_CELLS = [
     (fan(3), 20, 190, b, {"regime_override": "short", "seed_set_size": r,
                           "per_vertex_cap": cap})
     for b, r, cap in ((6, 2, 2), (12, 6, 3))
+] + [
+    # Hand-built specs: phase budgets at or past b, so the budget runs out
+    # while a phase's cap is open; the seed phase's rows ahead then count
+    # budget_skips in bulk, and a later phase starts with the budget spent.
+    _hand_cell(DIAMOND, 40, 780, 18, StrategyKind.DIAMOND_SHORT, 260, (30, 30, 30), 6, 5),
+    _hand_cell(DIAMOND, 20, 190, 12, StrategyKind.DIAMOND_SHORT, 60, (12, 12, 12), 4, 6),
+    _hand_cell(fan(2), 20, 190, 10, StrategyKind.FAN_SHORT, 60, (10, 10, 10), 4, 6, 2),
+    # Phase lengths past what select_strategy gives for t: phases that
+    # start at or after t return before they read a row.
+    _hand_cell(DIAMOND, 20, 50, 20, StrategyKind.DIAMOND_SHORT, 60, (6, 10, 20), 4, 6),
+    _hand_cell(DIAMOND, 20, 100, 20, StrategyKind.DIAMOND_SHORT, 60, (6, 10, 20), 4, 6),
+    _hand_cell(DIAMOND, 20, 50, 20, StrategyKind.DIAMOND_LONG, 60, (10, 10)),
+    _hand_cell(fan(2), 20, 100, 20, StrategyKind.FAN_SHORT, 60, (10, 5, 5), 4, 6, 2),
 ] + [
     # buy-all with b = 0, with b >= t, with a budget of 25 that a triangle
     # hit mostly beats, and with one that a diamond hit mostly does not.
@@ -609,3 +630,21 @@ def test_kept_trial_records_stay_lean():
         tracemalloc.stop()
     assert len(records) == trials
     assert kept / trials <= 320, kept / trials
+
+
+def test_a_batch_shares_one_cell_and_keeps_stats_as_reported():
+    # A criterion-6 trial that stops in round j reports j survivor counts,
+    # so the stats of one batch differ in shape; its records still share
+    # one TrialCell, and each phase_stats is the builder's stats() as is.
+    target, n, t, b, _ = _C6_CELL
+    base = ProcessConfig(n, t, b, seed=7)
+    spec = select_strategy(target, n, t, b)
+    records = run_trial_batch(target, base, spec, 60)
+    by_rounds = {len(rec.phase_stats["survivor_history"]): rec for rec in records}
+    assert sorted(by_rounds) == [0, 1, 2]
+    assert len({id(rec.cell) for rec in records}) == 1
+    for rec in by_rounds.values():
+        config = replace(base, seed=rec.seed)
+        strategy = build_strategy(spec, config)
+        run_strategy(config, strategy, detector_for(target))
+        assert list(rec.phase_stats.items()) == list(strategy.stats().items())
