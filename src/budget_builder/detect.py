@@ -9,12 +9,17 @@ the pattern's automorphism count: triangle 6, C4 8, P4 2, paw 2).
 The purchased graph answers membership from `g.adj`, one neighbour set per
 vertex; a vertex without an edge reads one shared empty frozenset until its
 first edge. This is the one module that reads `BuilderGraph._edges`, its edges
-in insertion order, kept for the edge count, `edges()`, `contains_diamond`
-and the edge table (`_edge_table`): ends, degrees, codegrees and link
-counts from one codegree pass, cached on the graph (not pickled) and
-rebuilt only once the edge count has changed, as edges are never removed.
-Every whole-graph count and the batch fan check read that table, so a
-graph counted many ways pays for one pass.
+in purchase order, kept for the edge count, `edges()`, the batch checks and
+the edge table (`_edge_table`).
+
+The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
+look only at edges whose ends share a neighbour: an edge in no triangle is
+in no diamond and no fan, and most purchased edges are in none. The edge
+table holds ends, degrees, codegrees and link counts from one codegree
+pass, cached on the graph (not pickled) and rebuilt only once the edge
+count has changed, as edges are never removed. The whole-graph counts and
+`fan_center_counts` read it, so a probe graph counted many ways pays for
+one pass.
 """
 
 from __future__ import annotations
@@ -131,13 +136,16 @@ class BuilderGraph:
             nbrs.add(u)
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        """The edges (pairs u < v) in purchase order, as a new list."""
+        return list(self._edges)
 
 
 def contains_diamond(g: BuilderGraph) -> bool:
-    """A diamond exists iff some edge's endpoints share >= 2 neighbors."""
+    """A diamond exists iff some edge's endpoints share >= 2 neighbors; an
+    edge whose ends share none is skipped before any intersection is built."""
     adj = g.adj
-    return any(len(adj[u] & adj[v]) >= 2 for u, v in g._edges)
+    return any(len(adj[u] & adj[v]) >= 2 for u, v in g._edges
+               if not adj[u].isdisjoint(adj[v]))
 
 
 def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
@@ -227,16 +235,24 @@ def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
 def contains_fan(g: BuilderGraph, k: int) -> bool:
     """True iff some vertex centers k triangles that pairwise share only it.
 
-    A k-fan's centre has degree at least 2k and at least k link edges
-    (one per triangle), so only the vertices that pass both, by the edge
-    table's degrees and doubled link counts (`_edge_table`), reach the
-    exact matching search.
+    A k-fan's centre has degree at least 2k and at least k link edges (one
+    per triangle). One pass over the edges counts each vertex's link edges:
+    an edge uv whose ends share no neighbour lies in no triangle and is
+    skipped, and each common neighbour w of u and v gains the link edge uv.
+    Only the vertices that pass both filters reach the exact matching search.
     """
     if k < 1:
         raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
-    _, _, deg, _, twice = _edge_table(g)
-    centres = np.flatnonzero((deg >= 2 * k) & (twice >= 2 * k))
-    return any(link_matching_size(g, v, k) >= k for v in centres.tolist())
+    adj = g.adj
+    links: dict[int, int] = {}
+    for u, v in g._edges:
+        nu, nv = adj[u], adj[v]
+        if nu.isdisjoint(nv):
+            continue
+        for w in nu & nv:
+            links[w] = links.get(w, 0) + 1
+    return any(count >= k and len(adj[w]) >= 2 * k and link_matching_size(g, w, k) >= k
+               for w, count in links.items())
 
 
 def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
@@ -257,7 +273,8 @@ def _edge_table(g: BuilderGraph) -> tuple:
     """(tails, heads, deg, codeg, twice): each edge's ends and codegree, in
     `_edges` order, and each vertex's degree and twice its link-edge count,
     both counted from the edge ends, as int64 arrays. Cached on the graph;
-    one codegree pass rebuilds it once the edge count changed.
+    one codegree pass rebuilds it once the edge count changed. Read by the
+    counts and `fan_center_counts`.
 
     A vertex's link edges are its triangles. An edge uv lies in c_uv of
     them, and each triangle at u is seen from both of its edges at u, so
@@ -354,7 +371,7 @@ def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
     """How many vertices center an l-fan, for l = 1..max_k.
 
     The doubled link counts come from the edge table (`_edge_table`) that
-    `contains_fan` also reads. A vertex with no link edge centers no fan and
+    the counts also read. A vertex with no link edge centers no fan and
     one with exactly one centers a 1-fan only; only a vertex with two or
     more reaches the exact matching search.
     """
@@ -397,11 +414,10 @@ class FanTracker:
 
     def after_insert(self, g: BuilderGraph, u: int, v: int) -> bool:
         adj, k = g.adj, self.k
-        common = adj[u] & adj[v]
-        if not common:
+        if adj[u].isdisjoint(adj[v]):
             return False
         return any(len(adj[c]) >= 2 * k and link_matching_size(g, c, k) >= k
-                   for c in (u, v, *common))
+                   for c in (u, v, *adj[u] & adj[v]))
 
     def confirm(self, g: BuilderGraph) -> bool:
         return contains_fan(g, self.k)

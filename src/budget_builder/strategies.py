@@ -311,8 +311,7 @@ class _SeedPhaseBuilder(_Base):
     R = {0, ..., r-1} is bought for the first endpoint in R whose per-vertex
     cap is not yet reached, while the phase-0 budget lasts. At the end of
     the phase each seed's purchased neighborhood is frozen. `_hosted_buys`
-    hands each hosted buy to the subclass's `_place`; a builder that keeps
-    the seed-phase buys takes them as `_seed_buys` yields them.
+    hands each hosted buy to the subclass's `_place`.
     """
 
     def __init__(self, config, params, rng):
@@ -548,7 +547,6 @@ class FanShort(_SeedPhaseBuilder):
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
         self.k = params.k
-        self.seed_rows: list[tuple] = []  # (i, u, v) of each seed-phase buy; see _freeze
         self.matched: Optional[dict] = None  # seed -> its blocked vertices, if any
         self.survivors = set()  # round 1: `frozen_nbrs` itself
         self.gained: set = set()
@@ -556,12 +554,12 @@ class FanShort(_SeedPhaseBuilder):
 
     def _freeze(self, state: ProcessState) -> None:
         """The base freeze, then the blocked vertices. Every purchased edge
-        is a seed-phase buy yet, so a member of N(w) is blocked iff a buy
-        (x, y) in `seed_rows` covers it with w a common neighbour of x and y."""
+        is a seed-phase buy yet, so a member of N(w) is blocked iff a
+        purchased edge (x, y) covers it with w a common neighbour of x and y."""
         super()._freeze(state)
         adj, frozen = state.purchased.adj, self.frozen_nbrs
         self.matched = matched = {}
-        for _, x, y in self.seed_rows:
+        for x, y in state.purchased.edges():
             if adj[x].isdisjoint(adj[y]):
                 continue
             for w in adj[x] & adj[y]:
@@ -596,9 +594,7 @@ class FanShort(_SeedPhaseBuilder):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
         if T == 0:
             return  # every reveal falls after the last round
-        for row in self._seed_buys(state, min(T, t)):
-            self.seed_rows.append(row)
-            yield row
+        yield from self._seed_buys(state, min(T, t))
         for rnd in range(1, self.k + 1):
             lo = rnd * T
             if lo >= t:

@@ -8,8 +8,7 @@ lazily, at the first reveal of the phase that reads it: the neighbourhood
 freeze, the candidate build, the round advance. The freeze here copies
 each seed's neighbourhood and, for the fan, rebuilds the blocked vertices
 from adjacency, where `buys` shares the graph's sets and reads the blocked
-vertices off the seed-phase buys that `FanShort.seed_rows` records. This
-reference records no seed row, so the two freezes share no state. The
+vertices off the purchased edges, so the two freezes share no state. The
 builder's `buys` is inherited, so run a reference through
 `conftest.PerReveal`, which hides `buys`, to take the per-reveal source.
 `reference_strategy(spec, config)` mirrors `build_strategy`. Not part of

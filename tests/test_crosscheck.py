@@ -144,7 +144,7 @@ def test_fan_center_counts_match_link_matchings(name):
 @pytest.mark.parametrize("name", sorted(_CELLS))
 def test_containment_and_first_hit_match_networkx(name, pattern):
     g, _ = _graph(name)
-    edges = g.edges()
+    edges = sorted(g.edges())
     edges = [edges[i] for i in np.random.default_rng(_SEED).permutation(len(edges))]
     tracker = DiamondTracker() if pattern == DIAMOND else FanTracker(pattern.k)
     replay, hit = builder_from(g.n, []), None

@@ -48,10 +48,10 @@ def test_insert_edge_basics():
     assert g.edge_count == 3
     with pytest.raises(DuplicateEdgeError):
         g.insert_edge(1, 0)
-    # The refused duplicate changes nothing; edges() is sorted although
-    # the edges went in out of order.
+    # The refused duplicate changes nothing; edges() lists each edge as
+    # u < v, in purchase order.
     assert g.edge_count == 3
-    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert g.edges() == [(0, 1), (1, 2), (0, 2)]
     assert [len(g.adj[v]) for v in range(3)] == [2, 2, 2]
 
 
@@ -172,6 +172,23 @@ def test_contains_fan_friendship_and_k4():
     f2 = builder_from(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert contains_fan(f2, 2)
     assert not contains_fan(complete_graph(4), 2)
+
+
+def test_contains_fan_on_a_book_needs_the_matching(monkeypatch):
+    import budget_builder.detect as detect
+
+    # Spine 0-1 and wings 2, 3, 4, each joined to 0 and 1. The spine ends
+    # have degree 4 and three link edges each, so both pass the 2-fan
+    # filters, but every link edge at 0 meets 1 (and at 1 meets 0): three
+    # triangles, no two of which share only the centre.
+    book = builder_from(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    calls = []
+    real = detect.link_matching_size
+    monkeypatch.setattr(detect, "link_matching_size",
+                        lambda g, v, cap: calls.append(v) or real(g, v, cap))
+    assert not contains_fan(book, 2)
+    assert sorted(calls) == [0, 1]
+    assert contains_fan(book, 1)
 
 
 def test_contains_fan_random_vs_oracle(rng):
@@ -436,7 +453,7 @@ def test_read_edge_list_relabels_sparse_ids(tmp_path):
     path.write_text("10 7000000\n7000000 90\n90 10\n90 5\n")
     g = read_edge_list(path)
     assert g.n == 4
-    assert g.edges() == [(0, 2), (1, 2), (1, 3), (2, 3)]  # 5, 10, 90, 7000000
+    assert sorted(g.edges()) == [(0, 2), (1, 2), (1, 3), (2, 3)]  # 5, 10, 90, 7000000
     assert count_pattern(g, PAW) == 1
 
 
