@@ -29,6 +29,7 @@ from .errors import (  # noqa: F401
     CrossoverNotEstimable,
     DetectorMismatch,
     DuplicateEdgeError,
+    OnlineRuleViolation,
     StreamExhausted,
     UnsupportedPattern,
 )

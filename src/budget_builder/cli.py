@@ -15,6 +15,7 @@ from .errors import (
     BudgetContractViolation,
     ConfigurationError,
     DetectorMismatch,
+    OnlineRuleViolation,
 )
 from .experiments import (
     PROBE_COLUMNS,
@@ -298,7 +299,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:  # -h/--help; parse errors raise instead
         return int(exc.code or 0)
-    except (BudgetContractViolation, DetectorMismatch) as exc:
+    except (BudgetContractViolation, DetectorMismatch, OnlineRuleViolation) as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3
     except BudgetBuilderError as exc:

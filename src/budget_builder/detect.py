@@ -14,7 +14,9 @@ the edge table (`_edge_table`).
 
 The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
 look only at edges whose ends share a neighbour: an edge in no triangle is
-in no diamond and no fan, and most purchased edges are in none. The edge
+in no diamond and no fan, and most purchased edges are in none. For the
+same reason `insert_edge` returns whether the new edge closes a triangle,
+and the trial step asks a tracker only about the edges that do. The edge
 table holds ends, degrees, codegrees and link counts from one codegree
 pass, cached on the graph (not pickled) and rebuilt only once the edge
 count has changed, as edges are never removed. The whole-graph counts and
@@ -115,25 +117,29 @@ class BuilderGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def insert_edge(self, u: int, v: int) -> None:
+    def insert_edge(self, u: int, v: int) -> bool:
+        """Add the edge uv. Returns whether u and v already shared a
+        neighbour, that is, whether the new edge closes a triangle: an edge
+        that closes none is in no diamond and no fan."""
         if u > v:
             u, v = v, u
-        if u == v or u < 0 or v >= self.n:
+        if not 0 <= u < v < self.n:
             raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
         adj = self.adj
-        nbrs = adj[u]
-        if v in nbrs:
+        nu, nv = adj[u], adj[v]
+        if v in nu:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
         self._edges.append((u, v))
-        if nbrs is _NO_NBRS:
+        closes = not nu.isdisjoint(nv)
+        if nu is _NO_NBRS:
             adj[u] = {v}
         else:
-            nbrs.add(v)
-        nbrs = adj[v]
-        if nbrs is _NO_NBRS:
+            nu.add(v)
+        if nv is _NO_NBRS:
             adj[v] = {u}
         else:
-            nbrs.add(u)
+            nv.add(u)
+        return closes
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges (pairs u < v) in purchase order, as a new list."""
@@ -388,7 +394,8 @@ def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
 class DiamondTracker:
     """Incremental diamond detection over purchased edges."""
 
-    # Called once per buy, so the check itself, with no wrapper call.
+    # Called once per buy that closes a triangle, so the check itself, with
+    # no wrapper call.
     after_insert = staticmethod(diamond_through_edge)
 
     def confirm(self, g: BuilderGraph) -> bool:
@@ -398,13 +405,15 @@ class DiamondTracker:
 class FanTracker:
     """Incremental k-fan detection over purchased edges.
 
-    Precondition: `after_insert` is called after every insert, starting
-    from the empty graph, until it first returns True (as `run_strategy`
-    calls it), so no k-fan exists before the insert it is asked about.
-    A k-fan is made of triangles only, so a new edge (u,v) that closes no
-    triangle (u and v share no neighbour) lies in no fan and cannot create
-    one. One that does can only create a fan centered at u, at v, or at a
-    common neighbour, so those are the only links re-checked.
+    Precondition: `after_insert` is called after every insert that closes
+    a triangle, starting from the empty graph, until it first returns True
+    (as `run_strategy` calls it), so no k-fan exists before the insert it
+    is asked about. A k-fan is made of triangles only, so a new edge (u,v)
+    that closes no triangle (u and v share no neighbour) lies in no fan and
+    cannot create one; `after_insert` still answers False on such an edge
+    for a caller that asks after every insert. One that does can only
+    create a fan centered at u, at v, or at a common neighbour, so those
+    are the only links re-checked.
     """
 
     def __init__(self, k: int):

@@ -21,6 +21,11 @@ class BudgetContractViolation(BudgetBuilderError):
     """A strategy returned 'buy' with the budget already exhausted."""
 
 
+class OnlineRuleViolation(BudgetBuilderError):
+    """A strategy bought a row out of stream order: at or before the row it
+    bought last, or at or past t."""
+
+
 class DetectorMismatch(BudgetBuilderError):
     """Incremental detection disagrees with batch containment on the final graph."""
 

@@ -5,10 +5,14 @@ irrevocably buy at most b of the first t, and watches the purchased graph
 with an incremental target detector.
 
 The stream is one array of t pair codes (`pair_code`), drawn at the first
-reveal. `run_strategy` runs one step per bought row (the budget check;
-buy; detect; stop at a hit under early stop) over one of two purchase
-sources, each an iterator of `(i, u, v)`: the stream index and the ends
-(u < v) of each row the strategy buys, in stream order.
+reveal. `run_strategy` runs one step per bought row (the order check; the
+budget check; buy; detect; stop at a hit under early stop) over one of two
+purchase sources, each an iterator of `(i, u, v)`: the stream index and the
+ends (u < v) of each row the strategy buys, in stream order. A row at or
+before the one bought last, or at or past t, breaks the online rule and
+raises `OnlineRuleViolation`. Both targets are unions of triangles, so the
+step asks the detector only about a buy that closes a triangle, as
+`BuilderGraph.insert_edge` reports.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
@@ -27,10 +31,11 @@ every stat counted for the rows up to and including it; once exhausted,
 have them counted for the whole stream. The hand-written per-reveal rules
 in `tests/per_reveal.py` are the reference it is checked against. An
 early stop leaves the generator suspended at the hit row, so its stats are
-those of the revealed prefix. The step sets `state.clock` to the position
-of each bought row (index + 1), and to t at the end of a run without an
-early stop, so for a given seed both sources give identical
-`TrialRecord`s, `phase_stats` included.
+those of the revealed prefix. The step keeps the row index in a local and
+writes `state.clock` once, at the stop: the hit row's position (index + 1)
+under an early stop, else t (on the per-reveal source `next_edge` also
+advances it on every reveal, for `decide` to read). So for a given seed
+both sources give identical `TrialRecord`s, `phase_stats` included.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .errors import (
     BudgetContractViolation,
     ConfigurationError,
     DetectorMismatch,
+    OnlineRuleViolation,
     StreamExhausted,
 )
 from .rng import STREAM_EDGES, substream
@@ -257,11 +263,13 @@ def run_strategy(
     """Drive reveal -> decide -> purchase -> detect until hit or clock = t.
 
     The strategy sees only the revealed prefix and its own state; a buy
-    with the budget already spent is a contract violation, never a silent
-    clamp. The incremental hit flag is cross-checked against batch
-    containment on the final purchased graph. A strategy with `buys`
-    settles its own purchases, any other is asked on every reveal; the step
-    is the same.
+    out of stream order, or with the budget already spent, is a contract
+    violation, never a silent clamp. The detector is asked only about buys
+    that close a triangle (every `detector_for` target is a union of
+    triangles, so no other buy completes one); its hit flag is
+    cross-checked against batch containment on the final purchased graph,
+    which reads every edge. A strategy with `buys` settles its own
+    purchases, any other is asked on every reveal; the step is the same.
     """
     state = new_process(config)
     g = state.purchased
@@ -273,23 +281,30 @@ def run_strategy(
     # Bound once per trial: the benchmark's tracer patches these before
     # the trial starts, so it still sees every call.
     insert_edge, after_insert = g.insert_edge, detector.after_insert
+    t = config.t
     left = config.b  # budget left; every insert below spends one edge
+    last = -1  # the row bought last
     hit_time = None
     for i, u, v in purchases:
-        state.clock = i + 1
+        if not last < i < t:
+            raise OnlineRuleViolation(
+                f"{strategy.name} bought edge ({u}, {v}) at row {i}, not "
+                f"after row {last} and before t={t}"
+            )
         if not left:
             raise BudgetContractViolation(
                 f"{strategy.name} bought edge ({u}, {v}) at clock "
-                f"{state.clock} with budget {config.b} exhausted"
+                f"{i + 1} with budget {config.b} exhausted"
             )
         left -= 1
-        insert_edge(u, v)
-        if hit_time is None and after_insert(g, u, v):
-            hit_time = state.clock
+        last = i
+        if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):
+            hit_time = i + 1
             if early_stop:
+                state.clock = hit_time
                 break
     else:
-        state.clock = config.t  # an early stop leaves the clock at the hit
+        state.clock = t
     success = hit_time is not None
     if success != detector.confirm(g):
         raise DetectorMismatch(

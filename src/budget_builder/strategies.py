@@ -191,9 +191,9 @@ class _Base:
         rows, us, vs = found
         take = self._left(state, i)
         bought = self.p_bought
-        for row, u, v in zip(rows[:take].tolist(), us[:take].tolist(), vs[:take].tolist()):
+        for row in zip(rows[:take].tolist(), us[:take].tolist(), vs[:take].tolist()):
             bought[i] += 1
-            yield row, u, v
+            yield row
         if bought[i] < self.p_caps[i]:
             self.budget_skips += max(rows.size - take, 0)
 
@@ -341,8 +341,9 @@ class _SeedPhaseBuilder(_Base):
         done = 0  # rows settled so far
         while left and done < rows.size:
             stop = done + max(left, 32)
-            for i, u, v in zip(rows[done:stop].tolist(), us[done:stop].tolist(),
-                               vs[done:stop].tolist()):
+            for row in zip(rows[done:stop].tolist(), us[done:stop].tolist(),
+                           vs[done:stop].tolist()):
+                i, u, v = row
                 if attr[u] < cap:  # u < v, so u is a seed
                     attr[u] += 1
                 elif v < r and attr[v] < cap:
@@ -352,7 +353,7 @@ class _SeedPhaseBuilder(_Base):
                     continue
                 bought[0] += 1
                 left -= 1
-                yield i, u, v
+                yield row
                 if not left:
                     break
             done = int(np.searchsorted(rows, i, side="right"))
@@ -403,7 +404,8 @@ class _SeedPhaseBuilder(_Base):
             return
         adj, hosts_of, place = state.purchased.adj, self._eligible, self._place
         budget = self.config.b - state.purchased.edge_count
-        for row, u, v in zip(*(a.tolist() for a in inside)):
+        for row in zip(*(a.tolist() for a in inside)):
+            _, u, v = row
             if adj[u].isdisjoint(adj[v]):
                 continue  # no common neighbour, so no host
             hosts = hosts_of(adj, u, v)
@@ -416,7 +418,7 @@ class _SeedPhaseBuilder(_Base):
             budget -= 1
             place(hosts, u, v)
             self._unshare(adj, u, v)
-            yield row, u, v
+            yield row
             if bought[i] >= cap:
                 return
 

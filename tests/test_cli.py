@@ -5,7 +5,11 @@ import pytest
 
 from budget_builder.cli import parse_and_dispatch
 from budget_builder.detect import DIAMOND, fan
-from budget_builder.errors import BudgetContractViolation
+from budget_builder.errors import (
+    BudgetContractViolation,
+    DetectorMismatch,
+    OnlineRuleViolation,
+)
 from budget_builder.experiments import run_one_trial
 from budget_builder.process import ProcessConfig
 from budget_builder.strategies import select_strategy
@@ -184,18 +188,28 @@ def test_config_file_merging_flags_win(tmp_path):
     assert len(out["sweep"].read_text().splitlines()) == 2 + 1
 
 
-def test_contract_violation_exits_3(monkeypatch):
+def _run_raising(monkeypatch, error) -> int:
+    """Exit code of a `run` whose trial batch raises `error`."""
     import budget_builder.cli as cli_mod
 
     def explode(*args, **kwargs):
-        raise BudgetContractViolation("boom")
+        raise error("boom")
 
     monkeypatch.setattr(cli_mod, "run_trial_batch", explode)
-    code = parse_and_dispatch(
+    return parse_and_dispatch(
         ["run", "--target", "k4m", "--n", "40", "--t", "120", "--b", "30",
          "--trials", "3", "--seed", "1"]
     )
-    assert code == 3
+
+
+def test_contract_violation_exits_3(monkeypatch):
+    assert _run_raising(monkeypatch, BudgetContractViolation) == 3
+
+
+@pytest.mark.parametrize("error", [DetectorMismatch, OnlineRuleViolation])
+def test_the_other_contract_violations_exit_3(monkeypatch, capsys, error):
+    assert _run_raising(monkeypatch, error) == 3
+    assert capsys.readouterr().err == "internal contract violation: boom\n"
 
 
 def test_run_requires_trials_flag():

@@ -26,11 +26,13 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from budget_builder.detect import (
+    _NO_NBRS,
     C4,
     DIAMOND,
     P4,
     PAW,
     TRIANGLE,
+    BuilderGraph,
     DiamondTracker,
     FanTracker,
     NullTracker,
@@ -50,7 +52,7 @@ from budget_builder.strategies import (
     select_strategy,
 )
 
-from conftest import builder_from
+from conftest import builder_from, gnm_edges
 
 _GREEDY = StrategySpec(StrategyKind.DEGREE_GREEDY)
 
@@ -159,3 +161,23 @@ def test_containment_and_first_hit_match_networkx(name, pattern):
         expected = _nx_contains(nx.Graph(edges[:m]), pattern)
         assert expected == (m == hit), (m, hit)
         assert contains(builder_from(g.n, edges[:m])) == expected, m
+
+
+def test_insert_edge_reports_a_neighbour_shared_before_the_insert(rng):
+    # The flag the trial step asks its tracker on. Random graphs from a few
+    # edges to all of K_n, each edge given in either order; the first edge
+    # at an edgeless vertex reads the shared empty set.
+    flags, first_edges = set(), 0
+    for n in (2, 3, 8, 16, 30):
+        pairs = n * (n - 1) // 2
+        for m in (1, pairs // 8, pairs // 2, pairs):
+            g, G = BuilderGraph(n), nx.empty_graph(n)
+            for u, v in gnm_edges(rng, n, max(m, 1)):
+                if rng.random() < 0.5:
+                    u, v = v, u
+                first_edges += g.adj[u] is _NO_NBRS or g.adj[v] is _NO_NBRS
+                shared = any(True for _ in nx.common_neighbors(G, u, v))
+                assert g.insert_edge(u, v) == shared, (n, m, u, v)
+                G.add_edge(u, v)
+                flags.add(shared)
+    assert flags == {False, True} and first_edges > 0

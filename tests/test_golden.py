@@ -21,6 +21,9 @@ RUNS = {
     # criterion-4 cell: k4m-short
     "run-c4.csv": ["run", "--target", "k4m", "--n", "400", "--t", "2000",
                    "--b", "2560", "--trials", "6"],
+    # the same cell without early stop: every trial keeps buying to t, past its hit
+    "run-c4-full.csv": ["run", "--target", "k4m", "--n", "400", "--t", "2000",
+                        "--b", "2560", "--trials", "6", "--no-early-stop"],
     # criterion-6 cell: tk-short, k=2
     "run-c6.csv": ["run", "--target", "tk", "--k", "2", "--n", "400",
                    "--t", "2000", "--b", "1638", "--trials", "6"],

@@ -11,6 +11,7 @@ from budget_builder.errors import (
     BudgetContractViolation,
     ConfigurationError,
     DetectorMismatch,
+    OnlineRuleViolation,
     StreamExhausted,
 )
 from budget_builder.experiments import cell_from_exponents, grid_values, run_trial_batch
@@ -538,13 +539,20 @@ def test_degree_greedy_visits_under_two_fifths_of_the_stream(n):
 
 
 class _RogueBuys:
-    """Buys every reveal, through `buys` or, wrapped, through `decide`."""
+    """Buys every reveal, through `buys` or, wrapped, through `decide`. Given
+    `rows`, `buys` yields the revealed pairs of those stream rows instead, in
+    that order; a row at or past t gets the pair (0, 1)."""
 
     name = "rogue"
 
+    def __init__(self, rows=None):
+        self.rows = rows
+
     def buys(self, state):
-        us, vs = decode(state.config.n, state.codes)
-        yield from zip(range(state.config.t), us.tolist(), vs.tolist())
+        t = state.config.t
+        us, vs = (ends.tolist() for ends in decode(state.config.n, state.codes))
+        for i in range(t) if self.rows is None else self.rows:
+            yield (i, us[i], vs[i]) if i < t else (i, 0, 1)
 
     def decide(self, state, e):
         return True
@@ -577,6 +585,68 @@ def test_detector_disagreement_raises(wrap):
     with pytest.raises(DetectorMismatch):
         run_strategy(ProcessConfig(n=10, t=45, b=45, seed=5), wrap(_RogueBuys()),
                      _BlindDetector(detector_for(DIAMOND)))
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([0, 2, 1], "at row 1, not after row 2"),
+    ([0, 1, 1], "at row 1, not after row 1"),
+    ([0, 1, 20], "at row 20, not after row 1 and before t=20"),
+], ids=["below-the-last", "repeated", "row-t"])
+def test_a_row_out_of_stream_order_raises(rows, match):
+    # The budget (b = t) never runs out, so only the order check can raise.
+    with pytest.raises(OnlineRuleViolation, match=match):
+        run_strategy(ProcessConfig(n=10, t=20, b=20, seed=5), _RogueBuys(rows),
+                     detector_for(DIAMOND))
+
+
+class _CountingTracker:
+    """Forwards to a tracker and counts its `after_insert` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.confirm = inner.confirm
+        self.calls = 0
+
+    def after_insert(self, g, u, v):
+        self.calls += 1
+        return self.inner.after_insert(g, u, v)
+
+
+def _closing_buys(g):
+    """How many of g's edges, inserted in purchase order, joined two
+    vertices that already shared a neighbour."""
+    nbrs = [set() for _ in range(g.n)]
+    closing = 0
+    for u, v in g.edges():
+        closing += not nbrs[u].isdisjoint(nbrs[v])
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return closing
+
+
+@pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL], ids=["c4", "c6"])
+def test_the_detector_is_asked_only_about_buys_that_close_a_triangle(cell):
+    target, n, t, b, _ = cell
+    spec = select_strategy(target, n, t, b)
+    asked = 0
+    for j in range(20):
+        config = ProcessConfig(n, t, b, seed=derive_seed(15, n, t, b, j))
+        calls, graphs = [], []
+        for early_stop in (True, False):
+            counter = _CountingTracker(detector_for(target))
+            rec = run_strategy(config, build_strategy(spec, config), counter,
+                               early_stop=early_stop, keep_graph=True)
+            plain = run_strategy(config, build_strategy(spec, config), detector_for(target),
+                                 early_stop=early_stop, keep_graph=True)
+            assert pickle.dumps(rec) == pickle.dumps(plain), (j, early_stop)
+            calls.append(counter.calls)
+            graphs.append(rec.purchased)
+        # Under early stop every buy is at or before the hit; without it the
+        # step asks nothing past the first hit, so both ask equally often.
+        closing = _closing_buys(graphs[0])
+        assert calls == [closing, closing], j
+        asked += closing
+    assert asked > 0
 
 
 def test_event_driven_trial_memory_is_linear_in_t_and_n():
