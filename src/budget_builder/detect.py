@@ -16,12 +16,13 @@ The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
 look only at edges whose ends share a neighbour: an edge in no triangle is
 in no diamond and no fan, and most purchased edges are in none. For the
 same reason `insert_edge` returns whether the new edge closes a triangle,
-and the trial step asks a tracker only about the edges that do. The edge
-table holds ends, degrees, codegrees and link counts from one codegree
-pass, cached on the graph (not pickled) and rebuilt only once the edge
-count has changed, as edges are never removed. The whole-graph counts and
-`fan_center_counts` read it, so a probe graph counted many ways pays for
-one pass.
+`insert_until_triangle` inserts a checked block of rows up to the next
+such edge, and the trial step asks a tracker only about the edges that
+do. The edge table holds ends, degrees, codegrees and link counts from one
+codegree pass, cached on the graph (not pickled) and rebuilt only once the
+edge count has changed, as edges are never removed. The whole-graph counts
+and `fan_center_counts` read it, so a probe graph counted many ways pays
+for one pass.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class BuilderGraph:
     """Simple undirected graph: one adjacency set per vertex (the membership
     test), plus the edges (pairs u < v) in insertion order for the scans
     and a cached edge table for the counts. A vertex without an edge reads the
-    shared empty frozenset `_NO_NBRS` until `insert_edge`, the only writer of
-    `adj`, gives it its own set at its first edge: n vertices cost no n sets."""
+    shared empty frozenset `_NO_NBRS` until an insert (`insert_edge` or
+    `insert_until_triangle`, the only writers of `adj`) gives it its own set
+    at its first edge: n vertices cost no n sets."""
 
     __slots__ = ("n", "adj", "_edges", "_table")
 
@@ -140,6 +142,32 @@ class BuilderGraph:
         else:
             nv.add(u)
         return closes
+
+    def insert_until_triangle(self, rows):
+        """Insert rows (i, u, v) from the iterator `rows`, each already
+        checked to hold 0 <= u < v < n, up to and including the first whose
+        edge closes a triangle; return that row, or None once `rows` is spent.
+        A later call with the same iterator goes on after it. A pair already
+        present still raises `DuplicateEdgeError`, as in `insert_edge`."""
+        adj, append = self.adj, self._edges.append
+        for row in rows:
+            _, u, v = row
+            nu, nv = adj[u], adj[v]
+            if v in nu:
+                raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+            append((u, v))
+            closes = not nu.isdisjoint(nv)
+            if nu is _NO_NBRS:
+                adj[u] = {v}
+            else:
+                nu.add(v)
+            if nv is _NO_NBRS:
+                adj[v] = {u}
+            else:
+                nv.add(u)
+            if closes:
+                return row
+        return None
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges (pairs u < v) in purchase order, as a new list."""

@@ -5,33 +5,44 @@ irrevocably buy at most b of the first t, and watches the purchased graph
 with an incremental target detector.
 
 The stream is one array of t pair codes (`pair_code`), drawn at the first
-reveal. `run_strategy` runs one step per bought row (the order check; the
-budget check; buy; detect; stop at a hit under early stop) over one of two
-purchase sources, each an iterator of `(i, u, v)`: the stream index and the
-ends (u < v) of each row the strategy buys, in stream order. A row at or
-before the one bought last, or at or past t, breaks the online rule and
-raises `OnlineRuleViolation`. Both targets are unions of triangles, so the
-step asks the detector only about a buy that closes a triangle, as
-`BuilderGraph.insert_edge` reports.
+reveal. `run_strategy` runs one step per yield of a purchase source, in
+stream order; a yield is a single row `(i, u, v)` (the stream index and
+the ends u < v of the row bought) or a block `(rows, us, vs)` of int64
+arrays holding one or more such rows. A single row is checked alone: a
+row at or before the one bought last, or at or past t, breaks the online
+rule and raises `OnlineRuleViolation`, and a row with the budget spent
+raises `BudgetContractViolation`. A block is checked whole before any of
+it is inserted: its rows strictly increase from past the last row bought
+to before t, it fits the budget left, and each pair is u < v < n and the
+pair revealed at its row (`pair_code(n, us, vs) == codes[rows]`); its
+rows then go in through `BuilderGraph.insert_until_triangle`. Only block
+rows are pair-checked. Both targets are unions of triangles, so the step
+asks the detector only about a buy that closes a triangle, as
+`BuilderGraph.insert_edge` and `insert_until_triangle` report, and stops
+at a hit under early stop, inside a block too.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
-  The generator resumes only after its last row is bought and detected, so
-  it may then do set-up that reads the purchased graph (a freeze, a
-  candidate build, a round advance).
+  The generator resumes only after its yield's last row is bought and
+  detected, so it may then do set-up that reads the purchased graph (a
+  freeze, a candidate build, a round advance).
 - `_decided_buys` serves a wrapper that exposes only `decide`, `stats` and
   `name` (the benchmark's tracer, the tests' `PerReveal`, a test double):
-  it calls `next_edge` and `decide` on every reveal. Every strategy
-  `build_strategy` returns has `buys`, and its `decide` reads the answer
-  off that generator, so both sources run the same purchase rule.
+  it calls `next_edge` and `decide` on every reveal and yields single
+  rows. Every strategy `build_strategy` returns has `buys`, and its
+  `decide` reads the answer off that generator, a block row by row, so
+  both sources run the same purchase rule.
 
 The `buys` contract: yield the rows the strategy buys, each decided from
 the revealed prefix and the purchased graph, and before each yield have
-every stat counted for the rows up to and including it; once exhausted,
-have them counted for the whole stream. The hand-written per-reveal rules
-in `tests/per_reveal.py` are the reference it is checked against. An
-early stop leaves the generator suspended at the hit row, so its stats are
-those of the revealed prefix. The step keeps the row index in a local and
+every stat counted for the rows up to and including the yield's last row;
+once exhausted, have them counted for the whole stream. The hand-written
+per-reveal rules in `tests/per_reveal.py` are the reference it is checked
+against. An early stop leaves the generator suspended at the yield that
+holds the hit row, so its stats must be those of the revealed prefix:
+while the generator is suspended at a block, `stats()` leaves out the
+block's rows at or past `state.clock`, so a stop inside a block counts only
+its rows up to the hit. The step keeps the row index in a local and
 writes `state.clock` once, at the stop: the hit row's position (index + 1)
 under an early stop, else t (on the per-reveal source `next_edge` also
 advances it on every reveal, for `decide` to read). So for a given seed
@@ -250,6 +261,41 @@ def _decided_buys(state: ProcessState, strategy):
             yield state.clock - 1, e.u, e.v
 
 
+def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.ndarray,
+                 us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
+    """Raise unless the block (rows, us, vs) keeps the online rule and the
+    budget: one or more rows, strictly increasing from past `last` to before
+    t, at most `left` of them, each bought pair u < v < n the one revealed
+    at its row. Each message names the first offending row."""
+    t, n = config.t, config.n
+
+    def bought(j: int) -> str:
+        return f"{name} bought edge ({us[j]}, {vs[j]}) at row {rows[j]}"
+
+    if not rows.size:
+        raise OnlineRuleViolation(f"{name} bought an empty block after row {last}")
+    before = np.concatenate(([last], rows[:-1]))
+    bad = (rows <= before) | (rows >= t)
+    if bad.any():
+        j = int(bad.argmax())
+        raise OnlineRuleViolation(f"{bought(j)}, not after row {before[j]} and before t={t}")
+    if rows.size > left:
+        raise BudgetContractViolation(
+            f"{name} bought edge ({us[left]}, {vs[left]}) at clock "
+            f"{rows[left] + 1} with budget {config.b} exhausted"
+        )
+    bad = (us < 0) | (us >= vs) | (vs >= n)
+    if bad.any():
+        j = int(bad.argmax())
+        raise OnlineRuleViolation(f"{bought(j)}, not a pair u < v < n={n}")
+    revealed = codes[rows]
+    bad = pair_code(n, us, vs) != revealed
+    if bad.any():
+        j = int(bad.argmax())
+        ru, rv = decode(n, revealed[j:j + 1])
+        raise OnlineRuleViolation(f"{bought(j)}, where ({ru[0]}, {rv[0]}) was revealed")
+
+
 def run_strategy(
     config: ProcessConfig,
     strategy,
@@ -263,8 +309,9 @@ def run_strategy(
     """Drive reveal -> decide -> purchase -> detect until hit or clock = t.
 
     The strategy sees only the revealed prefix and its own state; a buy
-    out of stream order, or with the budget already spent, is a contract
-    violation, never a silent clamp. The detector is asked only about buys
+    out of stream order, or with the budget already spent, or a block row
+    whose pair is not the one revealed there, is a contract violation,
+    never a silent clamp. The detector is asked only about buys
     that close a triangle (every `detector_for` target is a union of
     triangles, so no other buy completes one); its hit flag is
     cross-checked against batch containment on the final purchased graph,
@@ -279,13 +326,29 @@ def run_strategy(
     else:
         purchases = _decided_buys(state, strategy)
     # Bound once per trial: the benchmark's tracer patches these before
-    # the trial starts, so it still sees every call.
+    # the trial starts, so it still sees every call. A yield is a block
+    # when its first item is exactly an ndarray, a test of ~10 ns per row.
     insert_edge, after_insert = g.insert_edge, detector.after_insert
+    insert_until_triangle, ndarray = g.insert_until_triangle, np.ndarray
     t = config.t
     left = config.b  # budget left; every insert below spends one edge
     last = -1  # the row bought last
     hit_time = None
     for i, u, v in purchases:
+        if i.__class__ is ndarray:  # a block: checked whole, then inserted
+            _check_block(strategy.name, config, state.codes, i, u, v, last, left)
+            left -= i.size
+            last = int(i[-1])
+            block = zip(i.tolist(), u.tolist(), v.tolist())
+            while (row := insert_until_triangle(block)) is not None:
+                if hit_time is None and after_insert(g, row[1], row[2]):
+                    hit_time = row[0] + 1
+                    if early_stop:
+                        break
+            else:
+                continue  # the block is spent, with no stop inside it
+            state.clock = hit_time
+            break
         if not last < i < t:
             raise OnlineRuleViolation(
                 f"{strategy.name} bought edge ({u}, {v}) at row {i}, not "

@@ -14,21 +14,29 @@ deleting it waits for a benchmark change, since the benchmark's tests
 count two substreams per trial.
 
 Every strategy settles its purchases in `buys(state)` (contract in
-`process`): a generator that yields `(i, u, v)` for each row of
-`state.codes` it buys, in stream order, with every stat counted for the
-rows up to and including i before the yield. At each phase start it does
-that phase's set-up (a freeze sharing the graph's sets, a candidate build,
-a round start), then runs one loop over that phase's rows that can buy or
-change a stat: seed-set edges found from their codes, edges inside the
-frozen neighborhoods from a vertex mask, candidate pairs from a sorted
-code array. Once the seed phase's cap or the budget is spent its
-per-seed counts are fixed, so the rows left in it are counted in one
-vectorised pass. The anchor's second phase is read span by span, each
-span twice as long as the one before, so an early stop a few buys into it
-decodes only the spans it reached.
-`_Base.decide` answers reveal by reveal from the same generator, for a
-caller that asks on every reveal; the hand-written per-reveal rules that
-`buys` is checked against live in `tests/per_reveal.py`.
+`process`): a generator that yields, in stream order, each row of
+`state.codes` it buys as `(i, u, v)`, or a run of them as one block
+`(rows, us, vs)` of int64 arrays, with every stat counted for the rows up
+to and including the yield's last row before the yield. Only the seed
+phase yields blocks: its per-vertex caps read its own counts, never the
+graph, so each chunk's buys are settled before any is inserted; every
+other phase reads the graph between buys, or buys too few rows for a
+block's checks to pay, and yields single rows. While `buys` is suspended
+at a block, the seed builders' `stats()` count only its rows before
+`state.clock`, so a stop inside the block reports the revealed prefix.
+At each phase start it does that phase's set-up (a freeze sharing the
+graph's sets, a candidate build, a round start), then runs one loop over
+that phase's rows that can buy or change a stat: seed-set edges found from
+their codes, edges inside the frozen neighborhoods from a vertex mask,
+candidate pairs from a sorted code array. Once the seed phase's cap or
+the budget is spent its per-seed counts are fixed, so the rows left in it
+are counted in one vectorised pass. The anchor's second phase is read
+span by span, each span twice as long as the one before, so an early stop
+a few buys into it decodes only the spans it reached.
+`_Base.decide` answers reveal by reveal from the same generator, a block
+row by row, for a caller that asks on every reveal; the hand-written
+per-reveal rules that `buys` is checked against live in
+`tests/per_reveal.py`.
 """
 
 from __future__ import annotations
@@ -163,18 +171,26 @@ class _Base:
         self.p_caps = params.phase_budgets
         self.p_bought = [0] * len(self.p_caps)
         self._settled = None  # the `buys` generator, once `decide` starts it
-        self._row = -1  # the row it yielded last
+        self._ahead = iter(())  # the rows of its last block not yet reached
+        self._row = -1  # the bought row reached last
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         """Whether `buys` buys reveal i = state.clock - 1, for a caller that
-        asks on every reveal in order. The generator is resumed only at the
-        first reveal past the row it yielded last, so, as in the settled
-        loop, after that row was bought and detected."""
+        asks on every reveal in order. A block's rows are answered one by
+        one; the generator is resumed only at the first reveal past the last
+        row it yielded, so, as in the settled loop, after that row was
+        bought and detected."""
         i = state.clock - 1
-        if self._settled is None:
-            self._settled = self.buys(state)
         if self._row < i:
-            self._row = next(self._settled, (self.config.t,))[0]
+            row = next(self._ahead, None)
+            if row is None:
+                if self._settled is None:
+                    self._settled = self.buys(state)
+                row = next(self._settled, (self.config.t,))[0]
+                if isinstance(row, np.ndarray):
+                    self._ahead = iter(row.tolist())
+                    row = next(self._ahead)
+            self._row = row
         return self._row == i
 
     def _left(self, state: ProcessState, i: int) -> int:
@@ -323,17 +339,30 @@ class _SeedPhaseBuilder(_Base):
         # seed v -> seed-phase N(v), never the graph's shared empty frozenset; see _freeze
         self.frozen_nbrs: Optional[dict] = None
         self.touched: list[int] = []  # the seeds the seed phase's settled rows meet
+        self._open = None  # (state, bought rows, skipped rows) of the block yielded last
 
     def stats(self) -> dict:
-        return {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
+        """At a stop inside a seed-phase block (`_open`), the block's rows
+        at or past `state.clock` are not counted; nothing is written back,
+        so a later call, or the loop resumed, sees the whole block."""
+        stats = {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
+        if self._open is not None:
+            state, bought_rows, skipped_rows = self._open
+            clock = state.clock
+            stats["phase_bought"] = (self.p_bought[0] - int(np.count_nonzero(bought_rows >= clock)),
+                                     *self.p_bought[1:])
+            stats["cap_skips"] -= int(np.count_nonzero(skipped_rows >= clock))
+        return stats
 
     def _seed_buys(self, state: ProcessState, hi: int):
         """`buys` for the seed phase over the first `hi` rows. The seed-set
         rows are decoded once; one loop runs over them while the phase-0 cap
-        and the budget last, turning max(edges left, 32) rows at a time into
-        lists. Past that the per-vertex counts are fixed, so the rows left
-        are counted in one pass: a `cap_skip` where every seed end is at its
-        cap, else a `budget_skip` unless it was the phase cap that ran out."""
+        and the budget last, max(edges left, 32) rows at a time, and yields
+        the rows each such chunk buys as one block, its stats counted up to
+        the block's last row. Past that the per-vertex counts are fixed, so
+        the rows left are counted in one pass: a `cap_skip` where every seed
+        end is at its cap, else a `budget_skip` unless it was the phase cap
+        that ran out."""
         n, r, cap = self.config.n, self.r, self.cap
         rows, us, vs = _seed_edges(state.codes, 0, hi, n, r)
         attr, bought = self.attr_count, self.p_bought
@@ -341,22 +370,35 @@ class _SeedPhaseBuilder(_Base):
         done = 0  # rows settled so far
         while left and done < rows.size:
             stop = done + max(left, 32)
-            for row in zip(rows[done:stop].tolist(), us[done:stop].tolist(),
-                           vs[done:stop].tolist()):
-                i, u, v = row
+            start = end = done  # the block is rows[start:end], less the skipped
+            skipped = []  # positions in `rows`
+            for j, u, v in zip(range(done, rows.size), us[done:stop].tolist(),
+                               vs[done:stop].tolist()):
                 if attr[u] < cap:  # u < v, so u is a seed
                     attr[u] += 1
                 elif v < r and attr[v] < cap:
                     attr[v] += 1
                 else:
-                    self.cap_skips += 1
+                    skipped.append(j)
                     continue
-                bought[0] += 1
+                end = j + 1
                 left -= 1
-                yield row
                 if not left:
                     break
-            done = int(np.searchsorted(rows, i, side="right"))
+            done = j + 1
+            inside = [j for j in skipped if j < end]
+            bought[0] += end - start - len(inside)
+            self.cap_skips += len(inside)
+            if end > start:
+                block = rows[start:end], us[start:end], vs[start:end]
+                if inside:
+                    keep = np.ones(end - start, dtype=bool)
+                    keep[[j - start for j in inside]] = False
+                    block = tuple(a[keep] for a in block)
+                self._open = (state, block[0], rows[inside])
+                yield block
+                self._open = None
+            self.cap_skips += len(skipped) - len(inside)
         # Mark the seeds the settled rows meet (u < v makes u one); no other has an edge.
         seen = np.zeros(r, dtype=bool)
         seen[us[:done]] = True

@@ -88,11 +88,13 @@ class BuysChecker:
 
     `settled`, an instance built by `build_strategy`, runs its `buys`
     generator on the same state, one yield ahead: it is resumed at the
-    first reveal after its last yielded row was bought, as the settled
-    loop resumes it. The reference `inner` (from `reference_strategy`)
-    must buy exactly the rows `buys` yields, and at each of them both
+    first reveal after the last row it yielded was bought, as the settled
+    loop resumes it, and a block's rows are reached one by one. The
+    reference `inner` (from `reference_strategy`) must buy exactly the rows
+    `buys` yields, and at each of them, rows inside a block included, both
     instances' `stats()` must agree: the generator has counted every stat
-    up to its row before the yield. (A reveal the reference refuses may
+    up to its yield's last row, and a settled instance's `stats()` counts a
+    block only up to `state.clock`. (A reveal the reference refuses may
     still count a skip; the generator counts those between its yields.)
     """
 
@@ -102,25 +104,28 @@ class BuysChecker:
         self._inner = inner
         self._settled = settled
         self._buys = None
-        self._next = -1  # the row the generator yielded last, if not yet reached
-        self._seen = None  # the settled instance's stats at that yield
+        self._ahead = iter(())  # the rows of the last yield not yet reached
+        self._next = -1  # the bought row reached last
         self.skipped = 0
 
     def _advance(self, state):
         if self._buys is None:
             self._buys = self._settled.buys(state)
-        row = next(self._buys, None)
-        self._next = state.config.t if row is None else row[0]
-        self._seen = self._settled.stats()
+        bought = next(self._buys, None)
+        rows = [state.config.t] if bought is None else np.atleast_1d(bought[0]).tolist()
+        self._ahead = iter(rows)
+        return next(self._ahead)
 
     def decide(self, state, e):
         i = state.clock - 1
         if i > self._next:
-            self._advance(state)
+            self._next = next(self._ahead, None)
+            if self._next is None:
+                self._next = self._advance(state)
         bought = self._inner.decide(state, e)
         if i == self._next:
             assert bought, f"buys yielded reveal {i}, the reference refused {e}"
-            assert self._inner.stats() == self._seen, f"stats differ at bought reveal {i}"
+            assert self._inner.stats() == self._settled.stats(), f"stats differ at bought reveal {i}"
         else:
             assert not bought, f"the reference bought reveal {i}, buys skipped it"
             self.skipped += 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from budget_builder.detect import (
+    _NO_NBRS,
     C4,
     DIAMOND,
     P3,
@@ -53,6 +54,28 @@ def test_insert_edge_basics():
     assert g.edge_count == 3
     assert g.edges() == [(0, 1), (1, 2), (0, 2)]
     assert [len(g.adj[v]) for v in range(3)] == [2, 2, 2]
+
+
+def test_insert_until_triangle_matches_insert_edge_row_by_row(rng):
+    # Both graphs start with every vertex on the shared empty set, so each
+    # run also gives first edges to `_NO_NBRS` vertices.
+    for _ in range(60):
+        n = int(rng.integers(3, 31))
+        edges = gnm_edges(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))
+        rows = [(i, u, v) for i, (u, v) in enumerate(edges)]
+        one = BuilderGraph(n)
+        closing = [row for row in rows if one.insert_edge(row[1], row[2])]
+        block = BuilderGraph(n)
+        it = iter(rows)
+        stops = list(iter(lambda: block.insert_until_triangle(it), None))
+        assert stops == closing
+        assert block._edges == one._edges
+        assert block.adj == one.adj
+        assert [a is _NO_NBRS for a in block.adj] == [a is _NO_NBRS for a in one.adj]
+        i, u, v = rows[int(rng.integers(len(rows)))]
+        with pytest.raises(DuplicateEdgeError, match=f"edge \\({u}, {v}\\) already present"):
+            block.insert_until_triangle(iter([(len(rows), u, v)]))
+        assert block._edges == one._edges
 
 
 def test_contains_diamond_examples():

@@ -27,6 +27,11 @@ RUNS = {
     # criterion-6 cell: tk-short, k=2
     "run-c6.csv": ["run", "--target", "tk", "--k", "2", "--n", "400",
                    "--t", "2000", "--b", "1638", "--trials", "6"],
+    # the same cell without early stop: the seed phase's blocks run to t, and
+    # every round runs past its hit
+    "run-c6-full.csv": ["run", "--target", "tk", "--k", "2", "--n", "400",
+                        "--t", "2000", "--b", "1638", "--trials", "6",
+                        "--no-early-stop"],
     # criterion-5 cell: k4m-long
     "run-c5.csv": ["run", "--target", "k4m", "--n", "400", "--t", "20000",
                    "--b", "80", "--trials", "4"],

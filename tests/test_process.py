@@ -11,6 +11,7 @@ from budget_builder.errors import (
     BudgetContractViolation,
     ConfigurationError,
     DetectorMismatch,
+    DuplicateEdgeError,
     OnlineRuleViolation,
     StreamExhausted,
 )
@@ -492,20 +493,25 @@ def test_per_reveal_decide_buys_exactly_what_buys_yields(cells):
 
 class _Steps:
     """Forwards `buys`, so the settled loop runs, and records the clock of
-    every row its step sees (one per yield)."""
+    every row its step sees (one per single row, and one per row of a
+    block) and the rows of each block."""
 
     def __init__(self, inner):
         self.name = inner.name
         self.stats = inner.stats
         self.inner = inner
         self.clocks = []
+        self.blocks = []
 
     def buys(self, state):
         codes, n = state.codes, state.config.n
-        for i, u, v in self.inner.buys(state):
-            assert [u, v] == [x.item() for x in decode(n, codes[i:i + 1])], (i, u, v)
-            self.clocks.append(i + 1)
-            yield i, u, v
+        for bought in self.inner.buys(state):
+            rows, us, vs = map(np.atleast_1d, bought)
+            assert [us.tolist(), vs.tolist()] == [x.tolist() for x in decode(n, codes[rows])], rows
+            self.clocks += (rows + 1).tolist()
+            if isinstance(bought[0], np.ndarray):
+                self.blocks.append(rows.tolist())
+            yield bought
 
 
 def _assert_steps_are_the_buys(rec, counter):
@@ -515,8 +521,9 @@ def _assert_steps_are_the_buys(rec, counter):
 
 @pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL, _C7_CELL], ids=["c4", "c6", "c7"])
 def test_seed_phase_visits_end_at_its_cap(cell):
-    # The settled loop's step runs once per bought row: in the seed phase
-    # exactly its buys, at most its cap, and none past the cap.
+    # The settled loop's step sees each bought row once, a block's row by
+    # row: in the seed phase exactly its buys, at most its cap, and none
+    # past the cap.
     for j in range(5):
         seed = derive_seed(13, cell[1], cell[2], cell[3], j)
         rec, counter = _trial(cell, seed, False, _Steps)
@@ -524,6 +531,26 @@ def test_seed_phase_visits_end_at_its_cap(cell):
         inner = counter.inner
         visits = sum(clock <= inner.T for clock in counter.clocks)
         assert visits == inner.p_bought[0] <= inner.p_caps[0], (cell, j)
+
+
+@pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL], ids=["c4", "c6"])
+def test_a_stop_inside_a_seed_block_counts_only_the_rows_before_it(cell):
+    # An early stop at a seed-phase row that has more of its block after it:
+    # the settled record counts only the block's rows up to the hit, as the
+    # builder's own `decide` and the per-reveal reference rules do, and the
+    # stats agree with the reference at every bought row.
+    inside = 0
+    for j in range(20):
+        seed = derive_seed(16, cell[1], cell[2], cell[3], j)
+        fast, steps = _trial(cell, seed, True, _Steps)
+        asked, _ = _trial(cell, seed, True, PerReveal)
+        slow, _ = _trial(cell, seed, True, PerReveal, reference_strategy)
+        checked, _ = _trial(cell, seed, True, BuysChecker, reference_strategy)
+        assert (pickle.dumps(fast) == pickle.dumps(asked) == pickle.dumps(slow)
+                == pickle.dumps(checked)), j
+        hit = fast.hit_time and fast.hit_time - 1
+        inside += any(hit in rows[:-1] for rows in steps.blocks)
+    assert inside > 0
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -597,6 +624,70 @@ def test_a_row_out_of_stream_order_raises(rows, match):
     with pytest.raises(OnlineRuleViolation, match=match):
         run_strategy(ProcessConfig(n=10, t=20, b=20, seed=5), _RogueBuys(rows),
                      detector_for(DIAMOND))
+
+
+class _RogueBlock(_RogueBuys):
+    """Buys `singles`, pairs (i, j): row i, one by one, with the pair revealed
+    at row j; then the stream rows `rows` as one block, each with its
+    revealed pair (a row at or past t gets the pair of row t - 1), which
+    `edit(us, vs)` may change in place first."""
+
+    def __init__(self, rows, singles=(), edit=None):
+        self.rows, self.singles, self.edit = rows, singles, edit
+
+    def buys(self, state):
+        us, vs = decode(state.config.n, state.codes)
+        for i, j in self.singles:
+            yield i, int(us[j]), int(vs[j])
+        rows = np.array(self.rows)
+        at = np.minimum(rows, state.config.t - 1)
+        block = rows, us[at], vs[at]
+        if self.edit:
+            self.edit(*block[1:])
+        yield block
+
+
+def _swap_row_1(us, vs):
+    us[1], vs[1] = vs[1], us[1]
+
+
+def _other_pair_at_row_1(us, vs):
+    us[1], vs[1] = us[2], vs[2]
+
+
+def _end_at_n(us, vs):
+    vs[0] = 10
+
+
+@pytest.mark.parametrize("rogue, error, match", [
+    (_RogueBlock([0, 1, 2], edit=_other_pair_at_row_1), OnlineRuleViolation,
+     r"at row 1, where \(\d+, \d+\) was revealed"),
+    (_RogueBlock([0, 1, 1]), OnlineRuleViolation, "at row 1, not after row 1"),
+    (_RogueBlock([0, 2, 1]), OnlineRuleViolation, "at row 1, not after row 2"),
+    (_RogueBlock([3, 4], [(3, 3)]), OnlineRuleViolation, "at row 3, not after row 3"),
+    (_RogueBlock([2, 4], [(3, 3)]), OnlineRuleViolation, "at row 2, not after row 3"),
+    (_RogueBlock([18, 19, 20]), OnlineRuleViolation,
+     "at row 20, not after row 19 and before t=20"),
+    (_RogueBlock([0, 1, 2], edit=_swap_row_1), OnlineRuleViolation,
+     "at row 1, not a pair u < v < n=10"),
+    (_RogueBlock([0, 1, 2], edit=_end_at_n), OnlineRuleViolation,
+     "at row 0, not a pair u < v < n=10"),
+    # Two single rows leave a budget of 1 of b = 3, so the block's second
+    # row, at clock 4, is the first past it, as per reveal (the test above).
+    (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
+     "at clock 4 with budget 3 exhausted"),
+    # A single row is not pair-checked: row 0 buys the pair revealed at row 2,
+    # which the block then buys again at its own row.
+    (_RogueBlock([1, 2], [(0, 2)]), DuplicateEdgeError, "already present"),
+], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
+        "row-t", "u-not-below-v", "v-at-n", "over-budget", "bought-as-a-single-row"])
+def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
+    # Only the over-budget case has a short budget; elsewhere b = t, so only
+    # the rule under test can raise.
+    b = 3 if error is BudgetContractViolation else 20
+    with pytest.raises(error, match=match) as info:
+        run_strategy(ProcessConfig(n=10, t=20, b=b, seed=5), rogue, detector_for(DIAMOND))
+    assert "\n" not in str(info.value)
 
 
 class _CountingTracker:
