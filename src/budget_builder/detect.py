@@ -10,7 +10,10 @@ The purchased graph answers membership from `g.adj`, one neighbour set per
 vertex; a vertex without an edge reads one shared empty frozenset until its
 first edge. This is the one module that reads `BuilderGraph._edges`, its edges
 in purchase order, kept for the edge count, `edges()`, the batch checks and
-the edge table (`_edge_table`).
+the edge table (`_edge_table`). `BuilderGraph.closing` lists, in purchase
+order, the edges that closed a triangle when they were inserted; every
+triangle's last-bought edge is one of them, so a caller that wants the
+triangles (the `tk-short` freeze) reads them off this short list.
 
 The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
 look only at edges whose ends share a neighbour: an edge in no triangle is
@@ -18,7 +21,12 @@ in no diamond and no fan, and most purchased edges are in none. For the
 same reason `insert_edge` returns whether the new edge closes a triangle,
 `insert_until_triangle` inserts a checked block of rows up to the next
 such edge, and the trial step asks a tracker only about the edges that
-do. The edge table holds ends, degrees, codegrees and link counts from one
+do. The batch checks stay whole-graph passes and never read `closing`, so
+they confirm a tracker independently. The fan tracker keeps each centre's
+link edges as the asked inserts add them, so a check reads a kept list
+rather than rebuilding the link graph from neighbour sets.
+
+The edge table holds ends, degrees, codegrees and link counts from one
 codegree pass, cached on the graph (not pickled) and rebuilt only once the
 edge count has changed, as edges are never removed. The whole-graph counts
 and `fan_center_counts` read it, so a probe graph counted many ways pays
@@ -91,27 +99,35 @@ _NO_NBRS = frozenset()  # the neighbour set of every vertex without an edge
 
 class BuilderGraph:
     """Simple undirected graph: one adjacency set per vertex (the membership
-    test), plus the edges (pairs u < v) in insertion order for the scans
-    and a cached edge table for the counts. A vertex without an edge reads the
-    shared empty frozenset `_NO_NBRS` until an insert (`insert_edge` or
-    `insert_until_triangle`, the only writers of `adj`) gives it its own set
-    at its first edge: n vertices cost no n sets."""
+    test), plus the edges (pairs u < v) in insertion order for the scans,
+    the triangle-closing ones among them (`closing`) and a cached edge table
+    for the counts. A vertex without an edge reads the shared empty
+    frozenset `_NO_NBRS` until an insert (`insert_edge` or
+    `insert_until_triangle`, the only writers of `adj` and `closing`) gives
+    it its own set at its first edge: n vertices cost no n sets.
 
-    __slots__ = ("n", "adj", "_edges", "_table")
+    `closing` holds, in purchase order, each edge (u < v) whose insert
+    reported that it closes a triangle, that is, whose ends already shared
+    a neighbour; it is O(m), pickled with the graph, and read-only to
+    callers."""
+
+    __slots__ = ("n", "adj", "_edges", "closing", "_table")
 
     def __init__(self, n: int):
         self.n = n
         self.adj: list[set[int] | frozenset] = [_NO_NBRS] * n
         self._edges: list[tuple[int, int]] = []
+        self.closing: list[tuple[int, int]] = []
         self._table: tuple | None = None  # see _edge_table
 
     def __getstate__(self):  # the slots' default state, less the table
-        return None, {"n": self.n, "adj": self.adj, "_edges": self._edges}
+        return None, {"n": self.n, "adj": self.adj, "_edges": self._edges,
+                      "closing": self.closing}
 
     def __setstate__(self, state):
         # pickle and deepcopy make a new empty frozenset; map it back to _NO_NBRS
         slots = state[1]
-        self.n, self._edges = slots["n"], slots["_edges"]
+        self.n, self._edges, self.closing = slots["n"], slots["_edges"], slots["closing"]
         self.adj = [nbrs or _NO_NBRS for nbrs in slots["adj"]]
         self._table = None
 
@@ -122,7 +138,8 @@ class BuilderGraph:
     def insert_edge(self, u: int, v: int) -> bool:
         """Add the edge uv. Returns whether u and v already shared a
         neighbour, that is, whether the new edge closes a triangle: an edge
-        that closes none is in no diamond and no fan."""
+        that closes none is in no diamond and no fan. One that closes a
+        triangle is appended to `closing`."""
         if u > v:
             u, v = v, u
         if not 0 <= u < v < self.n:
@@ -133,6 +150,8 @@ class BuilderGraph:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
         self._edges.append((u, v))
         closes = not nu.isdisjoint(nv)
+        if closes:
+            self.closing.append((u, v))
         if nu is _NO_NBRS:
             adj[u] = {v}
         else:
@@ -147,8 +166,9 @@ class BuilderGraph:
         """Insert rows (i, u, v) from the iterator `rows`, each already
         checked to hold 0 <= u < v < n, up to and including the first whose
         edge closes a triangle; return that row, or None once `rows` is spent.
-        A later call with the same iterator goes on after it. A pair already
-        present still raises `DuplicateEdgeError`, as in `insert_edge`."""
+        A later call with the same iterator goes on after it. The returned
+        row's edge is appended to `closing`, and a pair already present
+        still raises `DuplicateEdgeError`, as in `insert_edge`."""
         adj, append = self.adj, self._edges.append
         for row in rows:
             _, u, v = row
@@ -166,6 +186,7 @@ class BuilderGraph:
             else:
                 nv.add(u)
             if closes:
+                self.closing.append((u, v))
                 return row
         return None
 
@@ -294,7 +315,8 @@ def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
 
     `vertices` is a collection, read twice. Each vertex's edges inside it
     come from one set intersection, `adj[x] & inside`, so this is the one
-    place link edges are built. The edge order affects only how fast the
+    place link edges are built from adjacency (`FanTracker` keeps its own
+    as the inserts add them). The edge order affects only how fast the
     exact search finishes, never its result.
     """
     inside = set(vertices)
@@ -431,30 +453,56 @@ class DiamondTracker:
 
 
 class FanTracker:
-    """Incremental k-fan detection over purchased edges.
+    """Incremental k-fan detection over purchased edges, for one graph.
 
     Precondition: `after_insert` is called after every insert that closes
     a triangle, starting from the empty graph, until it first returns True
     (as `run_strategy` calls it), so no k-fan exists before the insert it
     is asked about. A k-fan is made of triangles only, so a new edge (u,v)
-    that closes no triangle (u and v share no neighbour) lies in no fan and
-    cannot create one; `after_insert` still answers False on such an edge
-    for a caller that asks after every insert. One that does can only
-    create a fan centered at u, at v, or at a common neighbour, so those
-    are the only links re-checked.
+    that closes no triangle (u and v share no neighbour) lies in no fan,
+    cannot create one and adds no link edge anywhere; `after_insert` still
+    answers False on such an edge for a caller that asks after every insert.
+
+    State: `links` maps each vertex to the edges of its link graph (the
+    edges inside its neighbourhood), kept as the asked inserts add them.
+    An edge (u,v) with common neighbours C adds (u,v) at each w in C, and
+    (v,w) at u and (u,w) at v for each w in C; it can only create a fan
+    centred at u, at v or in C, so only those kept lists are searched, by
+    `_max_matching_edges`. Bound: before the first True every link graph
+    has matching number below k, so a vertex cover of at most 2(k-1)
+    vertices, each meeting fewer than deg(x) link edges at x; the kept
+    edges therefore number at most 4(k-1)m + 3n (the last term for the
+    insert asked last), that is O(t + n).
+
+    The lists describe one graph, so a tracker asked about a second graph
+    raises `ValueError`: build one per trial, as `detector_for` does.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
         self.k = k
+        self.links: dict[int, list[tuple[int, int]]] = {}
+        self._graph: BuilderGraph | None = None
 
     def after_insert(self, g: BuilderGraph, u: int, v: int) -> bool:
-        adj, k = g.adj, self.k
-        if adj[u].isdisjoint(adj[v]):
+        if g is not self._graph:
+            if self._graph is not None:
+                raise ValueError("a FanTracker serves one graph; build one per graph")
+            self._graph = g
+        adj, k, links = g.adj, self.k, self.links
+        nu, nv = adj[u], adj[v]
+        if nu.isdisjoint(nv):
             return False
-        return any(len(adj[c]) >= 2 * k and link_matching_size(g, c, k) >= k
-                   for c in (u, v, *adj[u] & adj[v]))
+        common = nu & nv
+        at_u, at_v = links.setdefault(u, []), links.setdefault(v, [])
+        for w in common:
+            at_u.append((v, w))
+            at_v.append((u, w))
+            links.setdefault(w, []).append((u, v))
+        return any(len(adj[c]) >= 2 * k and len(links[c]) >= k
+                   and _max_matching_edges(links[c], k) >= k
+                   for c in (u, v, *common))
 
     def confirm(self, g: BuilderGraph) -> bool:
         return contains_fan(g, self.k)

@@ -598,17 +598,20 @@ class FanShort(_SeedPhaseBuilder):
 
     def _freeze(self, state: ProcessState) -> None:
         """The base freeze, then the blocked vertices. Every purchased edge
-        is a seed-phase buy yet, so a member of N(w) is blocked iff a
-        purchased edge (x, y) covers it with w a common neighbour of x and y."""
+        is a seed-phase buy yet, so a member of N(w) is blocked iff it lies
+        in a purchased triangle through w. Every triangle's last-bought edge
+        closed it, so the triangles are read off the graph's triangle-closing
+        edges (`closing`): for each such (x, y) and each common neighbour w,
+        every frozen centre among w, x and y blocks the other two."""
         super()._freeze(state)
-        adj, frozen = state.purchased.adj, self.frozen_nbrs
+        g = state.purchased
+        adj, frozen = g.adj, self.frozen_nbrs
         self.matched = matched = {}
-        for x, y in state.purchased.edges():
-            if adj[x].isdisjoint(adj[y]):
-                continue
+        for x, y in g.closing:
             for w in adj[x] & adj[y]:
-                if w in frozen:
-                    matched.setdefault(w, set()).update((x, y))
+                for centre, a, b in ((w, x, y), (x, y, w), (y, x, w)):
+                    if centre in frozen:
+                        matched.setdefault(centre, set()).update((a, b))
 
     def _start_round(self, rnd: int, state: ProcessState) -> None:
         """Round 1 freezes the neighborhoods and starts from the frozen seeds,

@@ -8,13 +8,14 @@ lazily, at the first reveal of the phase that reads it: the neighbourhood
 freeze, the candidate build, the round advance. The freeze here copies
 each seed's neighbourhood and, for the fan, rebuilds the blocked vertices
 from adjacency, where `buys` shares the graph's sets and reads the blocked
-vertices off the purchased edges, so the two freezes share no state. The
-builder's `buys` is inherited, so run a reference through
-`conftest.PerReveal`, which hides `buys`, to take the per-reveal source.
-Its `stats()` is inherited too, and with `buys` never run it holds no open
-block, so it reports the counts as `decide` kept them, one reveal at a
-time: the figure a builder's `stats()` must give at every bought row, a
-row inside a seed-phase block included (`conftest.BuysChecker`).
+vertices off the triangle-closing purchased edges (`BuilderGraph.closing`),
+so the two freezes share no state. The builder's `buys` is inherited, so
+run a reference through `conftest.PerReveal`, which hides `buys`, to take
+the per-reveal source. Its `stats()` is inherited too, and with `buys`
+never run it holds no open block, so it reports the counts as `decide`
+kept them, one reveal at a time: the figure a builder's `stats()` must
+give at every bought row, a row inside a seed-phase block included
+(`conftest.BuysChecker`).
 `reference_strategy(spec, config)` mirrors `build_strategy`. Not part of
 the installed package.
 """

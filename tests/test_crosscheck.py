@@ -163,6 +163,28 @@ def test_containment_and_first_hit_match_networkx(name, pattern):
         assert contains(builder_from(g.n, edges[:m])) == expected, m
 
 
+@pytest.mark.parametrize("name", sorted(_CELLS))
+def test_closing_edges_are_the_last_edges_of_the_triangles(name):
+    # The purchased graph's `closing` list, kept by both insert paths (the
+    # short builders' seed blocks and the single rows), is the edges whose
+    # ends shared a neighbour when they were bought, in purchase order; so
+    # every networkx triangle's last-bought edge is in it.
+    g, G = _graph(name)
+    replay, expected = nx.empty_graph(g.n), []
+    for u, v in g.edges():
+        if any(True for _ in nx.common_neighbors(replay, u, v)):
+            expected.append((u, v))
+        replay.add_edge(u, v)
+    assert g.closing == expected
+    order = {e: i for i, e in enumerate(g.edges())}
+    closing = set(g.closing)
+    triangles = {tuple(sorted((u, v, w))) for u, v in G.edges()
+                 for w in nx.common_neighbors(G, u, v)}
+    assert bool(triangles) == bool(closing)
+    for a, b, c in triangles:
+        assert max((a, b), (a, c), (b, c), key=order.__getitem__) in closing, (a, b, c)
+
+
 def test_insert_edge_reports_a_neighbour_shared_before_the_insert(rng):
     # The flag the trial step asks its tracker on. Random graphs from a few
     # edges to all of K_n, each edge given in either order; the first edge
@@ -178,6 +200,7 @@ def test_insert_edge_reports_a_neighbour_shared_before_the_insert(rng):
                 first_edges += g.adj[u] is _NO_NBRS or g.adj[v] is _NO_NBRS
                 shared = any(True for _ in nx.common_neighbors(G, u, v))
                 assert g.insert_edge(u, v) == shared, (n, m, u, v)
+                assert (g.closing[-1:] == [(min(u, v), max(u, v))]) == shared
                 G.add_edge(u, v)
                 flags.add(shared)
     assert flags == {False, True} and first_edges > 0

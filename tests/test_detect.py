@@ -69,6 +69,7 @@ def test_insert_until_triangle_matches_insert_edge_row_by_row(rng):
         it = iter(rows)
         stops = list(iter(lambda: block.insert_until_triangle(it), None))
         assert stops == closing
+        assert block.closing == one.closing == [(u, v) for _, u, v in closing]
         assert block._edges == one._edges
         assert block.adj == one.adj
         assert [a is _NO_NBRS for a in block.adj] == [a is _NO_NBRS for a in one.adj]
@@ -341,15 +342,20 @@ def test_round_trips_take_edges_at_edgeless_vertices():
     # Vertices 5..9 have no edge and read one shared empty set. A pickled or
     # deep-copied graph must still give such a vertex its own set at its
     # first edge, and end up as a fresh graph on the same edges would.
+    # The triangle-closing edges travel with the graph, and a clone goes on
+    # appending to its own list: (0, 9) closes 0-2-9.
     edges = [(0, 1), (1, 2), (0, 2), (3, 4)]
-    later = [(5, 7), (2, 9)]
+    later = [(5, 7), (2, 9), (0, 9)]
     fresh = builder_from(10, edges + later)
     g = builder_from(10, edges)
     for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert clone.closing == g.closing == [(0, 2)]
         for u, v in later:
             clone.insert_edge(u, v)
         assert clone.adj == fresh.adj and clone.edges() == fresh.edges()
+        assert clone.closing == fresh.closing == [(0, 2), (0, 9)]
         assert pickle.dumps(clone) == pickle.dumps(fresh)
+    assert g.closing == [(0, 2)]
     assert g.edge_count == len(edges) and not g.adj[5] and not g.adj[9]
 
 
@@ -403,19 +409,20 @@ def _tracker_graphs(rng):
         yield n, [edges[i] for i in rng.permutation(len(edges))]
 
 
-@pytest.mark.parametrize("tracker, contains", [
-    (DiamondTracker(), contains_diamond),
-    (FanTracker(1), lambda g: contains_fan(g, 1)),
-    (FanTracker(2), lambda g: contains_fan(g, 2)),
-    (FanTracker(3), lambda g: contains_fan(g, 3)),
+@pytest.mark.parametrize("new_tracker, contains", [
+    (DiamondTracker, contains_diamond),
+    (lambda: FanTracker(1), lambda g: contains_fan(g, 1)),
+    (lambda: FanTracker(2), lambda g: contains_fan(g, 2)),
+    (lambda: FanTracker(3), lambda g: contains_fan(g, 3)),
 ], ids=["diamond", "fan1", "fan2", "fan3"])
-def test_tracker_first_hit_is_the_first_containing_prefix(tracker, contains, rng):
+def test_tracker_first_hit_is_the_first_containing_prefix(new_tracker, contains, rng):
     """Called as run_strategy calls it (after every insert, from the empty
-    graph, until the first True), a tracker fires at exactly the first
-    prefix that contains its pattern."""
+    graph, until the first True, with one tracker per graph as
+    `detector_for` gives one per trial), a tracker fires at exactly the
+    first prefix that contains its pattern."""
     hits = 0
     for n, edges in _tracker_graphs(rng):
-        g = BuilderGraph(n)
+        g, tracker = BuilderGraph(n), new_tracker()
         for u, v in edges:
             g.insert_edge(u, v)
             fired = tracker.after_insert(g, u, v)
@@ -426,13 +433,73 @@ def test_tracker_first_hit_is_the_first_containing_prefix(tracker, contains, rng
     assert 10 < hits < 80  # both outcomes occur
 
 
+def _rebuilt_links(g, x):
+    """The link graph of x from adjacency: the edges inside N(x)."""
+    nbrs = g.adj[x]
+    return {frozenset((a, b)) for a in nbrs for b in g.adj[a] & nbrs}
+
+
+def _book_edges(rng, n):
+    """A book, spine 0-1 and wings 2..n-1, in random order: each link edge
+    at a spine end meets the other, so no 2-fan however many pages."""
+    edges = [(0, 1)] + [(s, w) for w in range(2, n) for s in (0, 1)]
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fan_tracker_keeps_the_link_graphs(k, rng):
+    """Asked as run_strategy asks it (after each insert that closes a
+    triangle, until the first True), the tracker's kept lists are the link
+    graphs rebuilt from adjacency, each edge once, and their total stays
+    within 4(k-1)m + 3n."""
+    graphs = [(11, gnm_edges(rng, 11, int(rng.integers(8, 45)))) for _ in range(25)]
+    for _ in range(25):
+        n = int(rng.integers(5, 13))
+        edges = hub_edges(rng, n, int(rng.integers(1, 4)))
+        graphs.append((n, [edges[i] for i in rng.permutation(len(edges))]))
+    graphs += [(n, _book_edges(rng, n)) for n in (3, 6, 12)]
+    outcomes = set()
+    for n, edges in graphs:
+        g, tracker = BuilderGraph(n), FanTracker(k)
+        fired = False
+        for u, v in edges:
+            fired = g.insert_edge(u, v) and tracker.after_insert(g, u, v)
+            for x in range(n):
+                kept = tracker.links.get(x, [])
+                assert len(kept) == len(set(map(frozenset, kept))), (n, edges, x)
+                assert set(map(frozenset, kept)) == _rebuilt_links(g, x), (n, edges, x)
+            total = sum(map(len, tracker.links.values()))
+            assert total <= 4 * (k - 1) * g.edge_count + 3 * n, (n, edges)
+            if fired:
+                break
+        assert fired == contains_fan(g, k)
+        outcomes.add(fired)
+    assert outcomes == {False, True}
+
+
+def test_fan_tracker_serves_one_graph():
+    g = builder_from(4, [(0, 1), (1, 2), (2, 3)])
+    h = builder_from(3, [(0, 1), (1, 2)])
+    tracker = FanTracker(2)
+    g.insert_edge(0, 2)
+    assert not tracker.after_insert(g, 0, 2)
+    h.insert_edge(0, 2)
+    with pytest.raises(ValueError, match="one graph"):
+        tracker.after_insert(h, 0, 2)
+    # Its own graph is still served: (1, 3) closes 1-2-3, and the two link
+    # edges at 2, (0, 1) and (1, 3), share 1.
+    g.insert_edge(1, 3)
+    assert not tracker.after_insert(g, 1, 3)
+    assert set(map(frozenset, tracker.links[2])) == {frozenset((0, 1)), frozenset((1, 3))}
+
+
 def test_fan_tracker_skips_inserts_that_close_no_triangle(monkeypatch):
     import budget_builder.detect as detect
 
     calls = []
-    real = detect.link_matching_size
-    monkeypatch.setattr(detect, "link_matching_size",
-                        lambda g, v, cap: calls.append(v) or real(g, v, cap))
+    real = detect._max_matching_edges
+    monkeypatch.setattr(detect, "_max_matching_edges",
+                        lambda edges, cap: calls.append(edges) or real(edges, cap))
     # (4, 5) and (5, 6) close no triangle, though 4 and 5 reach degree 2,
     # which passes the degree test of a 1-fan centre.
     g = builder_from(7, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5)])

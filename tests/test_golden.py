@@ -32,6 +32,9 @@ RUNS = {
     "run-c6-full.csv": ["run", "--target", "tk", "--k", "2", "--n", "400",
                         "--t", "2000", "--b", "1638", "--trials", "6",
                         "--no-early-stop"],
+    # tk-short at k=3: the 3-fan tracker and freeze, with hits and misses
+    "run-tk3.csv": ["run", "--target", "tk", "--k", "3", "--n", "400",
+                    "--t", "2900", "--b", "2000", "--trials", "8"],
     # criterion-5 cell: k4m-long
     "run-c5.csv": ["run", "--target", "k4m", "--n", "400", "--t", "20000",
                    "--b", "80", "--trials", "4"],

@@ -535,6 +535,39 @@ def test_frozen_neighbourhoods_stay_those_of_the_seed_phase():
     assert shared and copied
 
 
+def _blocked_at_freeze(strat, kept):
+    """Wrap `strat._freeze` to put a copy of the blocked vertices (a seed
+    with none left out) into `kept` right after the freeze; return strat."""
+    freeze = strat._freeze
+
+    def wrapped(state):
+        freeze(state)
+        kept.append({w: set(m) for w, m in strat.matched.items() if m})
+
+    strat._freeze = wrapped
+    return strat
+
+
+def test_fan_freeze_blocks_what_the_reference_rebuilds():
+    # At the freeze, before any round buys, `FanShort` reads the blocked
+    # vertices off the graph's triangle-closing edges, and the reference
+    # rebuilds them from each frozen member's adjacency: they must agree.
+    frozen = 0
+    for cell in [_C6_CELL, (fan(3), 400, 2000, 1638, {}), (fan(3), 400, 2900, 2000, {}),
+                 *(c for c in _SMALL_CELLS if c[0].tag == "fan" and isinstance(c[4], dict)
+                   and c[4]["regime_override"] == "short")]:
+        for j in range(3):
+            seed = derive_seed(17, cell[1], cell[2], cell[3], j)
+            settled, reference = [], []
+            _trial(cell, seed, False, lambda inner: _blocked_at_freeze(inner, settled))
+            _trial(cell, seed, False,
+                   lambda inner: PerReveal(_blocked_at_freeze(inner, reference)),
+                   reference_strategy)
+            assert settled == reference, (cell, j)
+            frozen += sum(map(len, settled))
+    assert frozen
+
+
 def test_a_trial_gives_sets_only_to_the_vertices_it_buys_at():
     rec, _ = _trial(_LARGE_CELL, derive_seed(13, *_LARGE_CELL[1:4], 0), False)
     g = rec.purchased
