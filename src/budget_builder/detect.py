@@ -227,14 +227,6 @@ def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
     return False
 
 
-def diamond_completing_check(g: BuilderGraph, e: tuple[int, int]) -> bool:
-    """Would inserting e complete a diamond that uses e?"""
-    u, v = e
-    if v in g.adj[u]:
-        raise DuplicateEdgeError(f"edge {e} already present")
-    return diamond_through_edge(g, u, v)
-
-
 def _max_matching_edges(edges: list[tuple[int, int]], cap: int) -> int:
     """Exact maximum matching size, capped at cap.
 
@@ -282,9 +274,16 @@ def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
 
     The link graph lives on N(v) and keeps the edges of g with both
     endpoints inside N(v); a k-fan centered at v exists iff this matching
-    reaches k.
+    reaches k. Each neighbour's link edges come from one set intersection,
+    `adj[x] & adj[v]`, so this is the one place link edges are built from
+    adjacency (`FanTracker` keeps its own as the inserts add them). The
+    edge order affects only how fast the exact search finishes, never its
+    result.
     """
-    return matching_within(g, g.adj[v], cap)
+    adj = g.adj
+    nbrs = adj[v]
+    edges = [(x, y) for x in nbrs for y in adj[x] & nbrs if y > x]
+    return _max_matching_edges(edges, cap)
 
 
 def contains_fan(g: BuilderGraph, k: int) -> bool:
@@ -308,21 +307,6 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
             links[w] = links.get(w, 0) + 1
     return any(count >= k and len(adj[w]) >= 2 * k and link_matching_size(g, w, k) >= k
                for w, count in links.items())
-
-
-def matching_within(g: BuilderGraph, vertices, cap: int) -> int:
-    """Maximum matching size of the subgraph induced on the vertices, capped.
-
-    `vertices` is a collection, read twice. Each vertex's edges inside it
-    come from one set intersection, `adj[x] & inside`, so this is the one
-    place link edges are built from adjacency (`FanTracker` keeps its own
-    as the inserts add them). The edge order affects only how fast the
-    exact search finishes, never its result.
-    """
-    inside = set(vertices)
-    adj = g.adj
-    edges = [(x, y) for x in vertices for y in adj[x] & inside if y > x]
-    return _max_matching_edges(edges, cap)
 
 
 def _edge_table(g: BuilderGraph) -> tuple:

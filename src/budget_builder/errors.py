@@ -22,8 +22,9 @@ class BudgetContractViolation(BudgetBuilderError):
 
 
 class OnlineRuleViolation(BudgetBuilderError):
-    """A strategy bought a row out of stream order: at or before the row it
-    bought last, or at or past t."""
+    """A strategy bought a row out of stream order (at or before the row it
+    bought last, or at or past t), a pair that is not u < v < n, or, in a
+    block, a pair other than the one revealed at its row."""
 
 
 class DetectorMismatch(BudgetBuilderError):

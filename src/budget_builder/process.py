@@ -9,15 +9,16 @@ reveal. `run_strategy` runs one step per yield of a purchase source, in
 stream order; a yield is a single row `(i, u, v)` (the stream index and
 the ends u < v of the row bought) or a block `(rows, us, vs)` of int64
 arrays holding one or more such rows. A single row is checked alone: a
-row at or before the one bought last, or at or past t, breaks the online
-rule and raises `OnlineRuleViolation`, and a row with the budget spent
-raises `BudgetContractViolation`. A block is checked whole before any of
-it is inserted: its rows strictly increase from past the last row bought
-to before t, it fits the budget left, and each pair is u < v < n and the
-pair revealed at its row (`pair_code(n, us, vs) == codes[rows]`); its
-rows then go in through `BuilderGraph.insert_until_triangle`. Only block
-rows are pair-checked. Both targets are unions of triangles, so the step
-asks the detector only about a buy that closes a triangle, as
+row at or before the one bought last, or at or past t, or whose pair is
+not u < v < n, breaks the online rule and raises `OnlineRuleViolation`,
+and a row with the budget spent raises `BudgetContractViolation`; the
+messages are those of `_check_block`. A block is checked whole before any
+of it is inserted: its rows strictly increase from past the last row
+bought to before t, it fits the budget left, and each pair is u < v < n
+and the pair revealed at its row (`pair_code(n, us, vs) == codes[rows]`);
+its rows then go in through `BuilderGraph.insert_until_triangle`. Only
+block rows are pair-checked. Both targets are unions of triangles, so the
+step asks the detector only about a buy that closes a triangle, as
 `BuilderGraph.insert_edge` and `insert_until_triangle` report, and stops
 at a hit under early stop, inside a block too.
 
@@ -266,7 +267,9 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
     """Raise unless the block (rows, us, vs) keeps the online rule and the
     budget: one or more rows, strictly increasing from past `last` to before
     t, at most `left` of them, each bought pair u < v < n the one revealed
-    at its row. Each message names the first offending row."""
+    at its row. Each message names the first offending row. A single row
+    that fails the step's order, budget or u < v < n test comes here as a
+    1-row block, so both kinds of yield raise the same messages."""
     t, n = config.t, config.n
 
     def bought(j: int) -> str:
@@ -309,13 +312,13 @@ def run_strategy(
     """Drive reveal -> decide -> purchase -> detect until hit or clock = t.
 
     The strategy sees only the revealed prefix and its own state; a buy
-    out of stream order, or with the budget already spent, or a block row
-    whose pair is not the one revealed there, is a contract violation,
-    never a silent clamp. The detector is asked only about buys
-    that close a triangle (every `detector_for` target is a union of
-    triangles, so no other buy completes one); its hit flag is
-    cross-checked against batch containment on the final purchased graph,
-    which reads every edge. A strategy with `buys` settles its own
+    out of stream order, or with the budget already spent, or of a pair
+    not u < v < n, or a block row whose pair is not the one revealed
+    there, is a contract violation, never a silent clamp or swap. The
+    detector is asked only about buys that close a triangle (every
+    `detector_for` target is a union of triangles, so no other buy
+    completes one); its hit flag is cross-checked against batch
+    containment on the final purchased graph, which reads every edge. A strategy with `buys` settles its own
     purchases, any other is asked on every reveal; the step is the same.
     """
     state = new_process(config)
@@ -330,7 +333,7 @@ def run_strategy(
     # when its first item is exactly an ndarray, a test of ~10 ns per row.
     insert_edge, after_insert = g.insert_edge, detector.after_insert
     insert_until_triangle, ndarray = g.insert_until_triangle, np.ndarray
-    t = config.t
+    t, n = config.t, config.n
     left = config.b  # budget left; every insert below spends one edge
     last = -1  # the row bought last
     hit_time = None
@@ -349,16 +352,11 @@ def run_strategy(
                 continue  # the block is spent, with no stop inside it
             state.clock = hit_time
             break
-        if not last < i < t:
-            raise OnlineRuleViolation(
-                f"{strategy.name} bought edge ({u}, {v}) at row {i}, not "
-                f"after row {last} and before t={t}"
-            )
-        if not left:
-            raise BudgetContractViolation(
-                f"{strategy.name} bought edge ({u}, {v}) at clock "
-                f"{i + 1} with budget {config.b} exhausted"
-            )
+        # A single row that breaks the order, the budget or u < v < n is
+        # checked again as a 1-row block, which raises with the block message.
+        if not (last < i < t and left and 0 <= u < v < n):
+            _check_block(strategy.name, config, state.codes, np.array([i]), np.array([u]),
+                         np.array([v]), last, left)
         left -= 1
         last = i
         if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):

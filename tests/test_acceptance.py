@@ -25,7 +25,7 @@ from budget_builder.detect import (
     contains_fan,
     contains_pattern,
     count_pattern,
-    diamond_completing_check,
+    diamond_through_edge,
     fan,
 )
 from budget_builder.experiments import (
@@ -140,7 +140,7 @@ def test_criterion_2_incremental_soundness():
         fired = False
         for idx in order:
             u, v = pairs[idx]
-            fired = diamond_completing_check(g, (u, v)) or fired
+            fired = diamond_through_edge(g, u, v) or fired
             g.insert_edge(u, v)
         if fired != contains_diamond(g):
             mismatches += 1

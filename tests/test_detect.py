@@ -18,12 +18,12 @@ from budget_builder.detect import (
     FanTracker,
     contains_diamond,
     contains_fan,
+    _max_matching_edges,
     count_pattern,
-    diamond_completing_check,
+    diamond_through_edge,
     fan,
     fan_center_counts,
     link_matching_size,
-    matching_within,
     read_edge_list,
 )
 from budget_builder.errors import DuplicateEdgeError, UnsupportedPattern
@@ -93,18 +93,12 @@ def test_contains_diamond_random_vs_oracle(rng):
 
 def test_diamond_completing_chord_of_c4():
     g = cycle_graph(4)
-    assert diamond_completing_check(g, (0, 2))
+    assert diamond_through_edge(g, 0, 2)
 
 
 def test_diamond_completing_paw_closure():
     g = builder_from(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert diamond_completing_check(g, (1, 3))
-
-
-def test_diamond_completing_rejects_present_edge():
-    g = cycle_graph(4)
-    with pytest.raises(DuplicateEdgeError):
-        diamond_completing_check(g, (0, 1))
+    assert diamond_through_edge(g, 1, 3)
 
 
 def test_diamond_completing_matches_oracle_differencing_on_p4():
@@ -114,7 +108,7 @@ def test_diamond_completing_matches_oracle_differencing_on_p4():
             if v in p4.adj[u]:
                 continue
             grown = brute_contains(SmallGraph(4, p4.edges() + [(u, v)]), DIAMOND)
-            assert diamond_completing_check(p4, (u, v)) == grown
+            assert diamond_through_edge(p4, u, v) == grown
 
 
 def test_diamond_completing_matches_oracle_differencing(rng):
@@ -131,7 +125,7 @@ def test_diamond_completing_matches_oracle_differencing(rng):
                 if v in g.adj[u]:
                     continue
                 grown = brute_contains(SmallGraph(8, edges + [(u, v)]), DIAMOND)
-                assert diamond_completing_check(g, (u, v)) == grown
+                assert diamond_through_edge(g, u, v) == grown
 
 
 def test_link_matching_on_two_fan_center():
@@ -180,16 +174,15 @@ def test_link_matching_on_hub_links_vs_oracle(rng):
 def test_matching_below_its_cap_stays_fast():
     # Below cap, a search over all m edges takes time growing like m^cap;
     # the greedy matching's kernel keeps at most 22 and 5 of these edges.
-    double_star = builder_from(402, [(0, x) for x in range(2, 202)]
-                               + [(1, x) for x in range(202, 402)])
-    star = builder_from(3001, [(0, x) for x in range(1, 3001)])
-    for g, cap, size in ((double_star, 3, 2), (star, 2, 1)):
+    double_star = [(0, x) for x in range(2, 202)] + [(1, x) for x in range(202, 402)]
+    star = [(0, x) for x in range(1, 3001)]
+    for edges, cap, size in ((double_star, 3, 2), (star, 2, 1)):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            assert matching_within(g, range(g.n), cap) == size
+            assert _max_matching_edges(edges, cap) == size
             best = min(best, time.perf_counter() - t0)
-        assert best < 0.01, (g.n, cap, best)
+        assert best < 0.01, (len(edges), cap, best)
 
 
 def test_contains_fan_friendship_and_k4():
@@ -234,19 +227,18 @@ def test_contains_fan_random_vs_oracle(rng):
 
 
 def test_matching_within_examples():
-    path5 = builder_from(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert matching_within(path5, range(5), 2) == 2
-    empty = builder_from(4, [(0, 1)])
-    assert matching_within(empty, {2, 3}, 3) == 0
+    path5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert _max_matching_edges(path5, 2) == 2
+    assert _max_matching_edges(path5, 5) == 2
+    # The path's edges inside a vertex set: (2, 3) in {2, 3}, none in {0, 2, 4}.
+    for inside, size in (({2, 3}, 1), ({0, 2, 4}, 0)):
+        assert _max_matching_edges([e for e in path5 if inside.issuperset(e)], 3) == size
 
 
 def test_matching_within_random_vs_oracle(rng):
     for _ in range(40):
         edges = gnp_edges(rng, 12, 0.25)
-        g = builder_from(12, edges)
-        assert matching_within(g, range(12), 8) == brute_max_matching(
-            SmallGraph(12, edges)
-        )
+        assert _max_matching_edges(edges, 8) == brute_max_matching(SmallGraph(12, edges))
 
 
 def test_count_pattern_k4_and_c5():
@@ -382,7 +374,7 @@ def test_incremental_or_equals_final_containment(rng):
         g = BuilderGraph(12)
         acc = False
         for u, v in edges:
-            acc = diamond_completing_check(g, (u, v)) or acc
+            acc = diamond_through_edge(g, u, v) or acc
             g.insert_edge(u, v)
         assert acc == contains_diamond(g)
 

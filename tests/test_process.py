@@ -628,23 +628,24 @@ def test_a_row_out_of_stream_order_raises(rows, match):
 
 class _RogueBlock(_RogueBuys):
     """Buys `singles`, pairs (i, j): row i, one by one, with the pair revealed
-    at row j; then the stream rows `rows` as one block, each with its
-    revealed pair (a row at or past t gets the pair of row t - 1), which
-    `edit(us, vs)` may change in place first."""
+    at row j; then, unless `rows` is empty, the stream rows `rows` as one
+    block, each with its revealed pair (a row at or past t gets the pair of
+    row t - 1). `edit(us, vs)` may first change the revealed pairs, indexed
+    by stream row, in place."""
 
     def __init__(self, rows, singles=(), edit=None):
         self.rows, self.singles, self.edit = rows, singles, edit
 
     def buys(self, state):
         us, vs = decode(state.config.n, state.codes)
+        if self.edit:
+            self.edit(us, vs)
         for i, j in self.singles:
             yield i, int(us[j]), int(vs[j])
-        rows = np.array(self.rows)
-        at = np.minimum(rows, state.config.t - 1)
-        block = rows, us[at], vs[at]
-        if self.edit:
-            self.edit(*block[1:])
-        yield block
+        if self.rows:
+            rows = np.array(self.rows)
+            at = np.minimum(rows, state.config.t - 1)
+            yield rows, us[at], vs[at]
 
 
 def _swap_row_1(us, vs):
@@ -657,6 +658,13 @@ def _other_pair_at_row_1(us, vs):
 
 def _end_at_n(us, vs):
     vs[0] = 10
+
+
+def _negative_start_at_row_0(us, vs):
+    us[0] = -1
+
+
+_SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pair
 
 
 @pytest.mark.parametrize("rogue, error, match", [
@@ -672,6 +680,15 @@ def _end_at_n(us, vs):
      "at row 1, not a pair u < v < n=10"),
     (_RogueBlock([0, 1, 2], edit=_end_at_n), OnlineRuleViolation,
      "at row 0, not a pair u < v < n=10"),
+    (_RogueBlock([0, 1, 2], edit=_negative_start_at_row_0), OnlineRuleViolation,
+     "at row 0, not a pair u < v < n=10"),
+    # Single rows meet the same u < v < n test, with the same message.
+    (_RogueBlock([], _SINGLES, edit=_swap_row_1), OnlineRuleViolation,
+     "at row 1, not a pair u < v < n=10"),
+    (_RogueBlock([], _SINGLES, edit=_end_at_n), OnlineRuleViolation,
+     "at row 0, not a pair u < v < n=10"),
+    (_RogueBlock([], _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
+     "at row 0, not a pair u < v < n=10"),
     # Two single rows leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
     (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
@@ -680,7 +697,8 @@ def _end_at_n(us, vs):
     # which the block then buys again at its own row.
     (_RogueBlock([1, 2], [(0, 2)]), DuplicateEdgeError, "already present"),
 ], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
-        "row-t", "u-not-below-v", "v-at-n", "over-budget", "bought-as-a-single-row"])
+        "row-t", "u-not-below-v", "v-at-n", "u-negative", "single-u-not-below-v",
+        "single-v-at-n", "single-u-negative", "over-budget", "bought-as-a-single-row"])
 def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
     # Only the over-budget case has a short budget; elsewhere b = t, so only
     # the rule under test can raise.
