@@ -10,14 +10,7 @@ import os
 import sys
 
 from .detect import DIAMOND, TRIANGLE, C4, PAW, Pattern, contains_pattern, fan, read_edge_list
-from .errors import (
-    BudgetBuilderError,
-    BudgetContractViolation,
-    ConfigurationError,
-    DetectorMismatch,
-    DuplicateEdgeError,
-    OnlineRuleViolation,
-)
+from .errors import BudgetBuilderError, ConfigurationError, ContractViolation
 from .experiments import (
     PROBE_COLUMNS,
     PROBE_SPECS,
@@ -239,10 +232,6 @@ def _cmd_sweep(args) -> int:
     if args.out:
         check_csv_out(args.out, SWEEP_COLUMNS, args.seed)
     target = _parse_target(args.target, args.k)
-    if args.x_min > args.x_max:
-        raise ConfigurationError("--x-min exceeds --x-max")
-    if args.y_min > args.y_max:
-        raise ConfigurationError("--y-min exceeds --y-max")
     points = sweep_grid(
         target,
         args.n_list,
@@ -300,8 +289,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:  # -h/--help; parse errors raise instead
         return int(exc.code or 0)
-    except (BudgetContractViolation, DetectorMismatch, DuplicateEdgeError,
-            OnlineRuleViolation) as exc:
+    except ContractViolation as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3
     except BudgetBuilderError as exc:

@@ -1,5 +1,6 @@
 import importlib
 import os
+import pkgutil
 from types import ModuleType
 
 import pytest
@@ -7,12 +8,7 @@ import pytest
 import budget_builder
 from budget_builder.cli import parse_and_dispatch
 from budget_builder.detect import DIAMOND, fan
-from budget_builder.errors import (
-    BudgetContractViolation,
-    DetectorMismatch,
-    DuplicateEdgeError,
-    OnlineRuleViolation,
-)
+from budget_builder.errors import ContractViolation
 from budget_builder.experiments import run_one_trial
 from budget_builder.process import ProcessConfig
 from budget_builder.strategies import select_strategy
@@ -24,6 +20,12 @@ def test_top_level_keeps_only_the_names_callers_import():
     names = sorted(name for name, value in vars(budget_builder).items()
                    if not name.startswith("_") and not isinstance(value, ModuleType))
     assert names == ["ProcessConfig", "build_strategy", "new_process", "select_strategy"]
+
+
+def test_package_holds_only_the_modules_users_run():
+    # The brute-force oracle and the per-reveal reference rules stay in tests/.
+    names = sorted(m.name for m in pkgutil.iter_modules(budget_builder.__path__))
+    assert names == ["cli", "detect", "errors", "experiments", "process", "rng", "strategies"]
 
 
 DIAMOND_FILE = "0 1\n0 2\n0 3\n1 2\n1 3\n"
@@ -43,20 +45,39 @@ def test_detect_false_on_sparse_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+_GRAPHS = {
+    "diamond": DIAMOND_FILE,
+    # two triangles meeting only at vertex 0: a 2-fan, no 4-cycle
+    "bowtie": "0 1\n0 2\n1 2\n0 3\n0 4\n3 4\n",
+    # no edge whose ends share a neighbour
+    "c4": "0 1\n1 2\n2 3\n0 3\n",
+    # spine 0-1, wings 2, 3, 4: it passes the 2-fan filters at 0 and 1, but
+    # each link edge there meets the other spine end
+    "book": "0 1\n0 2\n1 2\n0 3\n1 3\n0 4\n1 4\n",
+}
+
+
 def test_detect_pattern_grammar(tmp_path, capsys):
-    path = tmp_path / "g.txt"
-    path.write_text(DIAMOND_FILE)
-    for pattern, expected in (
-        ("triangle", "true"),
-        ("c4", "true"),
-        ("k3plus", "true"),
-        ("tk:1", "true"),
-        ("tk:2", "false"),
+    for graph, pattern, expected in (
+        ("diamond", "k4m", "true"),
+        ("diamond", "triangle", "true"),
+        ("diamond", "c4", "true"),
+        ("diamond", "k3plus", "true"),
+        ("diamond", "tk:1", "true"),
+        ("diamond", "tk:2", "false"),
+        ("bowtie", "tk:2", "true"),
+        ("bowtie", "triangle", "true"),
+        ("bowtie", "c4", "false"),
+        ("bowtie", "k3plus", "true"),
+        ("c4", "triangle", "false"),
+        ("book", "tk:2", "false"),
     ):
+        path = tmp_path / f"{graph}.txt"
+        path.write_text(_GRAPHS[graph])
         assert parse_and_dispatch(
             ["detect", "--graph", str(path), "--pattern", pattern]
         ) == 0
-        assert capsys.readouterr().out.strip() == expected
+        assert capsys.readouterr().out.strip() == expected, (graph, pattern)
 
 
 def test_detect_bad_pattern_exits_2(tmp_path):
@@ -213,11 +234,9 @@ def _run_raising(monkeypatch, error) -> int:
     )
 
 
-def test_contract_violation_exits_3(monkeypatch):
-    assert _run_raising(monkeypatch, BudgetContractViolation) == 3
-
-
-@pytest.mark.parametrize("error", [DetectorMismatch, DuplicateEdgeError, OnlineRuleViolation])
+# Every subclass, so a new contract error exits 3 with no change to the CLI.
+@pytest.mark.parametrize("error", ContractViolation.__subclasses__(),
+                         ids=lambda error: error.__name__)
 def test_the_other_contract_violations_exit_3(monkeypatch, capsys, error):
     assert _run_raising(monkeypatch, error) == 3
     assert capsys.readouterr().err == "internal contract violation: boom\n"
@@ -338,6 +357,7 @@ _FILES = {
     "no-eq.cfg": b"n 40\n",
     "bad-bool.cfg": b"no-early-stop = maybe\n",
     "triangle.txt": b"0 1\n1 2\n0 2\n",
+    "loop.txt": b"0 1\n3 3\n",
 }
 
 
@@ -384,6 +404,10 @@ _FILES = {
         ["detect", "--graph", "{tmp}/triangle.txt", "--pattern", "tk:x"],
         ["detect", "--graph", "{tmp}/triangle.txt", "--pattern", "tk:0"],
         _SWEEP_N40 + ["--y-min", "0.6"],  # above --y-max 0.4
+        _SWEEP_N40 + ["--trials", "0"],
+        _PROBE_N40 + ["--trials", "0"],
+        _SWEEP_N40 + ["--x-step", "0"],
+        ["detect", "--graph", "{tmp}/loop.txt", "--pattern", "k4m"],
     ],
 )
 def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
@@ -431,7 +455,7 @@ def test_out_appends_only_under_its_own_header(tmp_path):
     ("sweep_grid", _SWEEP_N40 + ["--jobs", "1"], "sweep"),
     ("probe_counts", _PROBE_N40 + ["--jobs", "1"], "probe"),
 ])
-@pytest.mark.parametrize("out", ["other.csv", "no-such-dir/out.csv"])
+@pytest.mark.parametrize("out", ["other.csv", "no-such-dir/out.csv", "a-dir"])
 def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp_path,
                                                   monkeypatch, capsys):
     import budget_builder.cli as cli_mod
@@ -441,6 +465,7 @@ def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp
 
     monkeypatch.setattr(cli_mod, entry, must_not_run)
     (tmp_path / "other.csv").write_text(f"# budget-builder v0.0.0, seed 1\n{columns}\n")
+    (tmp_path / "a-dir").mkdir()
     assert parse_and_dispatch(argv + ["--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and err.count("\n") == 1

@@ -51,20 +51,32 @@ RUNS = {
 }
 
 
-def _produce(name: str, out: Path) -> None:
-    code = parse_and_dispatch(RUNS[name] + ["--seed", "7", "--out", str(out)])
+def _produce(name: str, out: Path, *extra: str) -> None:
+    code = parse_and_dispatch(RUNS[name] + ["--seed", "7", "--out", str(out), *extra])
     assert code == 0, f"{name}: CLI exited {code}"
 
 
-@pytest.mark.skipif(
+_at_golden_version = pytest.mark.skipif(
     __version__ != GOLDEN_VERSION,
     reason=f"golden files record v{GOLDEN_VERSION}; a stream change re-records them",
 )
+
+
+@_at_golden_version
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_output_matches_golden_bytes(name, tmp_path):
     out = tmp_path / name
     _produce(name, out)
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@_at_golden_version
+def test_diagnostics_write_stderr_only(tmp_path, capsys):
+    # --diagnostics is the one CLI path that reads a record's phase_stats.
+    out = tmp_path / "run-c4.csv"
+    _produce("run-c4.csv", out, "--diagnostics")
+    assert capsys.readouterr().err == "diagnostics: max neighborhoods sharing one pair = 2\n"
+    assert out.read_bytes() == (GOLDEN_DIR / "run-c4.csv").read_bytes()
 
 
 if __name__ == "__main__":

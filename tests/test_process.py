@@ -628,7 +628,7 @@ def test_a_row_out_of_stream_order_raises(rows, match):
 
 class _RogueBlock(_RogueBuys):
     """Buys `singles`, pairs (i, j): row i, one by one, with the pair revealed
-    at row j; then, unless `rows` is empty, the stream rows `rows` as one
+    at row j; then, unless `rows` is None, the stream rows `rows` as one
     block, each with its revealed pair (a row at or past t gets the pair of
     row t - 1). `edit(us, vs)` may first change the revealed pairs, indexed
     by stream row, in place."""
@@ -642,8 +642,8 @@ class _RogueBlock(_RogueBuys):
             self.edit(us, vs)
         for i, j in self.singles:
             yield i, int(us[j]), int(vs[j])
-        if self.rows:
-            rows = np.array(self.rows)
+        if self.rows is not None:
+            rows = np.array(self.rows, dtype=np.int64)
             at = np.minimum(rows, state.config.t - 1)
             yield rows, us[at], vs[at]
 
@@ -683,11 +683,11 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
     (_RogueBlock([0, 1, 2], edit=_negative_start_at_row_0), OnlineRuleViolation,
      "at row 0, not a pair u < v < n=10"),
     # Single rows meet the same u < v < n test, with the same message.
-    (_RogueBlock([], _SINGLES, edit=_swap_row_1), OnlineRuleViolation,
+    (_RogueBlock(None, _SINGLES, edit=_swap_row_1), OnlineRuleViolation,
      "at row 1, not a pair u < v < n=10"),
-    (_RogueBlock([], _SINGLES, edit=_end_at_n), OnlineRuleViolation,
+    (_RogueBlock(None, _SINGLES, edit=_end_at_n), OnlineRuleViolation,
      "at row 0, not a pair u < v < n=10"),
-    (_RogueBlock([], _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
+    (_RogueBlock(None, _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
      "at row 0, not a pair u < v < n=10"),
     # Two single rows leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
@@ -696,9 +696,11 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
     # A single row is not pair-checked: row 0 buys the pair revealed at row 2,
     # which the block then buys again at its own row.
     (_RogueBlock([1, 2], [(0, 2)]), DuplicateEdgeError, "already present"),
+    (_RogueBlock([]), OnlineRuleViolation, "bought an empty block after row -1"),
 ], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
         "row-t", "u-not-below-v", "v-at-n", "u-negative", "single-u-not-below-v",
-        "single-v-at-n", "single-u-negative", "over-budget", "bought-as-a-single-row"])
+        "single-v-at-n", "single-u-negative", "over-budget", "bought-as-a-single-row",
+        "empty"])
 def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
     # Only the over-budget case has a short budget; elsewhere b = t, so only
     # the rule under test can raise.
