@@ -232,11 +232,17 @@ def _cmd_sweep(args) -> int:
     if args.out:
         check_csv_out(args.out, SWEEP_COLUMNS, args.seed)
     target = _parse_target(args.target, args.k)
+    grids = []
+    for axis in "xy":
+        lo, hi, step = (getattr(args, f"{axis}_{end}") for end in ("min", "max", "step"))
+        try:
+            grids.append(grid_values(lo, hi, step))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--{axis}-min/--{axis}-max/--{axis}-step: {exc}") from exc
     points = sweep_grid(
         target,
         args.n_list,
-        grid_values(args.x_min, args.x_max, args.x_step),
-        grid_values(args.y_min, args.y_max, args.y_step),
+        *grids,
         args.trials,
         args.seed,
         jobs=args.jobs,

@@ -143,14 +143,6 @@ def run_one_trial(
     )
 
 
-def _trial_configs(base: ProcessConfig, trials: int):
-    """The configs of trials 0, 1, ..., trials - 1, seeded (master_seed,
-    index), made as they are read; `trials` is checked first."""
-    if trials < 1:
-        raise ConfigurationError(f"need trials >= 1, got {trials}")
-    return (replace(base, seed=derive_seed(base.seed, i)) for i in range(trials))
-
-
 def run_trial_batch(
     target: Pattern,
     base: ProcessConfig,
@@ -161,26 +153,15 @@ def run_trial_batch(
     keep_graph: bool = False,
 ) -> list[TrialRecord]:
     """Independent trials with seeds derived as (master_seed, index)."""
+    if trials < 1:
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
     return [
-        run_one_trial(target, cfg, spec, early_stop=early_stop, keep_graph=keep_graph)
-        for cfg in _trial_configs(base, trials)
+        run_one_trial(
+            target, replace(base, seed=derive_seed(base.seed, i)), spec,
+            early_stop=early_stop, keep_graph=keep_graph,
+        )
+        for i in range(trials)
     ]
-
-
-def run_trials(
-    target: Pattern,
-    base: ProcessConfig,
-    spec: StrategySpec,
-    trials: int,
-    *,
-    early_stop: bool = True,
-) -> SuccessEstimate:
-    """The trials of `run_trial_batch`, counted as they run; no record is kept."""
-    successes = sum(
-        run_one_trial(target, cfg, spec, early_stop=early_stop).success
-        for cfg in _trial_configs(base, trials)
-    )
-    return estimate_from_counts(successes, trials)
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
@@ -216,13 +197,14 @@ def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int]:
 
 def _sweep_cell(args) -> PhasePoint:
     (target, x, y, base, spec, trials, early_stop) = args
+    records = run_trial_batch(target, base, spec, trials, early_stop=early_stop)
     return PhasePoint(
         n=base.n,
         x=x,
         y=y,
         t=base.t,
         b=base.b,
-        estimate=run_trials(target, base, spec, trials, early_stop=early_stop),
+        estimate=estimate_from_counts(sum(r.success for r in records), trials),
         y_star_pred=predicted_log_threshold(target, x),
     )
 
@@ -324,14 +306,12 @@ def estimate_crossover(points: Sequence[PhasePoint], x: float) -> float:
         raise CrossoverNotEstimable(
             f"success probabilities at x={x} do not bracket 1/2"
         )
-    for i in range(len(fit)):
-        if fit[i] >= 0.5:
-            if fit[i] == 0.5 or i == 0:
-                return ys[i]
-            lo_p, hi_p = fit[i - 1], fit[i]
-            frac = (0.5 - lo_p) / (hi_p - lo_p)
-            return ys[i - 1] + frac * (ys[i] - ys[i - 1])
-    raise CrossoverNotEstimable("unreachable: bracket checked above")
+    i = next(i for i, f in enumerate(fit) if f >= 0.5)
+    if fit[i] == 0.5 or i == 0:
+        return ys[i]
+    lo_p, hi_p = fit[i - 1], fit[i]
+    frac = (0.5 - lo_p) / (hi_p - lo_p)
+    return ys[i - 1] + frac * (ys[i] - ys[i - 1])
 
 
 # -- counting probes ---------------------------------------------------------

@@ -32,7 +32,6 @@ from budget_builder.experiments import (
     estimate_crossover,
     probe_counts,
     run_trial_batch,
-    run_trials,
     estimate_from_counts,
     sweep_grid,
 )

@@ -128,7 +128,7 @@ def test_run_rows_reexecute_identically(tmp_path):
         assert rec.edges_bought == int(bought)
 
 
-def test_sweep_inverted_grid_exits_2(tmp_path):
+def test_sweep_inverted_grid_exits_2(tmp_path, capsys):
     code = parse_and_dispatch(
         [
             "sweep", "--target", "k4m", "--n-list", "40",
@@ -138,6 +138,8 @@ def test_sweep_inverted_grid_exits_2(tmp_path):
         ]
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --x-min/--x-max/--x-step: grid bounds inverted: 1.4 > 1.2\n"
 
 
 def test_sweep_writes_expected_cells(tmp_path):
@@ -162,6 +164,12 @@ def test_unknown_flag_exits_2():
 
 def test_unknown_verb_exits_2():
     assert parse_and_dispatch(["transmogrify"]) == 2
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["sweep", "--help"]):
+        assert parse_and_dispatch(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: budget-builder")
 
 
 def test_probe_writes_rows(tmp_path):
@@ -417,6 +425,11 @@ def test_misuse_exits_2_with_one_line_error(argv, tmp_path, capsys):
     assert parse_and_dispatch(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # A grid flag after the base sweep is refused with its axis named.
+    extra = argv[len(_SWEEP_N40):] if argv[:len(_SWEEP_N40)] == _SWEEP_N40 else []
+    if extra and extra[0][:4] in ("--x-", "--y-"):
+        a = extra[0][2]
+        assert err.startswith(f"error: --{a}-min/--{a}-max/--{a}-step: grid")
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -472,7 +485,7 @@ def test_refused_out_is_reported_before_any_trial(entry, argv, columns, out, tmp
 
 
 @pytest.mark.parametrize("module, entry, argv", [
-    ("experiments", "run_trials",
+    ("experiments", "run_one_trial",
      ["sweep", "--target", "tk", "--k", "3", "--n-list", "400,5", *_SWEEP_N40[5:],
       "--jobs", "1"]),
     ("cli", "probe_counts",  # 100^170 overflows; n=40 alone would run

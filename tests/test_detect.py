@@ -16,8 +16,10 @@ from budget_builder.detect import (
     BuilderGraph,
     DiamondTracker,
     FanTracker,
+    Pattern,
     contains_diamond,
     contains_fan,
+    contains_pattern,
     _max_matching_edges,
     count_pattern,
     diamond_through_edge,
@@ -49,7 +51,10 @@ def test_insert_edge_basics():
     assert g.edge_count == 3
     with pytest.raises(DuplicateEdgeError):
         g.insert_edge(1, 0)
-    # The refused duplicate changes nothing; edges() lists each edge as
+    for u, v in ((0, 3), (-1, 1), (1, 1)):  # v = n, u < 0, a loop
+        with pytest.raises(ValueError, match="bad edge"):
+            g.insert_edge(u, v)
+    # The refused inserts change nothing; edges() lists each edge as
     # u < v, in purchase order.
     assert g.edge_count == 3
     assert g.edges() == [(0, 1), (1, 2), (0, 2)]
@@ -259,6 +264,12 @@ def test_count_pattern_rejects_unsupported():
         count_pattern(complete_graph(4), DIAMOND)
     with pytest.raises(UnsupportedPattern):
         count_pattern(complete_graph(4), fan(2))
+    # The containment checks refuse what they cannot decide, and no fan has k < 1.
+    with pytest.raises(UnsupportedPattern):
+        contains_pattern(complete_graph(4), Pattern("k5"))
+    for refuse_k0 in (fan, lambda k: contains_fan(complete_graph(4), k), FanTracker):
+        with pytest.raises(UnsupportedPattern, match="fan size must be >= 1, got 0"):
+            refuse_k0(0)
 
 
 # No vertex has two neighbours, so the C4 wedge table is empty.

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from budget_builder import experiments
-from budget_builder.detect import DIAMOND, fan
-from budget_builder.errors import ConfigurationError, CrossoverNotEstimable
+from budget_builder.detect import C4, DIAMOND, fan
+from budget_builder.errors import ConfigurationError, CrossoverNotEstimable, UnsupportedPattern
 from budget_builder.experiments import (
     PhasePoint,
     SuccessEstimate,
@@ -18,7 +18,6 @@ from budget_builder.experiments import (
     predicted_log_threshold,
     probe_counts,
     run_trial_batch,
-    run_trials,
     sweep_grid,
     wilson_interval,
     write_sweep_csv,
@@ -103,42 +102,36 @@ def test_criterion_budget_values():
     assert math.isclose(
         predicted_budget_threshold(fan(2), 400, 2000), 51.2, rel_tol=1e-9
     )
+    # A target without a formula, or t < 1, has no threshold.
+    with pytest.raises(UnsupportedPattern):
+        predicted_budget_threshold(C4, 400, 2000)
+    with pytest.raises(ConfigurationError, match="t >= 1"):
+        predicted_budget_threshold(DIAMOND, 400, 0.5)
 
 
-# -- run_trials ---------------------------------------------------------------
+# -- run_trial_batch ----------------------------------------------------------
 
 
-def test_run_trials_never_buy_is_exactly_zero():
+def test_run_trial_batch_never_buy_is_exactly_zero():
     base = ProcessConfig(n=20, t=40, b=0, seed=5)
-    est = run_trials(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 25)
-    assert est.successes == 0
-    assert est.p_hat == 0.0
+    records = run_trial_batch(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 25)
+    assert len(records) == 25
+    assert not any(r.success for r in records)
 
 
-def test_run_trials_rejects_zero_trials():
+def test_run_trial_batch_rejects_zero_trials():
     base = ProcessConfig(n=20, t=40, b=0, seed=5)
-    with pytest.raises(ConfigurationError):
-        run_trials(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 0)
     with pytest.raises(ConfigurationError):
         run_trial_batch(DIAMOND, base, StrategySpec(StrategyKind.BUY_ALL), 0)
 
 
-def test_run_trials_counts_the_successes_the_batch_records():
-    # run_trials keeps no record; it must still run the batch's seeds.
-    base = ProcessConfig(n=60, t=400, b=60, seed=4)
-    spec = select_strategy(DIAMOND, 60, 400, 60)
-    est = run_trials(DIAMOND, base, spec, 20)
-    records = run_trial_batch(DIAMOND, base, spec, 20)
-    assert est.successes == sum(r.success for r in records)
-    assert 0 < est.successes < 20  # a cell where each trial's outcome counts
-
-
-def test_run_trials_buy_all_triangle_matches_offline_fraction():
-    # b = t: purchased graph is the revealed graph, so the estimate equals
-    # offline triangle detection over the same replayed streams.
+def test_run_trial_batch_buy_all_triangle_matches_offline_fraction():
+    # b = t: purchased graph is the revealed graph, so the success count
+    # equals offline triangle detection over the same replayed streams.
     base = ProcessConfig(n=50, t=600, b=600, seed=314)
     trials = 60
-    est = run_trials(fan(1), base, StrategySpec(StrategyKind.BUY_ALL), trials)
+    records = run_trial_batch(fan(1), base, StrategySpec(StrategyKind.BUY_ALL), trials)
+    successes = sum(r.success for r in records)
     offline = 0
     for i in range(trials):
         cfg = ProcessConfig(n=50, t=600, b=600, seed=derive_seed(base.seed, i))
@@ -153,8 +146,8 @@ def test_run_trials_buy_all_triangle_matches_offline_fraction():
             adj[e.u].add(e.v)
             adj[e.v].add(e.u)
         offline += found
-    assert est.successes == offline
-    assert est.p_hat > 0.95  # far past the triangle threshold
+    assert successes == offline
+    assert successes > 0.95 * trials  # far past the triangle threshold
 
 
 # -- sweeps and crossover ----------------------------------------------------
@@ -206,14 +199,15 @@ def test_pool_gets_at_most_one_worker_per_cell(monkeypatch):
     assert sizes == [3]
 
 
-def test_sweep_single_cell_equals_run_trials():
-    points = sweep_grid(DIAMOND, [60], [1.2], [0.8], 15, 4242)
+def test_sweep_single_cell_counts_the_batch_at_the_cell_seed():
+    points = sweep_grid(DIAMOND, [60], [1.2], [1.1], 15, 4242)
     cell = points[0]
-    cell_seed = derive_seed(4242, 60, 1.2, 0.8)
+    cell_seed = derive_seed(4242, 60, 1.2, 1.1)
     base = ProcessConfig(n=60, t=cell.t, b=cell.b, seed=cell_seed)
     spec = select_strategy(DIAMOND, 60, cell.t, cell.b)
-    est = run_trials(DIAMOND, base, spec, 15)
-    assert est == cell.estimate
+    records = run_trial_batch(DIAMOND, base, spec, 15)
+    assert cell.estimate == estimate_from_counts(sum(r.success for r in records), 15)
+    assert 0 < cell.estimate.successes < 15  # a cell where each trial's outcome counts
 
 
 def test_sweep_grid_clamps_t_to_pair_count():
@@ -232,7 +226,7 @@ def test_sweep_grid_checks_every_override_before_any_trial(monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a cell ran before every override was checked")
 
-    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    monkeypatch.setattr(experiments, "run_one_trial", no_trials)
     # A seed set of 60 fits n = 200 but not n = 50, whose cells come last.
     with pytest.raises(ConfigurationError, match="n=50"):
         sweep_grid(DIAMOND, [200, 50], [1.2], [0.8], 3, 8,
@@ -243,7 +237,7 @@ def test_sweep_grid_refuses_seed_overrides_in_long_cells_before_any_trial(monkey
     def no_trials(*args, **kwargs):
         raise AssertionError("a cell ran before every override was checked")
 
-    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    monkeypatch.setattr(experiments, "run_one_trial", no_trials)
     # x = 1.3 selects k4m-short, which reads the seed set; x = 1.5 selects
     # k4m-long, which has none.
     with pytest.raises(ConfigurationError, match="seed_set_size override .* k4m-long"):
@@ -255,7 +249,7 @@ def test_sweep_grid_checks_every_target_size_before_any_trial(monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a cell ran before every n was checked against the target")
 
-    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    monkeypatch.setattr(experiments, "run_one_trial", no_trials)
     with pytest.raises(ConfigurationError, match="fan3 needs 7 vertices, n=5"):
         sweep_grid(fan(3), [400, 5], [1.2], [0.8], 3, 8)
 
@@ -264,7 +258,7 @@ def test_sweep_grid_refuses_more_than_max_cells_before_any_trial(monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a cell ran in a sweep over MAX_CELLS cells")
 
-    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    monkeypatch.setattr(experiments, "run_one_trial", no_trials)
     xs, ys = grid_values(1.0, 2.0, 0.01), grid_values(0.0, 1.5, 0.015)
     assert len(xs) * len(ys) == 101 * 101 > experiments.MAX_CELLS
     with pytest.raises(ConfigurationError, match="10201 cells"):
