@@ -70,6 +70,17 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    """A seed in [0, 2^64), the range the RNG keys on: masked into it, any
+    other seed would replay another's stream."""
+    try:
+        if 0 <= (seed := int(text)) < 2**64:
+            return seed
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"a seed must lie in [0, 2^64), got {seed}")
+
+
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -156,7 +167,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     for p in (run, sweep, probe):
         p.add_argument("--trials", type=int, required=True)
         # None falls back to BB_SEED after parsing (see _parse).
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_parse_seed, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
     for p in (sweep, probe):
@@ -184,11 +195,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             argv = [argv[0], *_config_tokens(path, argv[0], verbs), *argv[1:]]
     args = parser.parse_args(argv)
     if vars(args).get("seed", 0) is None:  # neither a flag nor a config line
-        raw = os.environ.get("BB_SEED", "0")
         try:
-            args.seed = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"BB_SEED: invalid int value: {raw!r}")
+            args.seed = _parse_seed(os.environ.get("BB_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigurationError(f"BB_SEED: {exc}")
     return args
 
 

@@ -8,19 +8,18 @@ The stream is one array of t pair codes (`pair_code`), drawn at the first
 reveal. `run_strategy` runs one step per yield of a purchase source, in
 stream order; a yield is a single row `(i, u, v)` (the stream index and
 the ends u < v of the row bought) or a block `(rows, us, vs)` of int64
-arrays holding one or more such rows. A single row is checked alone: a
-row at or before the one bought last, or at or past t, or whose pair is
-not u < v < n, breaks the online rule and raises `OnlineRuleViolation`,
-and a row with the budget spent raises `BudgetContractViolation`; the
-messages are those of `_check_block`. A block is checked whole before any
-of it is inserted: its rows strictly increase from past the last row
-bought to before t, it fits the budget left, and each pair is u < v < n
-and the pair revealed at its row (`pair_code(n, us, vs) == codes[rows]`);
-its rows then go in through `BuilderGraph.insert_until_triangle`. Only
-block rows are pair-checked. Both targets are unions of triangles, so the
-step asks the detector only about a buy that closes a triangle, as
-`BuilderGraph.insert_edge` and `insert_until_triangle` report, and stops
-at a hit under early stop, inside a block too.
+arrays holding one or more such rows. `_check_block` states the rules: the
+rows strictly increase from past the last row bought to before t, else
+`OnlineRuleViolation`; they fit the budget left, else
+`BudgetContractViolation`; and each bought pair is the one its row's code
+decodes to, so u < v < n, else `OnlineRuleViolation` naming the revealed
+pair. A block is checked whole, then inserted through
+`BuilderGraph.insert_until_triangle`. A single row meets one chained test
+of order, budget and u < v < n, and one that fails is checked again as a
+1-row block; one that passes is not pair-checked. Both targets are unions
+of triangles, so the step asks the detector only about a buy that closes
+a triangle, as `BuilderGraph.insert_edge` and `insert_until_triangle`
+report, and stops at a hit under early stop, inside a block too.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
@@ -31,20 +30,21 @@ at a hit under early stop, inside a block too.
   `name` (the benchmark's tracer, the tests' `PerReveal`, a test double):
   it calls `next_edge` and `decide` on every reveal and yields single
   rows. Every strategy `build_strategy` returns has `buys`, and its
-  `decide` reads the answer off that generator, a block row by row, so
-  both sources run the same purchase rule.
+  `decide` reads the answer off that generator, through
+  `strategies._bought_rows`, so both sources run the same purchase rule.
 
-The `buys` contract: yield the rows the strategy buys, each decided from
-the revealed prefix and the purchased graph, and before each yield have
-every stat counted for the rows up to and including the yield's last row;
-once exhausted, have them counted for the whole stream. The hand-written
-per-reveal rules in `tests/per_reveal.py` are the reference it is checked
-against. An early stop leaves the generator suspended at the yield that
-holds the hit row, so its stats must be those of the revealed prefix:
-while the generator is suspended at a block, `stats()` leaves out the
-block's rows at or past `state.clock`, so a stop inside a block counts only
-its rows up to the hit. The step keeps the row index in a local and
-writes `state.clock` once, at the stop: the hit row's position (index + 1)
+The `buys` contract, which every builder in `strategies` keeps: yield the
+rows the strategy buys, each decided from the revealed prefix and the
+purchased graph (so a block holds only rows settled before any of them is
+inserted), and before each yield have every stat counted for the rows up
+to and including the yield's last row; once exhausted, have them counted
+for the whole stream. The hand-written per-reveal rules in
+`tests/per_reveal.py` are the reference it is checked against. An early
+stop leaves the generator suspended at the yield that holds the hit row,
+so its stats must be those of the revealed prefix: while it is suspended
+at a block, `stats()` leaves out what the block's rows at or past
+`state.clock` counted. The step keeps the row index in a local and writes
+`state.clock` once, after its loop: the hit row's position (index + 1)
 under an early stop, else t (on the per-reveal source `next_edge` also
 advances it on every reveal, for `decide` to read). So for a given seed
 both sources give identical `TrialRecord`s, `phase_stats` included.
@@ -266,11 +266,12 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
                  us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
     """Raise unless the block (rows, us, vs) keeps the online rule and the
     budget: one or more rows, strictly increasing from past `last` to before
-    t, at most `left` of them, each bought pair u < v < n the one revealed
-    at its row. Each message names the first offending row. A single row
-    that fails the step's order, budget or u < v < n test comes here as a
-    1-row block, so both kinds of yield raise the same messages."""
-    t, n = config.t, config.n
+    t, at most `left` of them, each bought pair the one its row's code
+    decodes to (so u < v < n). Each message names the first offending row.
+    A single row that fails the step's order, budget or u < v < n test
+    comes here as a 1-row block, so both kinds of yield raise the same
+    messages."""
+    t = config.t
 
     def bought(j: int) -> str:
         return f"{name} bought edge ({us[j]}, {vs[j]}) at row {rows[j]}"
@@ -287,16 +288,11 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
             f"{name} bought edge ({us[left]}, {vs[left]}) at clock "
             f"{rows[left] + 1} with budget {config.b} exhausted"
         )
-    bad = (us < 0) | (us >= vs) | (vs >= n)
+    ru, rv = decode(config.n, codes[rows])
+    bad = (us != ru) | (vs != rv)
     if bad.any():
         j = int(bad.argmax())
-        raise OnlineRuleViolation(f"{bought(j)}, not a pair u < v < n={n}")
-    revealed = codes[rows]
-    bad = pair_code(n, us, vs) != revealed
-    if bad.any():
-        j = int(bad.argmax())
-        ru, rv = decode(n, revealed[j:j + 1])
-        raise OnlineRuleViolation(f"{bought(j)}, where ({ru[0]}, {rv[0]}) was revealed")
+        raise OnlineRuleViolation(f"{bought(j)}, where ({ru[j]}, {rv[j]}) was revealed")
 
 
 def run_strategy(
@@ -318,8 +314,9 @@ def run_strategy(
     detector is asked only about buys that close a triangle (every
     `detector_for` target is a union of triangles, so no other buy
     completes one); its hit flag is cross-checked against batch
-    containment on the final purchased graph, which reads every edge. A strategy with `buys` settles its own
-    purchases, any other is asked on every reveal; the step is the same.
+    containment on the final purchased graph, which reads every edge. A
+    strategy with `buys` settles its own purchases, any other is asked on
+    every reveal; the step is the same.
     """
     state = new_process(config)
     g = state.purchased
@@ -348,24 +345,19 @@ def run_strategy(
                     hit_time = row[0] + 1
                     if early_stop:
                         break
-            else:
-                continue  # the block is spent, with no stop inside it
-            state.clock = hit_time
+        else:
+            # A single row that breaks the order, the budget or u < v < n
+            # is checked again as a 1-row block, which raises its message.
+            if not (last < i < t and left and 0 <= u < v < n):
+                _check_block(strategy.name, config, state.codes, np.array([i]),
+                             np.array([u]), np.array([v]), last, left)
+            left -= 1
+            last = i
+            if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):
+                hit_time = i + 1
+        if hit_time is not None and early_stop:
             break
-        # A single row that breaks the order, the budget or u < v < n is
-        # checked again as a 1-row block, which raises with the block message.
-        if not (last < i < t and left and 0 <= u < v < n):
-            _check_block(strategy.name, config, state.codes, np.array([i]), np.array([u]),
-                         np.array([v]), last, left)
-        left -= 1
-        last = i
-        if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):
-            hit_time = i + 1
-            if early_stop:
-                state.clock = hit_time
-                break
-    else:
-        state.clock = t
+    state.clock = hit_time if hit_time is not None and early_stop else t
     success = hit_time is not None
     if success != detector.confirm(g):
         raise DetectorMismatch(

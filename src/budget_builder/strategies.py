@@ -13,17 +13,15 @@ still draws a strategy RNG substream per trial, which no strategy reads;
 deleting it waits for a benchmark change, since the benchmark's tests
 count two substreams per trial.
 
-Every strategy settles its purchases in `buys(state)` (contract in
-`process`): a generator that yields, in stream order, each row of
-`state.codes` it buys as `(i, u, v)`, or a run of them as one block
-`(rows, us, vs)` of int64 arrays, with every stat counted for the rows up
-to and including the yield's last row before the yield. Only the seed
-phase yields blocks: its per-vertex caps read its own counts, never the
-graph, so each chunk's buys are settled before any is inserted; every
-other phase reads the graph between buys, or buys too few rows for a
-block's checks to pay, and yields single rows. While `buys` is suspended
-at a block, the seed builders' `stats()` count only its rows before
-`state.clock`, so a stop inside the block reports the revealed prefix.
+Every strategy settles its purchases in `buys(state)`, a generator that
+keeps the contract stated in the `process` docstring. A source whose buys
+read no graph state between them yields them as blocks: buy-all's first
+b rows, and the seed phase, whose per-vertex caps read its own counts.
+Every other phase reads the graph between buys, or buys too few rows for
+a block's checks to pay, and yields single rows. While `buys` is
+suspended at a seed-phase block, the seed builders' `stats()` net out its
+rows at or past `state.clock`; buy-all counts its skips after its block,
+all past its last row, so it has nothing to net.
 At each phase start it does that phase's set-up (a freeze sharing the
 graph's sets, a candidate build, a round start), then runs one loop over
 that phase's rows that can buy or change a stat: seed-set edges found from
@@ -33,9 +31,9 @@ the budget is spent its per-seed counts are fixed, so the rows left in it
 are counted in one vectorised pass. The anchor's second phase is read
 span by span, each span twice as long as the one before, so an early stop
 a few buys into it decodes only the spans it reached.
-`_Base.decide` answers reveal by reveal from the same generator, a block
-row by row, for a caller that asks on every reveal; the hand-written
-per-reveal rules that `buys` is checked against live in
+`_Base.decide` answers reveal by reveal from the same generator, read
+through `_bought_rows`, for a caller that asks on every reveal; the
+hand-written per-reveal rules that `buys` is checked against live in
 `tests/per_reveal.py`.
 """
 
@@ -158,6 +156,13 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
         phase_budgets=budgets, k=k))
 
 
+def _bought_rows(purchases):
+    """Each stream index a purchase source buys, a block's one by one; the
+    source resumes only when the row after its yield's last is asked for."""
+    for i, _, _ in purchases:
+        yield from i.tolist() if i.__class__ is np.ndarray else (i,)
+
+
 class _Base:
     """Budget check on the purchased graph's edge count, per-phase purchase
     caps; `name` (the StrategyKind value) is set by build_strategy. Each
@@ -170,27 +175,19 @@ class _Base:
         self.T = params.phase_length
         self.p_caps = params.phase_budgets
         self.p_bought = [0] * len(self.p_caps)
-        self._settled = None  # the `buys` generator, once `decide` starts it
-        self._ahead = iter(())  # the rows of its last block not yet reached
+        self._settled = None  # `_bought_rows` of `buys`, once `decide` starts it
         self._row = -1  # the bought row reached last
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         """Whether `buys` buys reveal i = state.clock - 1, for a caller that
-        asks on every reveal in order. A block's rows are answered one by
-        one; the generator is resumed only at the first reveal past the last
-        row it yielded, so, as in the settled loop, after that row was
-        bought and detected."""
+        asks on every reveal in order. The generator is resumed only at the
+        first reveal past the last row it yielded, so, as in the settled
+        loop, after that row was bought and detected."""
         i = state.clock - 1
         if self._row < i:
-            row = next(self._ahead, None)
-            if row is None:
-                if self._settled is None:
-                    self._settled = self.buys(state)
-                row = next(self._settled, (self.config.t,))[0]
-                if isinstance(row, np.ndarray):
-                    self._ahead = iter(row.tolist())
-                    row = next(self._ahead)
-            self._row = row
+            if self._settled is None:
+                self._settled = _bought_rows(self.buys(state))
+            self._row = next(self._settled, self.config.t)
         return self._row == i
 
     def _left(self, state: ProcessState, i: int) -> int:
@@ -219,13 +216,13 @@ class _Base:
 
 class BuyAll(_Base):
     def buys(self, state: ProcessState):
-        """The first b rows, decoded once. The reveals after them each count
-        a `budget_skip`, all at once after the last yield: no reveal before
-        the budget runs out is a skip."""
+        """The first b rows, decoded once and bought as one block. The
+        reveals after them each count a `budget_skip`, all at once after the
+        yield: every one lies past the block's last row."""
         codes = state.codes
         take = min(codes.size, self.config.b - state.purchased.edge_count)
-        us, vs = decode(self.config.n, codes[:take])
-        yield from zip(range(take), us.tolist(), vs.tolist())
+        if take:
+            yield (np.arange(take), *decode(self.config.n, codes[:take]))
         self.budget_skips += codes.size - take
 
 
@@ -255,7 +252,7 @@ class DegreeGreedy(_Base):
 
     def __init__(self, config, params, rng):
         super().__init__(config, params, rng)
-        self.h = max(1, min(config.n, config.b * config.n // (4 * max(config.t, 1))))
+        self.h = max(1, min(config.n, config.b * config.n // (4 * config.t)))
 
     def buys(self, state: ProcessState):
         codes, n, b, h = state.codes, self.config.n, self.config.b, self.h

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from budget_builder.detect import BuilderGraph
+from budget_builder.strategies import _bought_rows
 
 
 def gnp_edges(rng, n, p):
@@ -87,15 +88,16 @@ class BuysChecker:
     contract as it goes.
 
     `settled`, an instance built by `build_strategy`, runs its `buys`
-    generator on the same state, one yield ahead: it is resumed at the
-    first reveal after the last row it yielded was bought, as the settled
-    loop resumes it, and a block's rows are reached one by one. The
-    reference `inner` (from `reference_strategy`) must buy exactly the rows
-    `buys` yields, and at each of them, rows inside a block included, both
-    instances' `stats()` must agree: the generator has counted every stat
-    up to its yield's last row, and a settled instance's `stats()` counts a
-    block only up to `state.clock`. (A reveal the reference refuses may
-    still count a skip; the generator counts those between its yields.)
+    generator on the same state, read through `strategies._bought_rows` as
+    `decide` reads it: resumed at the first reveal after the last row it
+    yielded was bought, as the settled loop resumes it, and a block's rows
+    reached one by one. The reference `inner` (from `reference_strategy`)
+    must buy exactly the rows `buys` yields, and at each of them, rows
+    inside a block included, both instances' `stats()` must agree: the
+    generator has counted every stat up to its yield's last row, and a
+    settled instance's `stats()` counts a block only up to `state.clock`.
+    (A reveal the reference refuses may still count a skip; the generator
+    counts those between its yields.)
     """
 
     def __init__(self, inner, settled):
@@ -103,25 +105,16 @@ class BuysChecker:
         self.stats = inner.stats
         self._inner = inner
         self._settled = settled
-        self._buys = None
-        self._ahead = iter(())  # the rows of the last yield not yet reached
+        self._rows = None
         self._next = -1  # the bought row reached last
         self.skipped = 0
-
-    def _advance(self, state):
-        if self._buys is None:
-            self._buys = self._settled.buys(state)
-        bought = next(self._buys, None)
-        rows = [state.config.t] if bought is None else np.atleast_1d(bought[0]).tolist()
-        self._ahead = iter(rows)
-        return next(self._ahead)
 
     def decide(self, state, e):
         i = state.clock - 1
         if i > self._next:
-            self._next = next(self._ahead, None)
-            if self._next is None:
-                self._next = self._advance(state)
+            if self._rows is None:
+                self._rows = _bought_rows(self._settled.buys(state))
+            self._next = next(self._rows, state.config.t)
         bought = self._inner.decide(state, e)
         if i == self._next:
             assert bought, f"buys yielded reveal {i}, the reference refused {e}"

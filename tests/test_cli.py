@@ -528,3 +528,42 @@ def test_bad_bb_seed_names_its_source(monkeypatch, capsys):
     assert err.startswith("error: BB_SEED") and err.count("\n") == 1
     # a seed from the command line leaves BB_SEED unread
     assert parse_and_dispatch(_RUN_N50 + ["--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("flag, config, env", [
+    (["--seed", str(2**64)], None, None),
+    (["--seed", "-1"], None, None),
+    ([], f"trials = 2\nseed = {2**64}\n", None),
+    ([], None, "-1"),
+], ids=["flag-2^64", "flag-minus-1", "config-line", "bb-seed"])
+def test_a_seed_outside_64_bits_exits_2_before_any_trial(flag, config, env, tmp_path,
+                                                          monkeypatch, capsys):
+    # Masked to 64 bits, such a seed would replay another seed's stream under
+    # a header naming its own.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the seed was refused")
+
+    monkeypatch.setattr(importlib.import_module("budget_builder.experiments"),
+                        "run_one_trial", must_not_run)
+    argv = _RUN_N50 + flag + ["--out", str(tmp_path / "trials.csv")]
+    if config is not None:
+        (tmp_path / "seed.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "seed.cfg")]
+    if env is not None:
+        monkeypatch.setenv("BB_SEED", env)
+    assert parse_and_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[0, 2^64)" in err
+    source = f"{tmp_path / 'seed.cfg'}:2: " if config else "BB_SEED: " if env else ""
+    assert err.startswith(f"error: {source}")
+    assert not (tmp_path / "trials.csv").exists()
+
+
+def test_run_seed_takes_every_64_bit_seed(tmp_path):
+    # The CSV's seed column holds derived 64-bit trial seeds; each one, and
+    # the largest seed, is still a valid master seed for `run --seed`.
+    out = tmp_path / "trials.csv"
+    assert parse_and_dispatch(_RUN_N50 + ["--seed", "1", "--out", str(out)]) == 0
+    seeds = [line.split(",")[6] for line in out.read_text().splitlines()[2:]]
+    for seed in seeds + [str(2**64 - 1)]:
+        assert parse_and_dispatch(_RUN_N50 + ["--seed", seed]) == 0, seed

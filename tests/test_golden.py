@@ -48,6 +48,10 @@ RUNS = {
                   "--trials", "4", "--jobs", "1"],
     "probe.csv": ["probe", "--adversary", "degree-greedy", "--n-list", "100,200",
                   "--t-exp", "1.3", "--b-exp", "1.1", "--trials", "2", "--jobs", "1"],
+    # the same probe cells under buy-all: the first b rows, bought as one block
+    "probe-buy-all.csv": ["probe", "--adversary", "buy-all", "--n-list", "100,200",
+                          "--t-exp", "1.3", "--b-exp", "1.1", "--trials", "2",
+                          "--jobs", "1"],
 }
 
 

@@ -533,14 +533,13 @@ def test_seed_phase_visits_end_at_its_cap(cell):
         assert visits == inner.p_bought[0] <= inner.p_caps[0], (cell, j)
 
 
-@pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL], ids=["c4", "c6"])
-def test_a_stop_inside_a_seed_block_counts_only_the_rows_before_it(cell):
-    # An early stop at a seed-phase row that has more of its block after it:
-    # the settled record counts only the block's rows up to the hit, as the
-    # builder's own `decide` and the per-reveal reference rules do, and the
-    # stats agree with the reference at every bought row.
+def _stops_inside_a_block(cell, trials):
+    """How many of `trials` early-stopped trials of `cell` hit at a row
+    with more of its block after it; each one's settled record must equal
+    the builder's own `decide`'s, the per-reveal reference's and the
+    `BuysChecker` run's."""
     inside = 0
-    for j in range(20):
+    for j in range(trials):
         seed = derive_seed(16, cell[1], cell[2], cell[3], j)
         fast, steps = _trial(cell, seed, True, _Steps)
         asked, _ = _trial(cell, seed, True, PerReveal)
@@ -550,7 +549,23 @@ def test_a_stop_inside_a_seed_block_counts_only_the_rows_before_it(cell):
                 == pickle.dumps(checked)), j
         hit = fast.hit_time and fast.hit_time - 1
         inside += any(hit in rows[:-1] for rows in steps.blocks)
-    assert inside > 0
+    return inside
+
+
+@pytest.mark.parametrize("cell", [_C4_CELL, _C6_CELL], ids=["c4", "c6"])
+def test_a_stop_inside_a_seed_block_counts_only_the_rows_before_it(cell):
+    # An early stop at a seed-phase row that has more of its block after it:
+    # the settled record counts only the block's rows up to the hit, as the
+    # builder's own `decide` and the per-reveal reference rules do, and the
+    # stats agree with the reference at every bought row.
+    assert _stops_inside_a_block(cell, 20) > 0
+
+
+def test_a_stop_inside_the_buy_all_block_counts_no_skip():
+    # Buy-all's one block holds its first b = 1,200 rows, and a diamond
+    # mostly comes before the budget runs out: a stop inside the block
+    # counts no budget_skip, since every skip lies past the block's last row.
+    assert _stops_inside_a_block((DIAMOND, 400, 2000, 1200, _BUY_ALL), 10) > 0
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -677,18 +692,19 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
     (_RogueBlock([18, 19, 20]), OnlineRuleViolation,
      "at row 20, not after row 19 and before t=20"),
     (_RogueBlock([0, 1, 2], edit=_swap_row_1), OnlineRuleViolation,
-     "at row 1, not a pair u < v < n=10"),
+     r"edge \((\d+), (\d+)\) at row 1, where \(\2, \1\) was revealed"),
     (_RogueBlock([0, 1, 2], edit=_end_at_n), OnlineRuleViolation,
-     "at row 0, not a pair u < v < n=10"),
+     r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock([0, 1, 2], edit=_negative_start_at_row_0), OnlineRuleViolation,
-     "at row 0, not a pair u < v < n=10"),
-    # Single rows meet the same u < v < n test, with the same message.
+     r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
+    # A single row that fails u < v < n is checked as a 1-row block, so it
+    # raises the same message, naming the pair revealed at its row.
     (_RogueBlock(None, _SINGLES, edit=_swap_row_1), OnlineRuleViolation,
-     "at row 1, not a pair u < v < n=10"),
+     r"edge \((\d+), (\d+)\) at row 1, where \(\2, \1\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_end_at_n), OnlineRuleViolation,
-     "at row 0, not a pair u < v < n=10"),
+     r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
-     "at row 0, not a pair u < v < n=10"),
+     r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
     # Two single rows leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
     (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
