@@ -26,12 +26,13 @@ from .detect import (
     detector_for,
     fan_center_counts,
 )
-from .errors import ConfigurationError, CrossoverNotEstimable, UnsupportedPattern
+from .errors import ConfigurationError, CrossoverNotEstimable
 from .process import ProcessConfig, TrialRecord, run_strategy
 from .rng import derive_seed
 from .strategies import (
     StrategyKind,
     StrategySpec,
+    _threshold_branches,
     build_strategy,
     select_strategy,
 )
@@ -93,16 +94,6 @@ def estimate_from_counts(successes: int, trials: int) -> SuccessEstimate:
     return SuccessEstimate(trials, successes, successes / trials, lo, hi)
 
 
-def _threshold_branches(target: Pattern) -> tuple:
-    """The exponents (a, c) of each regime branch n^a / t^c of the budget
-    threshold; b* is the larger branch."""
-    if target.tag == "diamond":
-        return (6, 4), (4 / 3, 2 / 3)
-    if target.tag == "fan":
-        return (4 * target.k - 1, 3 * target.k - 1), (1, 1 / 2)
-    raise UnsupportedPattern(f"no threshold formula for {target}")
-
-
 def predicted_budget_threshold(target: Pattern, n: int, t: int | float) -> float:
     """The budget threshold b*(n, t) for the target, both regime branches."""
     if t < 1:
@@ -113,7 +104,7 @@ def predicted_budget_threshold(target: Pattern, n: int, t: int | float) -> float
 
 def predicted_log_threshold(target: Pattern, x: float) -> float:
     """log_n b* as a function of x = log_n t (the phase-diagram curve)."""
-    return max(a - c * x for a, c in _threshold_branches(target))
+    return float(max(a - c * x for a, c in _threshold_branches(target)))
 
 
 def _target_label(target: Pattern) -> tuple[str, int]:

@@ -16,10 +16,12 @@ decodes to, so u < v < n, else `OnlineRuleViolation` naming the revealed
 pair. A block is checked whole, then inserted through
 `BuilderGraph.insert_until_triangle`. A single row meets one chained test
 of order, budget and u < v < n, and one that fails is checked again as a
-1-row block; one that passes is not pair-checked. Both targets are unions
-of triangles, so the step asks the detector only about a buy that closes
-a triangle, as `BuilderGraph.insert_edge` and `insert_until_triangle`
-report, and stops at a hit under early stop, inside a block too.
+1-row block; one that passes is not pair-checked, and one with an end
+that is not an int raises `OnlineRuleViolation` at its insert. Both
+targets are unions of triangles, so the step asks the detector only
+about a buy that closes a triangle, as `BuilderGraph.insert_edge` and
+`insert_until_triangle` report, and stops at a hit under early stop,
+inside a block too.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
@@ -353,7 +355,12 @@ def run_strategy(
                              np.array([u]), np.array([v]), last, left)
             left -= 1
             last = i
-            if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):
+            try:  # an end that is not an int indexes no adjacency list
+                closes = insert_edge(u, v)
+            except TypeError:
+                raise OnlineRuleViolation(f"{strategy.name} bought edge ({u}, {v}) at row "
+                                          f"{i}, whose ends are not integers") from None
+            if closes and hit_time is None and after_insert(g, u, v):
                 hit_time = i + 1
         if hit_time is not None and early_stop:
             break

@@ -15,8 +15,8 @@ count two substreams per trial.
 
 Every strategy settles its purchases in `buys(state)`, a generator that
 keeps the contract stated in the `process` docstring. A source whose buys
-read no graph state between them yields them as blocks: buy-all's first
-b rows, and the seed phase, whose per-vertex caps read its own counts.
+read no graph state between them yields them as one block: buy-all's
+first b rows, and the seed phase's, whose per-vertex caps read its own counts.
 Every other phase reads the graph between buys, or buys too few rows for
 a block's checks to pay, and yields single rows. While `buys` is
 suspended at a seed-phase block, the seed builders' `stats()` net out its
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -82,6 +83,16 @@ class StrategySpec:
         return self.kind.value
 
 
+def _threshold_branches(target: Pattern) -> tuple:
+    """The exponents (a, c) of each regime branch n^a / t^c of the budget
+    threshold b*, exact, short-time branch first; b* is the larger branch."""
+    if target.tag == "diamond":
+        return (6, 4), (Fraction(4, 3), Fraction(2, 3))
+    if target.tag == "fan":
+        return (4 * target.k - 1, 3 * target.k - 1), (1, Fraction(1, 2))
+    raise UnsupportedPattern(f"no threshold formula for {target}")
+
+
 def _geomean_seed_set(lo_log: float, hi_log: float, n: int) -> int:
     """Geometric mean of the admissible-window endpoints, clamped to [1, n].
 
@@ -103,8 +114,9 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
                     overrides: Optional[dict] = None) -> StrategySpec:
     """Pick the regime-appropriate strategy and populate its parameters.
 
-    The targets are DIAMOND and fan(k). Diamond: short variant up to
-    t = n^{7/5}, long after. Fan: short up to t = n^{4/3}, long after.
+    The targets are DIAMOND and fan(k). The short variant runs while
+    t <= n ** float(x), where x is the exponent at which the branches of
+    b* meet (7/5 for the diamond, 4/3 for a fan), the long one after.
     `overrides` may set `regime_override` ("short" or "long") and, in the
     short regime only, `seed_set_size` and `per_vertex_cap`; None is unset.
     """
@@ -128,8 +140,8 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
     if cap_set is not None and cap_set < 1:
         raise ConfigurationError(f"per-vertex cap must be >= 1, got {cap_set}")
     diamond, k = target.tag == "diamond", target.k
-    x_long = 1.4 if diamond else 4 / 3  # the long regime starts past t = n^x_long
-    if regime == "long" or (regime is None and t > n ** x_long):
+    (a, c), (a_long, c_long) = _threshold_branches(target)
+    if regime == "long" or (regime is None and t > n ** float((a - a_long) / (c - c_long))):
         kind = StrategyKind.DIAMOND_LONG if diamond else StrategyKind.FAN_LONG
         for key in _OVERRIDE_KEYS[1:]:  # the long builder has no seed set
             if overrides.get(key) is not None:
@@ -137,19 +149,17 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
                                          f"short regime, not to {kind.value}")
         return StrategySpec(kind, StrategyParams(phase_length=t // 2, k=k,
                                                  phase_budgets=(b // 2, b // 2)))
-    # Per target: the phase count, the window's lower end n^a / T^c, and the
-    # per-phase budgets.
     if diamond:
-        kind, phases, (a, c) = StrategyKind.DIAMOND_SHORT, 3, (7, 5)
-        budgets = (b // 3, b // 2, b)
+        kind, phases, budgets = StrategyKind.DIAMOND_SHORT, 3, (b // 3, b // 2, b)
     else:
-        kind, phases, (a, c) = StrategyKind.FAN_SHORT, k + 1, (4 * k, 3 * k)
+        kind, phases = StrategyKind.FAN_SHORT, k + 1
         budgets = (k * b // (k + 1),) + (b // (k + 1),) * k
     phase_length = t // phases
+    # The window runs from n^(a+1) / T^(c+1), off the short branch, to bn/t.
     # A set override is at least 1, so `or` keeps it. A seed is capped at the
     # degree bound 3T/n; the fan's formal T/2kn never exceeds it.
-    r = r_set or _geomean_seed_set(a * math.log(n) - c * math.log(max(phase_length, 1)),
-                                   math.log(max(b * n / t, 1.0)), n)
+    lo_log = (a + 1) * math.log(n) - (c + 1) * math.log(max(phase_length, 1))
+    r = r_set or _geomean_seed_set(lo_log, math.log(max(b * n / t, 1.0)), n)
     return StrategySpec(kind, StrategyParams(
         phase_length=phase_length, seed_set_size=r,
         per_vertex_cap=cap_set or math.ceil(3 * phase_length / n),
@@ -354,21 +364,20 @@ class _SeedPhaseBuilder(_Base):
     def _seed_buys(self, state: ProcessState, hi: int):
         """`buys` for the seed phase over the first `hi` rows. The seed-set
         rows are decoded once; one loop runs over them while the phase-0 cap
-        and the budget last, max(edges left, 32) rows at a time, and yields
-        the rows each such chunk buys as one block, its stats counted up to
-        the block's last row. Past that the per-vertex counts are fixed, so
-        the rows left are counted in one pass: a `cap_skip` where every seed
-        end is at its cap, else a `budget_skip` unless it was the phase cap
-        that ran out."""
+        and the budget last, converting max(edges left, 32) rows at a time,
+        and the rows it buys are yielded as one block, its stats counted up
+        to the block's last row. Past that the per-vertex counts are fixed,
+        so the rows left are counted in one pass: a `cap_skip` where every
+        seed end is at its cap, else a `budget_skip` unless it was the phase
+        cap that ran out."""
         n, r, cap = self.config.n, self.r, self.cap
         rows, us, vs = _seed_edges(state.codes, 0, hi, n, r)
         attr, bought = self.attr_count, self.p_bought
         left = self._left(state, 0)
-        done = 0  # rows settled so far
+        done = end = 0  # rows settled so far; the block is rows[:end], less the skipped
+        skipped = []  # positions in `rows`
         while left and done < rows.size:
             stop = done + max(left, 32)
-            start = end = done  # the block is rows[start:end], less the skipped
-            skipped = []  # positions in `rows`
             for j, u, v in zip(range(done, rows.size), us[done:stop].tolist(),
                                vs[done:stop].tolist()):
                 if attr[u] < cap:  # u < v, so u is a seed
@@ -383,19 +392,19 @@ class _SeedPhaseBuilder(_Base):
                 if not left:
                     break
             done = j + 1
-            inside = [j for j in skipped if j < end]
-            bought[0] += end - start - len(inside)
-            self.cap_skips += len(inside)
-            if end > start:
-                block = rows[start:end], us[start:end], vs[start:end]
-                if inside:
-                    keep = np.ones(end - start, dtype=bool)
-                    keep[[j - start for j in inside]] = False
-                    block = tuple(a[keep] for a in block)
-                self._open = (state, block[0], rows[inside])
-                yield block
-                self._open = None
-            self.cap_skips += len(skipped) - len(inside)
+        inside = [j for j in skipped if j < end]
+        bought[0] += end - len(inside)
+        self.cap_skips += len(inside)
+        if end:
+            block = rows[:end], us[:end], vs[:end]
+            if inside:
+                keep = np.ones(end, dtype=bool)
+                keep[inside] = False
+                block = tuple(a[keep] for a in block)
+            self._open = (state, block[0], rows[inside])
+            yield block
+            self._open = None
+        self.cap_skips += len(skipped) - len(inside)
         # Mark the seeds the settled rows meet (u < v makes u one); no other has an edge.
         seen = np.zeros(r, dtype=bool)
         seen[us[:done]] = True

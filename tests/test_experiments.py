@@ -10,7 +10,6 @@ from budget_builder.experiments import (
     PhasePoint,
     SuccessEstimate,
     _isotonic,
-    _threshold_branches,
     estimate_crossover,
     estimate_from_counts,
     grid_values,
@@ -25,7 +24,9 @@ from budget_builder.experiments import (
 )
 from budget_builder.process import ProcessConfig, new_process, next_edge
 from budget_builder.rng import derive_seed
-from budget_builder.strategies import StrategyKind, StrategySpec, select_strategy
+from budget_builder.strategies import (
+    StrategyKind, StrategySpec, _threshold_branches, select_strategy,
+)
 
 
 def test_wilson_interval_basic_properties():
@@ -78,6 +79,23 @@ def test_strategy_regime_switches_where_the_threshold_branches_meet(target):
         t = math.floor(n ** x_star)
         assert select_strategy(target, n, t, 100).kind in short
         assert select_strategy(target, n, t + 1, 100).kind not in short
+
+
+@pytest.mark.parametrize("target, cells", [
+    (DIAMOND, [(32, 128), (243, 2187), (1024, 16384)]),
+    (fan(1), [(8, 16), (27, 81), (64, 256)]),
+    (fan(2), [(8, 16), (27, 81), (64, 256)]),
+], ids=["diamond", "fan1", "fan2"])
+def test_exact_power_cells_keep_the_long_regime(target, cells):
+    # At these cells t = n^{x*} exactly. The float n ** x* lies just below t,
+    # so each selects the long regime. A meeting point worked out in floats
+    # (1.4000000000000001 for the diamond) would select the short one.
+    (a1, c1), (a2, c2) = _threshold_branches(target)
+    x_star = (a1 - a2) / (c1 - c2)
+    for n, t in cells:
+        assert t ** x_star.denominator == n ** x_star.numerator
+        assert select_strategy(target, n, t, 100).kind in {StrategyKind.DIAMOND_LONG,
+                                                           StrategyKind.FAN_LONG}, (n, t)
 
 
 def test_one_fan_formula_matches_three_cycle_formula():

@@ -561,6 +561,32 @@ def test_a_stop_inside_a_seed_block_counts_only_the_rows_before_it(cell):
     assert _stops_inside_a_block(cell, 20) > 0
 
 
+# Ten seeds of cap 1 under a phase-0 cap above ten (13 for the diamond, 20
+# for fan(1)): the cap is never spent, so the seed phase reads all its rows.
+# At these seeds its buys run past the 32 seed-set rows it converts first,
+# so a block per converted run would make two.
+_PAST_32_SEED_ROWS = [
+    ((target, 60, 300, 40, {"regime_override": "short", "seed_set_size": 10,
+                            "per_vertex_cap": 1}), js)
+    for target, js in ((DIAMOND, (16, 26)), (fan(1), (5, 6, 16, 21)))
+]
+
+
+@pytest.mark.parametrize("cell, js", _PAST_32_SEED_ROWS, ids=["k4m-short", "tk-short"])
+def test_the_seed_phase_yields_one_block(cell, js):
+    # The short builders' hosted phases yield single rows, so every block
+    # the step sees is the seed phase's; the records match the per-reveal
+    # reference and the `BuysChecker` run.
+    for j in js:
+        seed = derive_seed(11, cell[1], cell[2], cell[3], j)
+        for early_stop in (True, False):
+            fast, steps = _trial(cell, seed, early_stop, _Steps)
+            assert len(steps.blocks) <= 1, (j, early_stop)
+            slow, _ = _trial(cell, seed, early_stop, PerReveal, reference_strategy)
+            checked, _ = _trial(cell, seed, early_stop, BuysChecker, reference_strategy)
+            assert pickle.dumps(fast) == pickle.dumps(slow) == pickle.dumps(checked), j
+
+
 def test_a_stop_inside_the_buy_all_block_counts_no_skip():
     # Buy-all's one block holds its first b = 1,200 rows, and a diamond
     # mostly comes before the budget runs out: a stop inside the block
@@ -663,6 +689,16 @@ class _RogueBlock(_RogueBuys):
             yield rows, us[at], vs[at]
 
 
+class _OneRow(_RogueBuys):
+    """Buys the single row `row`, as given."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def buys(self, state):
+        yield self.row
+
+
 def _swap_row_1(us, vs):
     us[1], vs[1] = vs[1], us[1]
 
@@ -705,6 +741,14 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
      r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
      r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
+    # A single row with an end that is not an int passes u < v < n; its
+    # insert's TypeError is raised again as the rule violation.
+    (_OneRow((0, 1.5, 3)), OnlineRuleViolation,
+     r"edge \(1\.5, 3\) at row 0, whose ends are not integers"),
+    (_OneRow((0, np.float64(1.0), 3)), OnlineRuleViolation,
+     r"edge \(1\.0, 3\) at row 0, whose ends are not integers"),
+    (_OneRow((0, 1, 3.0)), OnlineRuleViolation,
+     r"edge \(1, 3\.0\) at row 0, whose ends are not integers"),
     # Two single rows leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
     (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
@@ -715,8 +759,8 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
     (_RogueBlock([]), OnlineRuleViolation, "bought an empty block after row -1"),
 ], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
         "row-t", "u-not-below-v", "v-at-n", "u-negative", "single-u-not-below-v",
-        "single-v-at-n", "single-u-negative", "over-budget", "bought-as-a-single-row",
-        "empty"])
+        "single-v-at-n", "single-u-negative", "single-float-u", "single-numpy-float-u",
+        "single-float-v", "over-budget", "bought-as-a-single-row", "empty"])
 def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
     # Only the over-budget case has a short budget; elsewhere b = t, so only
     # the rule under test can raise.
