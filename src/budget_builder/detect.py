@@ -164,17 +164,15 @@ class BuilderGraph:
 
     def insert_until_triangle(self, rows):
         """Insert rows (i, u, v) from the iterator `rows`, each already
-        checked to hold 0 <= u < v < n, up to and including the first whose
-        edge closes a triangle; return that row, or None once `rows` is spent.
-        A later call with the same iterator goes on after it. The returned
-        row's edge is appended to `closing`, and a pair already present
-        still raises `DuplicateEdgeError`, as in `insert_edge`."""
+        checked to be a pair 0 <= u < v < n not in the graph (the step's
+        pairs are the distinct ones revealed at their rows), up to and
+        including the first whose edge closes a triangle; return that row,
+        or None once `rows` is spent. A later call with the same iterator
+        goes on after it. The returned row's edge is appended to `closing`."""
         adj, append = self.adj, self._edges.append
         for row in rows:
             _, u, v = row
             nu, nv = adj[u], adj[v]
-            if v in nu:
-                raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
             append((u, v))
             closes = not nu.isdisjoint(nv)
             if nu is _NO_NBRS:

@@ -27,9 +27,9 @@ class BudgetContractViolation(ContractViolation):
 
 class OnlineRuleViolation(ContractViolation):
     """A strategy bought a row out of stream order (at or before the row it
-    bought last, or at or past t), or a pair other than the one revealed at
-    its row, named in the message (a single row only if not u < v < n, or
-    if an end is not an int)."""
+    bought last, or at or past t), a row or an end that is not an integer,
+    or a pair other than the one revealed at its row, named in the
+    message."""
 
 
 class DetectorMismatch(ContractViolation):

@@ -8,20 +8,18 @@ The stream is one array of t pair codes (`pair_code`), drawn at the first
 reveal. `run_strategy` runs one step per yield of a purchase source, in
 stream order; a yield is a single row `(i, u, v)` (the stream index and
 the ends u < v of the row bought) or a block `(rows, us, vs)` of int64
-arrays holding one or more such rows. `_check_block` states the rules: the
-rows strictly increase from past the last row bought to before t, else
-`OnlineRuleViolation`; they fit the budget left, else
-`BudgetContractViolation`; and each bought pair is the one its row's code
-decodes to, so u < v < n, else `OnlineRuleViolation` naming the revealed
-pair. A block is checked whole, then inserted through
-`BuilderGraph.insert_until_triangle`. A single row meets one chained test
-of order, budget and u < v < n, and one that fails is checked again as a
-1-row block; one that passes is not pair-checked, and one with an end
-that is not an int raises `OnlineRuleViolation` at its insert. Both
-targets are unions of triangles, so the step asks the detector only
-about a buy that closes a triangle, as `BuilderGraph.insert_edge` and
-`insert_until_triangle` report, and stops at a hit under early stop,
-inside a block too.
+arrays holding one or more such rows. `_check_block` states the rules,
+the same for every bought row: integer rows and ends, the rows strictly
+increasing from past the last row bought to before t, and each pair the
+one its row's code decodes to (so u < v < n), else `OnlineRuleViolation`
+naming the revealed pair; no more rows than the budget left, else
+`BudgetContractViolation`. So every bought pair is the distinct pair
+revealed at its row. A block is checked whole, then inserted through
+`BuilderGraph.insert_until_triangle`; a single row meets the same checks
+in the step's one chained test. Both targets are unions of triangles, so
+the step asks the detector only about a buy that closes a triangle, as
+the inserts report, and stops at a hit under early stop, inside a block
+too.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
@@ -266,13 +264,10 @@ def _decided_buys(state: ProcessState, strategy):
 
 def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.ndarray,
                  us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
-    """Raise unless the block (rows, us, vs) keeps the online rule and the
-    budget: one or more rows, strictly increasing from past `last` to before
-    t, at most `left` of them, each bought pair the one its row's code
-    decodes to (so u < v < n). Each message names the first offending row.
-    A single row that fails the step's order, budget or u < v < n test
-    comes here as a 1-row block, so both kinds of yield raise the same
-    messages."""
+    """Raise unless the block (rows, us, vs), one or more rows, keeps the
+    rules of the module docstring, given the row bought `last` and the
+    budget `left`; each message names the first offending row. A single
+    row that fails the step's chained test comes here as a 1-row block."""
     t = config.t
 
     def bought(j: int) -> str:
@@ -280,6 +275,8 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
 
     if not rows.size:
         raise OnlineRuleViolation(f"{name} bought an empty block after row {last}")
+    if any(np.asarray(a).dtype.kind not in "iu" for a in (rows, us, vs)):
+        raise OnlineRuleViolation(f"{bought(0)}, not an integer row with integer ends")
     before = np.concatenate(([last], rows[:-1]))
     bad = (rows <= before) | (rows >= t)
     if bad.any():
@@ -311,28 +308,29 @@ def run_strategy(
 
     The strategy sees only the revealed prefix and its own state; a buy
     out of stream order, or with the budget already spent, or of a pair
-    not u < v < n, or a block row whose pair is not the one revealed
-    there, is a contract violation, never a silent clamp or swap. The
-    detector is asked only about buys that close a triangle (every
-    `detector_for` target is a union of triangles, so no other buy
-    completes one); its hit flag is cross-checked against batch
-    containment on the final purchased graph, which reads every edge. A
-    strategy with `buys` settles its own purchases, any other is asked on
-    every reveal; the step is the same.
+    other than the one revealed at its row, is a contract violation,
+    never a silent clamp or swap. The detector is asked only about buys
+    that close a triangle (every `detector_for` target is a union of
+    triangles, so no other buy completes one); its hit flag is
+    cross-checked against batch containment on the final purchased graph,
+    which reads every edge. A strategy with `buys` settles its own
+    purchases, any other is asked on every reveal; the step is the same.
     """
     state = new_process(config)
     g = state.purchased
     if hasattr(strategy, "buys"):
         state.codes = draw_codes(config)
         purchases = strategy.buys(state)
+        code = state.codes.item
     else:
         purchases = _decided_buys(state, strategy)
+        code = lambda i: state.codes.item(i)  # drawn at the first `next_edge`
     # Bound once per trial: the benchmark's tracer patches these before
     # the trial starts, so it still sees every call. A yield is a block
     # when its first item is exactly an ndarray, a test of ~10 ns per row.
     insert_edge, after_insert = g.insert_edge, detector.after_insert
     insert_until_triangle, ndarray = g.insert_until_triangle, np.ndarray
-    t, n = config.t, config.n
+    t, n, m = config.t, config.n, 2 * config.n - 1
     left = config.b  # budget left; every insert below spends one edge
     last = -1  # the row bought last
     hit_time = None
@@ -348,19 +346,15 @@ def run_strategy(
                     if early_stop:
                         break
         else:
-            # A single row that breaks the order, the budget or u < v < n
-            # is checked again as a 1-row block, which raises its message.
-            if not (last < i < t and left and 0 <= u < v < n):
+            # A block row's four checks in one chained test, `pair_code`
+            # inlined; a row that fails it is checked as a 1-row block.
+            if not (i.__class__ is u.__class__ is v.__class__ is int and last < i < t
+                    and left and 0 <= u < v < n and code(i) == u * (m - u) // 2 + v - u - 1):
                 _check_block(strategy.name, config, state.codes, np.array([i]),
                              np.array([u]), np.array([v]), last, left)
             left -= 1
             last = i
-            try:  # an end that is not an int indexes no adjacency list
-                closes = insert_edge(u, v)
-            except TypeError:
-                raise OnlineRuleViolation(f"{strategy.name} bought edge ({u}, {v}) at row "
-                                          f"{i}, whose ends are not integers") from None
-            if closes and hit_time is None and after_insert(g, u, v):
+            if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):
                 hit_time = i + 1
         if hit_time is not None and early_stop:
             break

@@ -4,7 +4,8 @@ The diamond and fan builders come in two flavors per target: a short-time
 variant that seeds many small neighborhoods and closes structure inside
 them, and a long-time variant that grows one anchored star and buys inside
 its neighborhood. Two baselines serve calibration and the counting
-probes: buy-all, and degree-greedy, the counting adversary.
+probes: degree-greedy, the counting adversary, and buy-all, which is
+degree-greedy with every vertex in its prefix.
 
 Decisions depend only on the revealed prefix and the strategy's own
 state; every strategy refuses to buy once the global budget is spent
@@ -15,13 +16,12 @@ count two substreams per trial.
 
 Every strategy settles its purchases in `buys(state)`, a generator that
 keeps the contract stated in the `process` docstring. A source whose buys
-read no graph state between them yields them as one block: buy-all's
-first b rows, and the seed phase's, whose per-vertex caps read its own counts.
-Every other phase reads the graph between buys, or buys too few rows for
-a block's checks to pay, and yields single rows. While `buys` is
-suspended at a seed-phase block, the seed builders' `stats()` net out its
-rows at or past `state.clock`; buy-all counts its skips after its block,
-all past its last row, so it has nothing to net.
+read no graph state between them yields them as one block: degree-greedy's
+and the seed phase's. Every other phase reads the graph between buys, or
+buys too few rows for a block's checks to pay, and yields single rows.
+While `buys` is suspended at a seed-phase block, the seed builders'
+`stats()` net out its rows at or past `state.clock`; degree-greedy's
+skips all lie past its block, so it has nothing to net.
 At each phase start it does that phase's set-up (a freeze sharing the
 graph's sets, a candidate build, a round start), then runs one loop over
 that phase's rows that can buy or change a stat: seed-set edges found from
@@ -224,40 +224,27 @@ class _Base:
         return {"budget_skips": self.budget_skips, "phase_bought": tuple(self.p_bought)}
 
 
-class BuyAll(_Base):
-    def buys(self, state: ProcessState):
-        """The first b rows, decoded once and bought as one block. The
-        reveals after them each count a `budget_skip`, all at once after the
-        yield: every one lies past the block's last row."""
-        codes = state.codes
-        take = min(codes.size, self.config.b - state.purchased.edge_count)
-        if take:
-            yield (np.arange(take), *decode(self.config.n, codes[:take]))
-        self.budget_skips += codes.size - take
-
-
 class DegreeGreedy(_Base):
     """Count-maximizing adversary for the counting probe: stars on a vertex
     prefix plus the edges that close them into triangles.
 
-    While the budget lasts it buys (a) every revealed edge touching the
-    prefix {0, ..., h-1}, h = max(1, min(n, bn // 4t)), and (b) every
-    revealed edge (u, v) outside the prefix whose endpoints are both
-    purchased neighbours of one prefix vertex, i.e. the closing edge of a
-    purchased cherry at a star centre. A prefix vertex collects about 2t/n
-    revealed edges, so the stars are expected to use about b/2 over the
-    stream and to hold about bt/n cherries; the prefix stands in for the
-    high-degree vertices, since degrees concentrate. Every closing edge
-    revealed after its cherry is bought adds a triangle, about b t^2 / n^3
-    in all: the rate criterion 8's probe measures.
+    While the budget lasts it buys every revealed edge touching the prefix
+    {0, ..., h-1}, h = max(1, min(n, bn // 4t)), and every edge (u, v)
+    outside it that closes a purchased cherry u-w-v at a prefix vertex w.
+    A prefix vertex collects about 2t/n revealed edges, so the stars use
+    about b/2 over the stream and hold about bt/n cherries; the prefix
+    stands in for the high-degree vertices, since degrees concentrate.
+    Every closing edge revealed after its cherry adds a triangle, about
+    b t^2 / n^3 in all: the rate criterion 8's probe measures.
 
-    `buys` decodes the stream once and loops over two kinds of rows: every
-    prefix row (after the budget each counts a `budget_skip`), and every
-    row outside the prefix whose two ends each received one of the first b
-    prefix rows before it, where it tests for a closing edge. While the
-    budget lasts every prefix row is bought, so the bought ones are an
-    initial run of at most b prefix rows; a row whose ends have a purchased
-    common prefix neighbour is therefore of the second kind.
+    `buys` settles the rule in closed form, as one block. Before the budget
+    runs out every prefix row is bought, so a row i outside the prefix
+    closes a cherry iff ready(i) < i, where ready(i) = min over w < h of
+    max(pos_w(u), pos_w(v)) and pos_w(x) is the row of the pair (w, x).
+    It buys the first b - edge_count of the prefix rows and those rows. If
+    that spends the budget, at row e, the graph is fixed: each later prefix
+    row, and each later outside row with ready(i) <= e, counts a
+    `budget_skip`, all past the block, so a stop inside it nets nothing.
     """
 
     def __init__(self, config, params, rng):
@@ -265,32 +252,51 @@ class DegreeGreedy(_Base):
         self.h = max(1, min(config.n, config.b * config.n // (4 * config.t)))
 
     def buys(self, state: ProcessState):
-        codes, n, b, h = state.codes, self.config.n, self.config.b, self.h
-        us, vs = decode(n, codes)
-        prefix = us < h  # u < v, so these are the rows meeting the prefix
-        # A vertex outside the prefix is reached at the first of the first b
-        # prefix rows that ends at it; a closing row needs both ends reached.
-        first = np.flatnonzero(prefix)[:b]
-        reached = np.full(n, codes.size)
-        np.minimum.at(reached, vs[first], first)
-        rows = np.arange(codes.size)
-        keep = prefix | ((reached[us] < rows) & (reached[vs] < rows))
-        adj = state.purchased.adj
-        left = b - state.purchased.edge_count
-        for i, u, v in zip(np.flatnonzero(keep).tolist(), us[keep].tolist(),
-                           vs[keep].tolist()):
-            if u >= h:
-                common = adj[u] & adj[v]
-                if not common or min(common) >= h:
-                    continue
-            if not left:
-                self.budget_skips += 1
-                continue
-            left -= 1
-            yield i, u, v
+        codes, n, t, h = state.codes, self.config.n, self.config.t, self.h
+        left = self.config.b - state.purchased.edge_count
+        prefix = codes < pair_code(n, h, h + 1)  # u < v: the rows meeting the prefix
+        pre = np.flatnonzero(prefix)
+        out = ready = pre[:0]  # the outside rows that may close a cherry, and ready
+        if pre.size < t:  # so h = n (buy-all) decodes only the rows it buys
+            stars = pre[:left]  # the prefix rows that can be bought
+            wu, wv = decode(n, codes[stars])
+            stars, wu, wv = (a[wv >= h] for a in (stars, wu, wv))  # cherry ends lie outside
+            pos = np.full(n, t)  # one n-length array, so memory stays O(t + n)
+            np.minimum.at(pos, wv, stars)  # an end's first star row, at any centre
+            out = np.flatnonzero(~prefix)
+            ou, ov = decode(n, codes[out])
+            near = (pos[ou] < out) & (pos[ov] < out)
+            out, ou, ov, ready = out[near], ou[near], ov[near], np.full(near.sum(), t)
+            pos[wv] = t
+            by_centre = np.argsort(wu)
+            stars, wv = stars[by_centre], wv[by_centre]
+            ends = np.cumsum(np.bincount(wu, minlength=h)).tolist()
+            for lo, hi in zip([0] + ends, ends):
+                if hi - lo > 1:  # a centre with one star holds no cherry
+                    pos[wv[lo:hi]] = stars[lo:hi]
+                    np.minimum(ready, np.maximum(pos[ou], pos[ov]), out=ready)
+                    pos[wv[lo:hi]] = t
+        cand = np.sort(np.concatenate((pre, out[ready < out])))
+        bought = cand[:left]
+        if bought.size:
+            yield (bought, *decode(n, codes[bought]))
+        if cand.size >= left:  # the budget ran out at e
+            e = bought[-1] if left else -1
+            self.budget_skips += int(np.count_nonzero(pre > e)
+                                     + np.count_nonzero((out > e) & (ready <= e)))
 
     def stats(self) -> dict:
         return {**super().stats(), "prefix_size": self.h}
+
+
+class BuyAll(DegreeGreedy):
+    """Degree-greedy with h = n: the first b rows, and no `prefix_size`."""
+
+    def __init__(self, config, params, rng):
+        super().__init__(config, params, rng)
+        self.h = config.n
+
+    stats = _Base.stats
 
 
 def _ends(codes: np.ndarray, rows: np.ndarray, n: int):

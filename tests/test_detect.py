@@ -78,10 +78,6 @@ def test_insert_until_triangle_matches_insert_edge_row_by_row(rng):
         assert block._edges == one._edges
         assert block.adj == one.adj
         assert [a is _NO_NBRS for a in block.adj] == [a is _NO_NBRS for a in one.adj]
-        i, u, v = rows[int(rng.integers(len(rows)))]
-        with pytest.raises(DuplicateEdgeError, match=f"edge \\({u}, {v}\\) already present"):
-            block.insert_until_triangle(iter([(len(rows), u, v)]))
-        assert block._edges == one._edges
 
 
 def test_contains_diamond_examples():

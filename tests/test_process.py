@@ -11,7 +11,6 @@ from budget_builder.errors import (
     BudgetContractViolation,
     ConfigurationError,
     DetectorMismatch,
-    DuplicateEdgeError,
     OnlineRuleViolation,
     StreamExhausted,
 )
@@ -388,6 +387,7 @@ def _probe_cell(n, t=None, b=None):
 _DEGREE_GREEDY_CELLS = [
     _probe_cell(100),
     _probe_cell(200),
+    _probe_cell(800),
     _probe_cell(100, b=0),  # every prefix row counts a budget_skip
     # h = 2 and all of K_40: closing rows spend the budget mid-stream, and
     # the prefix and closing rows after it count budget_skips.
@@ -741,26 +741,32 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
      r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
      r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
-    # A single row with an end that is not an int passes u < v < n; its
-    # insert's TypeError is raised again as the rule violation.
+    # A single row whose row or an end is not an int fails the chained
+    # test; the block check refuses it before any other rule, naming it.
     (_OneRow((0, 1.5, 3)), OnlineRuleViolation,
-     r"edge \(1\.5, 3\) at row 0, whose ends are not integers"),
+     r"edge \(1\.5, 3\) at row 0, not an integer row with integer ends"),
     (_OneRow((0, np.float64(1.0), 3)), OnlineRuleViolation,
-     r"edge \(1\.0, 3\) at row 0, whose ends are not integers"),
+     r"edge \(1\.0, 3\) at row 0, not an integer row with integer ends"),
     (_OneRow((0, 1, 3.0)), OnlineRuleViolation,
-     r"edge \(1, 3\.0\) at row 0, whose ends are not integers"),
+     r"edge \(1, 3\.0\) at row 0, not an integer row with integer ends"),
+    (_OneRow((0.5, 1, 3)), OnlineRuleViolation,
+     r"edge \(1, 3\) at row 0\.5, not an integer row with integer ends"),
+    (_OneRow((0, True, 3)), OnlineRuleViolation,
+     r"edge \(True, 3\) at row 0, not an integer row with integer ends"),
     # Two single rows leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
     (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
      "at clock 4 with budget 3 exhausted"),
-    # A single row is not pair-checked: row 0 buys the pair revealed at row 2,
-    # which the block then buys again at its own row.
-    (_RogueBlock([1, 2], [(0, 2)]), DuplicateEdgeError, "already present"),
+    # A single row is pair-checked like a block row: row 0 buying the pair
+    # revealed at row 2 names the pair revealed at row 0.
+    (_RogueBlock([1, 2], [(0, 2)]), OnlineRuleViolation,
+     r"edge \(\d+, \d+\) at row 0, where \(\d+, \d+\) was revealed"),
     (_RogueBlock([]), OnlineRuleViolation, "bought an empty block after row -1"),
 ], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
         "row-t", "u-not-below-v", "v-at-n", "u-negative", "single-u-not-below-v",
         "single-v-at-n", "single-u-negative", "single-float-u", "single-numpy-float-u",
-        "single-float-v", "over-budget", "bought-as-a-single-row", "empty"])
+        "single-float-v", "single-float-row", "single-true-u", "over-budget",
+        "bought-as-a-single-row", "empty"])
 def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
     # Only the over-budget case has a short budget; elsewhere b = t, so only
     # the rule under test can raise.
