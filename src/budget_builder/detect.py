@@ -13,7 +13,8 @@ in purchase order, kept for the edge count, `edges()`, the batch checks and
 the edge table (`_edge_table`). `BuilderGraph.closing` lists, in purchase
 order, the edges that closed a triangle when they were inserted; every
 triangle's last-bought edge is one of them, so a caller that wants the
-triangles (the `tk-short` freeze) reads them off this short list.
+triangles (the `tk-short` freeze, the edge table) reads them off this
+short list.
 
 The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
 look only at edges whose ends share a neighbour: an edge in no triangle is
@@ -26,11 +27,12 @@ they confirm a tracker independently. The fan tracker keeps each centre's
 link edges as the asked inserts add them, so a check reads a kept list
 rather than rebuilding the link graph from neighbour sets.
 
-The edge table holds ends, degrees, codegrees and link counts from one
-codegree pass, cached on the graph (not pickled) and rebuilt only once the
-edge count has changed, as edges are never removed. The whole-graph counts
+The edge table holds the edge ends, degrees, link counts and the triangle
+sums, cached on the graph (not pickled) and rebuilt only once the edge
+count has changed, as edges are never removed. It reads the triangles off
+`closing`, so it pays per triangle, not per edge. The whole-graph counts
 and `fan_center_counts` read it, so a probe graph counted many ways pays
-for one pass.
+for one build.
 """
 
 from __future__ import annotations
@@ -308,26 +310,35 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
 
 
 def _edge_table(g: BuilderGraph) -> tuple:
-    """(tails, heads, deg, codeg, twice): each edge's ends and codegree, in
-    `_edges` order, and each vertex's degree and twice its link-edge count,
-    both counted from the edge ends, as int64 arrays. Cached on the graph;
-    one codegree pass rebuilds it once the edge count changed. Read by the
-    counts and `fan_center_counts`.
+    """(tails, heads, deg, links, triangles, tri_deg): each edge's ends, in
+    `_edges` order, and each vertex's degree and link-edge count, as int64
+    arrays, then the triangle count and the sum of d_x + d_y + d_z over the
+    triangles xyz. Cached on the graph; rebuilt once the edge count
+    changed. Read by the counts and `fan_center_counts`.
 
-    A vertex's link edges are its triangles. An edge uv lies in c_uv of
-    them, and each triangle at u is seen from both of its edges at u, so
-    adding c_uv to u and to v counts every link edge twice.
+    The triangles are read off `closing`, which holds every triangle's
+    last-bought edge: each closing edge (u, v) and common neighbour w is a
+    triangle, counted once, at its smallest closing edge. Next to (u, v),
+    the triangle's edges sorted below it are (u, w) or (w, u) when w < v,
+    and (w, v) when w < u. A vertex's link edges are its triangles.
     """
     table = g._table
     m = len(g._edges)
     if table is None or len(table[0]) != m:
-        adj = g.adj
+        adj, closing = g.adj, g.closing
         ends = np.fromiter(chain.from_iterable(g._edges), np.int64, 2 * m)
-        codeg = np.fromiter((len(adj[u] & adj[v]) for u, v in g._edges), np.int64, m)
         deg = np.bincount(ends, minlength=g.n).astype(np.int64, copy=False)
-        # `ends` runs tail, head, tail, head, so each codegree weighs two ends in a row.
-        twice = np.bincount(ends, np.repeat(codeg, 2), g.n).astype(np.int64)
-        table = g._table = (ends[0::2], ends[1::2], deg, codeg, twice)
+        closes = set(closing)
+        corners = []  # x, y, z of each triangle, back to back
+        for u, v in closing:
+            for w in adj[u] & adj[v]:
+                if not (w < v and ((w, u) if w < u else (u, w)) in closes
+                        or w < u and (w, v) in closes):
+                    corners += (u, v, w)
+        corners = np.array(corners, np.int64)
+        links = np.bincount(corners, minlength=g.n).astype(np.int64, copy=False)
+        table = g._table = (ends[0::2], ends[1::2], deg, links, corners.size // 3,
+                            int(deg[corners].sum()))
     return table
 
 
@@ -341,7 +352,7 @@ def _c4_count(g: BuilderGraph) -> int:
     its run of keys, and the count is sum c(c - 1) / 4. The table holds
     one int64 per wedge, sum C(d, 2) of them.
     """
-    tails, heads, deg, _, _ = _edge_table(g)
+    tails, heads, deg, *_ = _edge_table(g)
     n, m = g.n, len(tails)
     wedges = int((deg * (deg - 1) // 2).sum())
     if wedges == 0:
@@ -363,33 +374,31 @@ def _c4_count(g: BuilderGraph) -> int:
 def count_pattern(g: BuilderGraph, p: Pattern) -> int:
     """Exact unlabeled subgraph counts for the probe patterns.
 
-    With d_v the degree and c_uv = |N(u) & N(v)| the codegree of an edge
-    uv, the triangle, paw and P4 counts each take one pass over the edges:
+    With d_v the degree, T the triangle count and c_uv = |N(u) & N(v)| the
+    codegree of an edge uv, the edge table (`_edge_table`) gives:
 
-    - triangle: sum c_uv / 3 (a triangle has three edges);
-    - paw: sum c_uv (d_u + d_v - 4) / 2 (a triangle uvw has
-      d_u + d_v + d_w - 6 pendant edges, and its three edges count each
-      of its vertices twice);
-    - P4: sum (d_u - 1)(d_v - 1) - c_uv (paths whose middle edge is uv,
-      less the pairs of ends that coincide, one per common neighbour).
+    - triangle: T, read off the triangle-closing edges;
+    - paw: sum over triangles xyz of d_x + d_y + d_z - 6 (each vertex of a
+      triangle has d - 2 pendant edges), that is, that sum less 6T;
+    - P4: sum over edges of (d_u - 1)(d_v - 1), less 3T (paths whose
+      middle edge is uv, less the pairs of ends that coincide: sum c_uv,
+      which counts each triangle at each of its three edges).
 
     P3: sum of C(d, 2). C4: sum over vertex pairs of C(codeg, 2), halved,
-    from a wedge table (`_c4_count`). Every count reads the graph's edge
-    table (`_edge_table`).
+    from a wedge table (`_c4_count`).
     """
     if p.tag == "c4":
         return _c4_count(g)
     if p.tag not in ("triangle", "p3", "p4", "paw"):
         raise UnsupportedPattern(f"count_pattern does not support {p}")
-    tails, heads, deg, codeg, _ = _edge_table(g)
+    tails, heads, deg, _, triangles, tri_deg = _edge_table(g)
     if p.tag == "triangle":
-        return int(codeg.sum()) // 3
+        return triangles
     if p.tag == "p3":
         return int((deg * (deg - 1) // 2).sum())
-    du, dv = deg[tails], deg[heads]
     if p.tag == "p4":
-        return int(((du - 1) * (dv - 1) - codeg).sum())
-    return int((codeg * (du + dv - 4)).sum()) // 2
+        return int(((deg[tails] - 1) * (deg[heads] - 1)).sum()) - 3 * triangles
+    return tri_deg - 6 * triangles
 
 
 def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
@@ -408,16 +417,16 @@ def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
 def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
     """How many vertices center an l-fan, for l = 1..max_k.
 
-    The doubled link counts come from the edge table (`_edge_table`) that
-    the counts also read. A vertex with no link edge centers no fan and
+    The link counts come from the edge table (`_edge_table`) that the
+    counts also read. A vertex with no link edge centers no fan and
     one with exactly one centers a 1-fan only; only a vertex with two or
     more reaches the exact matching search.
     """
     counts = [0] * max_k
-    *_, twice = _edge_table(g)
-    centres = np.flatnonzero(twice)
-    for v, links2 in zip(centres.tolist(), twice[centres].tolist()):
-        size = 1 if links2 == 2 else link_matching_size(g, v, max_k)
+    links = _edge_table(g)[3]
+    centres = np.flatnonzero(links)
+    for v, count in zip(centres.tolist(), links[centres].tolist()):
+        size = 1 if count == 1 else link_matching_size(g, v, max_k)
         for level in range(min(size, max_k)):
             counts[level] += 1
     return counts

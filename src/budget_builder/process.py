@@ -262,6 +262,13 @@ def _decided_buys(state: ProcessState, strategy):
             yield state.clock - 1, e.u, e.v
 
 
+def _integral(a) -> bool:
+    """Whether `a` holds integers: an integer array, or Python ints that
+    overflow int64 (an object array)."""
+    a = np.asarray(a)
+    return a.dtype.kind in "iu" or a.dtype.kind == "O" and all(x.__class__ is int for x in a.flat)
+
+
 def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.ndarray,
                  us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
     """Raise unless the block (rows, us, vs), one or more rows, keeps the
@@ -275,8 +282,10 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
 
     if not rows.size:
         raise OnlineRuleViolation(f"{name} bought an empty block after row {last}")
-    if any(np.asarray(a).dtype.kind not in "iu" for a in (rows, us, vs)):
+    if not all(map(_integral, (rows, us, vs))):
         raise OnlineRuleViolation(f"{bought(0)}, not an integer row with integer ends")
+    if not np.can_cast(rows.dtype, np.int64):  # uint64, or ints past int64
+        rows = rows.astype(object)  # so they meet `last` as ints, not floats
     before = np.concatenate(([last], rows[:-1]))
     bad = (rows <= before) | (rows >= t)
     if bad.any():
@@ -287,7 +296,7 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
             f"{name} bought edge ({us[left]}, {vs[left]}) at clock "
             f"{rows[left] + 1} with budget {config.b} exhausted"
         )
-    ru, rv = decode(config.n, codes[rows])
+    ru, rv = decode(config.n, codes[rows.astype(np.int64, copy=False)])
     bad = (us != ru) | (vs != rv)
     if bad.any():
         j = int(bad.argmax())

@@ -245,6 +245,13 @@ class DegreeGreedy(_Base):
     that spends the budget, at row e, the graph is fixed: each later prefix
     row, and each later outside row with ready(i) <= e, counts a
     `budget_skip`, all past the block, so a stop inside it nets nothing.
+
+    ready comes from one join, not a pass per centre. Sorted by the key
+    x*h + w, the stars (w, x), x >= h, list each outside end's centres
+    back to back; a row (u, v) whose ends both hold a star before it pairs
+    with each centre w of u and looks up the key of (w, v). The rows are
+    joined in slices of about t pairs, each fewer than t + n, so memory
+    stays O(t + n).
     """
 
     def __init__(self, config, params, rng):
@@ -261,21 +268,31 @@ class DegreeGreedy(_Base):
             stars = pre[:left]  # the prefix rows that can be bought
             wu, wv = decode(n, codes[stars])
             stars, wu, wv = (a[wv >= h] for a in (stars, wu, wv))  # cherry ends lie outside
-            pos = np.full(n, t)  # one n-length array, so memory stays O(t + n)
+            pos = np.full(n, t)
             np.minimum.at(pos, wv, stars)  # an end's first star row, at any centre
+            first = np.zeros(n + 1, np.int64)  # x's stars: first[x] up to first[x + 1]
+            np.cumsum(np.bincount(wv, minlength=n), out=first[1:])
+            keys = wv * h + wu
+            by_key = np.argsort(keys)
+            keys, stars, wu = keys[by_key], stars[by_key], wu[by_key]
             out = np.flatnonzero(~prefix)
             ou, ov = decode(n, codes[out])
             near = (pos[ou] < out) & (pos[ov] < out)
             out, ou, ov, ready = out[near], ou[near], ov[near], np.full(near.sum(), t)
-            pos[wv] = t
-            by_centre = np.argsort(wu)
-            stars, wv = stars[by_centre], wv[by_centre]
-            ends = np.cumsum(np.bincount(wu, minlength=h)).tolist()
-            for lo, hi in zip([0] + ends, ends):
-                if hi - lo > 1:  # a centre with one star holds no cherry
-                    pos[wv[lo:hi]] = stars[lo:hi]
-                    np.minimum(ready, np.maximum(pos[ou], pos[ov]), out=ready)
-                    pos[wv[lo:hi]] = t
+            size = first[ou + 1] - first[ou]  # a row's pairs: one per star (w, u)
+            width = np.cumsum(size)
+            lo = 0
+            # each slice, rows lo..hi-1, holds fewer than t + h pairs
+            for hi in np.searchsorted(width, np.arange(t, width[-1:].sum() + t, t), "right").tolist():
+                span = size[lo:hi]
+                row = np.repeat(np.arange(lo, hi), span)
+                # j: each pair's star (w, u), where u's stars start at first[u]
+                j = np.arange(row.size) + np.repeat(first[ou[lo:hi]] - np.cumsum(span) + span, span)
+                look = ov[row] * h + wu[j]  # the key of the star (w, v)
+                at = np.searchsorted(keys, look)
+                hit = keys.take(at, mode="clip") == look
+                np.minimum.at(ready, row[hit], np.maximum(stars[j[hit]], stars[at[hit]]))
+                lo = hi
         cand = np.sort(np.concatenate((pre, out[ready < out])))
         bought = cand[:left]
         if bought.size:

@@ -29,6 +29,7 @@ from budget_builder.detect import (
     _NO_NBRS,
     C4,
     DIAMOND,
+    P3,
     P4,
     PAW,
     TRIANGLE,
@@ -183,6 +184,34 @@ def test_closing_edges_are_the_last_edges_of_the_triangles(name):
     assert bool(triangles) == bool(closing)
     for a, b, c in triangles:
         assert max((a, b), (a, c), (b, c), key=order.__getitem__) in closing, (a, b, c)
+
+
+def test_counts_do_not_depend_on_purchase_order():
+    # The edge table reads each triangle off its closing edges, one to
+    # three of them by the order the edges were bought, and counts it at
+    # the smallest; so every order of one graph gives the counts networkx
+    # gives.
+    rng = np.random.default_rng(_SEED)
+    graphs = [(k, [(u, v) for u in range(k) for v in range(u + 1, k)]) for k in (4, 5)]
+    graphs += [(9, gnm_edges(rng, 9, 20)), (12, gnm_edges(rng, 12, 34))]
+    closing_per_triangle = set()
+    for n, edges in graphs:
+        G = nx.Graph(edges)
+        triangles = {tuple(sorted((u, v, w))) for u, v in G.edges()
+                     for w in nx.common_neighbors(G, u, v)}
+        expected = ([len(triangles), _copies(nx.k_core(G, 2), C4), _copies(G, PAW),
+                     _copies(G, P3), _copies(G, P4)],
+                    [sum(min(_nx_link_matching(G, v), 3) >= k for v in G
+                         if nx.triangles(G, v)) for k in (1, 2, 3)])
+        for _ in range(8):
+            order = [edges[i] for i in rng.permutation(len(edges))]
+            g = builder_from(n, order)
+            counts = [count_pattern(g, p) for p in (TRIANGLE, C4, PAW, P3, P4)]
+            assert (counts, fan_center_counts(g, 3)) == expected, order
+            closing = set(g.closing)
+            closing_per_triangle |= {((a, b) in closing) + ((a, c) in closing)
+                                     + ((b, c) in closing) for a, b, c in triangles}
+    assert closing_per_triangle == {1, 2, 3}
 
 
 def test_insert_edge_reports_a_neighbour_shared_before_the_insert(rng):

@@ -52,6 +52,10 @@ RUNS = {
     "probe-buy-all.csv": ["probe", "--adversary", "buy-all", "--n-list", "100,200",
                           "--t-exp", "1.3", "--b-exp", "1.1", "--trials", "2",
                           "--jobs", "1"],
+    # criterion 8's probe cells at n = 400 and 800: degree-greedy's cherry
+    # test over several prefix centres, and counts over many closing edges
+    "probe-dg.csv": ["probe", "--adversary", "degree-greedy", "--n-list", "400,800",
+                     "--t-exp", "1.3", "--b-exp", "1.1", "--trials", "2", "--jobs", "1"],
 }
 
 

@@ -20,6 +20,7 @@ from budget_builder.process import (
     ProcessConfig,
     _settle,
     decode,
+    draw_codes,
     new_process,
     next_edge,
     pair_code,
@@ -399,6 +400,9 @@ _DEGREE_GREEDY_CELLS = [
     # the later rows it closes still count a budget_skip (a window built from
     # only the first b - 1 prefix rows fails here).
     _probe_cell(12, t=66, b=3),
+    # h = 67: the cherry join holds ~20.9k (row, centre) pairs against
+    # t + n = 4,200, so it is settled over several slices.
+    _probe_cell(200, t=4000, b=5360),
 ]
 
 
@@ -753,6 +757,14 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
      r"edge \(1, 3\) at row 0\.5, not an integer row with integer ends"),
     (_OneRow((0, True, 3)), OnlineRuleViolation,
      r"edge \(True, 3\) at row 0, not an integer row with integer ends"),
+    # A single row past int64, either way, or at 2^63 (a uint64 once in an
+    # array) is an integer row out of order, named as such.
+    (_OneRow((2**70, 1, 3)), OnlineRuleViolation,
+     rf"edge \(1, 3\) at row {2**70}, not after row -1 and before t=20$"),
+    (_OneRow((-2**70, 1, 3)), OnlineRuleViolation,
+     rf"edge \(1, 3\) at row -{2**70}, not after row -1 and before t=20$"),
+    (_OneRow((2**63, 1, 3)), OnlineRuleViolation,
+     rf"edge \(1, 3\) at row {2**63}, not after row -1 and before t=20$"),
     # Two single rows leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
     (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
@@ -765,7 +777,8 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
 ], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
         "row-t", "u-not-below-v", "v-at-n", "u-negative", "single-u-not-below-v",
         "single-v-at-n", "single-u-negative", "single-float-u", "single-numpy-float-u",
-        "single-float-v", "single-float-row", "single-true-u", "over-budget",
+        "single-float-v", "single-float-row", "single-true-u", "single-row-past-int64",
+        "single-row-below-int64", "single-row-at-2-63", "over-budget",
         "bought-as-a-single-row", "empty"])
 def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
     # Only the over-budget case has a short budget; elsewhere b = t, so only
@@ -853,6 +866,26 @@ def test_windowed_degree_greedy_memory_is_linear_in_t_and_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_degree_greedy_joins_its_cherries_in_slices():
+    # h = 300 centres: at once, the cherry join's ~650k (row, centre) pairs
+    # would take ~27 MiB; slices of fewer than t + n pairs keep the settle
+    # near 4 MiB. The codes are drawn before tracing, so the peak is the
+    # settle's own.
+    config = ProcessConfig(n=600, t=40000, b=80000, seed=4)
+    state = new_process(config)
+    state.codes = draw_codes(config)
+    strategy = build_strategy(StrategySpec(StrategyKind.DEGREE_GREEDY), config)
+    assert strategy.h == 300
+    tracemalloc.start()
+    try:
+        rows, _, _ = next(strategy.buys(state))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.size > config.t // 2
     assert peak < 16 * 2**20
 
 
