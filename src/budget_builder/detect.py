@@ -20,19 +20,23 @@ The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
 look only at edges whose ends share a neighbour: an edge in no triangle is
 in no diamond and no fan, and most purchased edges are in none. For the
 same reason `insert_edge` returns whether the new edge closes a triangle,
-`insert_until_triangle` inserts a checked block of rows up to the next
-such edge, and the trial step asks a tracker only about the edges that
-do. The batch checks stay whole-graph passes and never read `closing`, so
-they confirm a tracker independently. The fan tracker keeps each centre's
-link edges as the asked inserts add them, so a check reads a kept list
-rather than rebuilding the link graph from neighbour sets.
+`insert_until_triangle` inserts a checked block of (u, v) pairs up to the
+next such edge, and the trial step asks a tracker only about the edges
+that do. The batch checks stay whole-graph passes and never read
+`closing` or the edge table, so they confirm a tracker independently. The
+fan tracker keeps each centre's link edges as the asked inserts add them,
+so a check reads a kept list rather than rebuilding the link graph from
+neighbour sets.
 
-The edge table holds the edge ends, degrees, link counts and the triangle
-sums, cached on the graph (not pickled) and rebuilt only once the edge
-count has changed, as edges are never removed. It reads the triangles off
-`closing`, so it pays per triangle, not per edge. The whole-graph counts
-and `fan_center_counts` read it, so a probe graph counted many ways pays
-for one build.
+The edge table holds the edge ends, degrees, the triangle list and the
+triangle sums, cached on the graph (not pickled) and rebuilt only once the
+edge count has changed, as edges are never removed. It reads the
+triangles off `closing`, so it pays per triangle, not per edge. The
+whole-graph counts and `fan_center_counts` read it, so a probe graph
+counted many ways pays for one build; the fan-centre counts group the
+triangle list into link edges, since a vertex's link edges are its
+triangles, and the matching search answers most of those short lists
+from its greedy matching.
 """
 
 from __future__ import annotations
@@ -164,30 +168,39 @@ class BuilderGraph:
             nv.add(u)
         return closes
 
-    def insert_until_triangle(self, rows):
-        """Insert rows (i, u, v) from the iterator `rows`, each already
+    def insert_until_triangle(self, pairs):
+        """Insert the pairs (u, v) of the iterator `pairs`, each already
         checked to be a pair 0 <= u < v < n not in the graph (the step's
         pairs are the distinct ones revealed at their rows), up to and
-        including the first whose edge closes a triangle; return that row,
-        or None once `rows` is spent. A later call with the same iterator
-        goes on after it. The returned row's edge is appended to `closing`."""
-        adj, append = self.adj, self._edges.append
-        for row in rows:
-            _, u, v = row
+        including the first whose edge closes a triangle; return that pair,
+        or None once `pairs` is spent. A later call with the same iterator
+        goes on after it. Each pair tuple is appended to `_edges` as given;
+        the returned pair's edge is appended to `closing` as a new tuple, so
+        the two lists share no tuple, as with `insert_edge`: a shared tuple
+        would pickle as a memo reference, and the graph's pickle would
+        differ. An edge with an end that has no neighbour yet closes
+        nothing, so it is inserted untested."""
+        adj, append, closing = self.adj, self._edges.append, self.closing
+        for pair in pairs:
+            u, v = pair
+            append(pair)
             nu, nv = adj[u], adj[v]
-            append((u, v))
-            closes = not nu.isdisjoint(nv)
             if nu is _NO_NBRS:
                 adj[u] = {v}
-            else:
-                nu.add(v)
-            if nv is _NO_NBRS:
+                if nv is _NO_NBRS:
+                    adj[v] = {u}
+                else:
+                    nv.add(u)
+            elif nv is _NO_NBRS:
                 adj[v] = {u}
+                nu.add(v)
             else:
+                closes = not nu.isdisjoint(nv)
+                nu.add(v)
                 nv.add(u)
-            if closes:
-                self.closing.append((u, v))
-                return row
+                if closes:
+                    closing.append((u, v))
+                    return pair
         return None
 
     def edges(self) -> list[tuple[int, int]]:
@@ -230,11 +243,17 @@ def diamond_through_edge(g: BuilderGraph, u: int, v: int) -> bool:
 def _max_matching_edges(edges: list[tuple[int, int]], cap: int) -> int:
     """Exact maximum matching size, capped at cap.
 
-    A greedy maximal matching that reaches cap answers at once. Otherwise
-    its vertices C, at most 2(cap - 1), cover every edge, so a matching
-    has at most |C| edges. Each vertex of C then keeps only |C| of its
-    edges that leave C: a matching edge (c, x) with x outside C that was
-    dropped can swap x for a kept neighbour of c that no other matching
+    A greedy maximal matching that reaches cap answers at once. So does
+    one that is provably maximum: one that uses every edge (no other edge
+    is left to match), or one that leaves at most one vertex of the edges
+    unmatched (a matching on 2s + 1 vertices has at most s edges). On
+    degree-greedy's probe graphs about 95% of the link lists of two or more
+    edges that `fan_center_counts` passes end at one of these exits, and
+    each saves a kernel search of several microseconds. Otherwise the
+    greedy matching's vertices C, at most 2(cap - 1), cover every edge, so
+    a matching has at most |C| edges. Each vertex of C then keeps only |C|
+    of its edges that leave C: a matching edge (c, x) with x outside C that
+    was dropped can swap x for a kept neighbour of c that no other matching
     edge uses, so the kernel, at most C(|C|, 2) + |C|^2 edges, has a
     matching as large as the input's. On the kernel the answer is the best,
     over each edge i as the matching's first edge, of one plus the capped
@@ -250,6 +269,9 @@ def _max_matching_edges(edges: list[tuple[int, int]], cap: int) -> int:
             cover.add(b)
             if len(cover) >= 2 * cap:
                 return cap
+    greedy = len(cover) // 2
+    if greedy == len(edges) or len(set(chain.from_iterable(edges)) - cover) <= 1:
+        return greedy
     room = dict.fromkeys(cover, len(cover))
     kernel = []
     for a, b in edges:
@@ -276,7 +298,11 @@ def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
     endpoints inside N(v); a k-fan centered at v exists iff this matching
     reaches k. Each neighbour's link edges come from one set intersection,
     `adj[x] & adj[v]`, so this is the one place link edges are built from
-    adjacency (`FanTracker` keeps its own as the inserts add them). The
+    adjacency (`FanTracker` keeps its own as the inserts add them, and
+    `fan_center_counts` groups the edge table's triangles). Only
+    `contains_fan` calls it: the batch check reads neither `closing` nor
+    the table, so it confirms a tracker independently, and on criterion 6's
+    graphs (n = 400) this call is about 5% of `contains_fan`'s time. The
     edge order affects only how fast the exact search finishes, never its
     result.
     """
@@ -310,17 +336,20 @@ def contains_fan(g: BuilderGraph, k: int) -> bool:
 
 
 def _edge_table(g: BuilderGraph) -> tuple:
-    """(tails, heads, deg, links, triangles, tri_deg): each edge's ends, in
-    `_edges` order, and each vertex's degree and link-edge count, as int64
-    arrays, then the triangle count and the sum of d_x + d_y + d_z over the
-    triangles xyz. Cached on the graph; rebuilt once the edge count
-    changed. Read by the counts and `fan_center_counts`.
+    """(tails, heads, deg, corners, triangles, tri_deg): each edge's ends,
+    in `_edges` order, and each vertex's degree, as int64 arrays; the
+    triangle list, a list of ints holding the corners x, y, z of each
+    triangle back to back; then the triangle count and the sum of
+    d_x + d_y + d_z over the triangles xyz. Cached on the graph; rebuilt
+    once the edge count changed, so the list never outlives an insert.
+    Read by the counts and by `fan_center_counts`, which groups the
+    triangle list into each vertex's link edges.
 
     The triangles are read off `closing`, which holds every triangle's
     last-bought edge: each closing edge (u, v) and common neighbour w is a
     triangle, counted once, at its smallest closing edge. Next to (u, v),
     the triangle's edges sorted below it are (u, w) or (w, u) when w < v,
-    and (w, v) when w < u. A vertex's link edges are its triangles.
+    and (w, v) when w < u.
     """
     table = g._table
     m = len(g._edges)
@@ -335,9 +364,7 @@ def _edge_table(g: BuilderGraph) -> tuple:
                 if not (w < v and ((w, u) if w < u else (u, w)) in closes
                         or w < u and (w, v) in closes):
                     corners += (u, v, w)
-        corners = np.array(corners, np.int64)
-        links = np.bincount(corners, minlength=g.n).astype(np.int64, copy=False)
-        table = g._table = (ends[0::2], ends[1::2], deg, links, corners.size // 3,
+        table = g._table = (ends[0::2], ends[1::2], deg, corners, len(corners) // 3,
                             int(deg[corners].sum()))
     return table
 
@@ -417,16 +444,24 @@ def contains_pattern(g: BuilderGraph, p: Pattern) -> bool:
 def fan_center_counts(g: BuilderGraph, max_k: int = 3) -> list[int]:
     """How many vertices center an l-fan, for l = 1..max_k.
 
-    The link counts come from the edge table (`_edge_table`) that the
-    counts also read. A vertex with no link edge centers no fan and
-    one with exactly one centers a 1-fan only; only a vertex with two or
-    more reaches the exact matching search.
+    A vertex's link edges are its triangles: the triangle list of the edge
+    table (`_edge_table`), which the counts also read, gives (y, z) at x,
+    (x, z) at y and (x, y) at z for each triangle xyz, so no link edge is
+    rebuilt from adjacency. A vertex in no triangle centers no fan and one
+    in exactly one centers a 1-fan only; only a vertex with two or more
+    link edges reaches the exact matching search, which answers most such
+    short lists from its greedy matching.
     """
     counts = [0] * max_k
-    links = _edge_table(g)[3]
-    centres = np.flatnonzero(links)
-    for v, count in zip(centres.tolist(), links[centres].tolist()):
-        size = 1 if count == 1 else link_matching_size(g, v, max_k)
+    links: dict[int, list[tuple[int, int]]] = {}
+    at = links.setdefault
+    corners = iter(_edge_table(g)[3])
+    for x, y, z in zip(corners, corners, corners):
+        at(x, []).append((y, z))
+        at(y, []).append((x, z))
+        at(z, []).append((x, y))
+    for edges in links.values():
+        size = 1 if len(edges) == 1 else _max_matching_edges(edges, max_k)
         for level in range(min(size, max_k)):
             counts[level] += 1
     return counts

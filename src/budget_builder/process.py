@@ -14,8 +14,12 @@ increasing from past the last row bought to before t, and each pair the
 one its row's code decodes to (so u < v < n), else `OnlineRuleViolation`
 naming the revealed pair; no more rows than the budget left, else
 `BudgetContractViolation`. So every bought pair is the distinct pair
-revealed at its row. A block is checked whole, then inserted through
-`BuilderGraph.insert_until_triangle`; a single row meets the same checks
+revealed at its row. A block is checked whole, then its pairs go to
+`BuilderGraph.insert_until_triangle` as one iterator of (u, v) tuples,
+walked once across every stop: the insert returns each pair that closes
+a triangle, and the step reads that pair's row off the block's rows at
+its place in the block (the edge count less the count before the block,
+less one), so no row tuple is built. A single row meets the same checks
 in the step's one chained test. Both targets are unions of triangles, so
 the step asks the detector only about a buy that closes a triangle, as
 the inserts report, and stops at a hit under early stop, inside a block
@@ -348,10 +352,11 @@ def run_strategy(
             _check_block(strategy.name, config, state.codes, i, u, v, last, left)
             left -= i.size
             last = int(i[-1])
-            block = zip(i.tolist(), u.tolist(), v.tolist())
-            while (row := insert_until_triangle(block)) is not None:
-                if hit_time is None and after_insert(g, row[1], row[2]):
-                    hit_time = row[0] + 1
+            base = g.edge_count  # the block's j-th pair is edge base + j
+            block = zip(u.tolist(), v.tolist())
+            while (pair := insert_until_triangle(block)) is not None:
+                if hit_time is None and after_insert(g, *pair):
+                    hit_time = i.item(g.edge_count - base - 1) + 1
                     if early_stop:
                         break
         else:

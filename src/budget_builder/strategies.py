@@ -251,7 +251,10 @@ class DegreeGreedy(_Base):
     back to back; a row (u, v) whose ends both hold a star before it pairs
     with each centre w of u and looks up the key of (w, v). The rows are
     joined in slices of about t pairs, each fewer than t + n, so memory
-    stays O(t + n).
+    stays O(t + n). When h < n the stream is decoded once, and the ends of
+    the stars, of the outside rows and of the bought rows are read off that
+    one decode; buy-all (h = n) has no outside row and decodes only the
+    rows it buys, at most b of them.
     """
 
     def __init__(self, config, params, rng):
@@ -264,9 +267,10 @@ class DegreeGreedy(_Base):
         prefix = codes < pair_code(n, h, h + 1)  # u < v: the rows meeting the prefix
         pre = np.flatnonzero(prefix)
         out = ready = pre[:0]  # the outside rows that may close a cherry, and ready
-        if pre.size < t:  # so h = n (buy-all) decodes only the rows it buys
+        if h < n:  # one decode of the stream; buy-all decodes only the rows it buys
+            us, vs = decode(n, codes)
             stars = pre[:left]  # the prefix rows that can be bought
-            wu, wv = decode(n, codes[stars])
+            wu, wv = us[stars], vs[stars]
             stars, wu, wv = (a[wv >= h] for a in (stars, wu, wv))  # cherry ends lie outside
             pos = np.full(n, t)
             np.minimum.at(pos, wv, stars)  # an end's first star row, at any centre
@@ -276,7 +280,7 @@ class DegreeGreedy(_Base):
             by_key = np.argsort(keys)
             keys, stars, wu = keys[by_key], stars[by_key], wu[by_key]
             out = np.flatnonzero(~prefix)
-            ou, ov = decode(n, codes[out])
+            ou, ov = us[out], vs[out]
             near = (pos[ou] < out) & (pos[ov] < out)
             out, ou, ov, ready = out[near], ou[near], ov[near], np.full(near.sum(), t)
             size = first[ou + 1] - first[ou]  # a row's pairs: one per star (w, u)
@@ -296,7 +300,7 @@ class DegreeGreedy(_Base):
         cand = np.sort(np.concatenate((pre, out[ready < out])))
         bought = cand[:left]
         if bought.size:
-            yield (bought, *decode(n, codes[bought]))
+            yield (bought, us[bought], vs[bought]) if h < n else (bought, *decode(n, codes[bought]))
         if cand.size >= left:  # the budget ran out at e
             e = bought[-1] if left else -1
             self.budget_skips += int(np.count_nonzero(pre > e)

@@ -67,15 +67,20 @@ def test_insert_until_triangle_matches_insert_edge_row_by_row(rng):
     for _ in range(60):
         n = int(rng.integers(3, 31))
         edges = gnm_edges(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))
-        rows = [(i, u, v) for i, (u, v) in enumerate(edges)]
         one = BuilderGraph(n)
-        closing = [row for row in rows if one.insert_edge(row[1], row[2])]
+        closing = [pair for pair in edges if one.insert_edge(*pair)]
         block = BuilderGraph(n)
-        it = iter(rows)
+        it = iter(edges)
         stops = list(iter(lambda: block.insert_until_triangle(it), None))
         assert stops == closing
-        assert block.closing == one.closing == [(u, v) for _, u, v in closing]
+        assert block.closing == one.closing == closing
         assert block._edges == one._edges
+        assert all(x is y for x, y in zip(block._edges, edges))  # appended as given
+        # A tuple in both lists would pickle as a memo reference, so the
+        # graph's pickle would differ from the one `insert_edge` builds.
+        kept = set(map(id, block._edges))
+        assert not any(id(pair) in kept for pair in block.closing)
+        assert pickle.dumps(block) == pickle.dumps(one)
         assert block.adj == one.adj
         assert [a is _NO_NBRS for a in block.adj] == [a is _NO_NBRS for a in one.adj]
 
@@ -240,6 +245,47 @@ def test_matching_within_random_vs_oracle(rng):
     for _ in range(40):
         edges = gnp_edges(rng, 12, 0.25)
         assert _max_matching_edges(edges, 8) == brute_max_matching(SmallGraph(12, edges))
+
+
+def _capped_oracle(n, edges, cap):
+    return min(cap, brute_max_matching(SmallGraph(n, edges)))
+
+
+def test_matching_equals_the_oracle_on_small_edge_sets(rng):
+    # Every edge set on 5 vertices (so every one on fewer), in a random
+    # order, as the greedy matching depends on it; then random edge sets on
+    # 6-8 vertices. Both early exits and the kernel search are reached.
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    for mask in range(1 << len(k5)):
+        edges = [k5[i] for i in rng.permutation(len(k5)) if mask >> i & 1]
+        for cap in (1, 2, 3, 4):
+            assert _max_matching_edges(edges, cap) == _capped_oracle(5, edges, cap), (edges, cap)
+    for _ in range(2000):
+        n = int(rng.integers(6, 9))
+        edges = gnm_edges(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))
+        for cap in (1, 2, 3, 4):
+            assert _max_matching_edges(edges, cap) == _capped_oracle(n, edges, cap), (edges, cap)
+
+
+@pytest.mark.parametrize("edges, size, searched", [
+    ([(0, 1), (2, 3), (4, 5)], 3, False),  # the greedy matching uses every edge
+    ([(0, 1), (0, 2), (1, 2)], 1, False),  # a triangle: one of its 3 vertices unmatched
+    ([(0, 1), (0, 2)], 1, False),  # a 2-edge star: one vertex unmatched
+    ([(1, 2), (0, 1), (2, 3)], 2, True),  # the 3-edge path, middle edge first
+    ([(0, 1), (0, 2), (0, 3)], 1, True),  # a 3-edge star leaves two unmatched
+], ids=["disjoint", "triangle", "cherry", "path-middle-first", "star"])
+def test_matching_exits_at_a_provably_maximum_greedy_matching(edges, size, searched,
+                                                               monkeypatch):
+    import budget_builder.detect as detect
+
+    # The kernel search recurses through the module's name, so a recursive
+    # call shows that the greedy matching did not answer.
+    calls = []
+    real = detect._max_matching_edges
+    monkeypatch.setattr(detect, "_max_matching_edges",
+                        lambda edges, cap: calls.append(edges) or real(edges, cap))
+    assert real(edges, 4) == size
+    assert bool(calls) == searched
 
 
 def test_count_pattern_k4_and_c5():

@@ -427,6 +427,51 @@ def test_fan_center_counts_vs_oracle(rng):
     assert levels_seen == {0, 1, 2}
 
 
+def test_fan_center_counts_follow_inserts_after_a_count(rng):
+    # The fan-centre counts read the triangle list cached in the edge table:
+    # a count, then inserts that close new triangles, then a count again
+    # must match the oracle both times, so a stale table shows.
+    from budget_builder.detect import TRIANGLE, count_pattern, fan_center_counts
+    from conftest import builder_from, gnm_edges
+    from oracle import SmallGraph, brute_count
+
+    def triangles_checked(g, n, edges):
+        assert fan_center_counts(g, 3) == _brute_fan_center_counts(n, edges, 3)
+        triangles = count_pattern(g, TRIANGLE)
+        assert triangles == brute_count(SmallGraph(n, edges), TRIANGLE)
+        return triangles
+
+    grown = 0
+    for _ in range(40):
+        n = int(rng.integers(5, 12))
+        edges = gnm_edges(rng, n, int(rng.integers(4, n * (n - 1) // 2 + 1)))
+        cut = len(edges) // 2
+        g = builder_from(n, edges[:cut])
+        before = triangles_checked(g, n, edges[:cut])
+        for u, v in edges[cut:]:
+            g.insert_edge(u, v)
+        grown += triangles_checked(g, n, edges) > before
+    assert grown > 20
+
+
+def test_fan_center_counts_build_no_link_graph_from_adjacency(monkeypatch, rng):
+    # Only `contains_fan` rebuilds link graphs from neighbour sets; the
+    # fan-centre counts group the edge table's triangles.
+    import budget_builder.detect as detect
+    from conftest import builder_from
+
+    def refuse(g, v, cap):
+        raise AssertionError("fan_center_counts rebuilt a link graph")
+
+    monkeypatch.setattr(detect, "link_matching_size", refuse)
+    # Three triangles at the hub 0: it centres a 3-fan, each other vertex a 1-fan.
+    friendship = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
+    assert detect.fan_center_counts(builder_from(7, friendship), 3) == [7, 1, 1]
+    for n, edges in _fan_center_graphs(rng):
+        g = builder_from(n, edges)
+        assert detect.fan_center_counts(g, 3) == _brute_fan_center_counts(n, edges, 3)
+
+
 def test_probe_counts_zero_budget():
     records = probe_counts(60, 200, 0, "degree-greedy", 3, 99)
     for r in records:

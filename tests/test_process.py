@@ -610,6 +610,33 @@ def test_degree_greedy_visits_under_two_fifths_of_the_stream(n):
         assert len(counter.clocks) <= min(cell[3], 0.4 * cell[2]), (n, j)
 
 
+_BUY_ALL_CELLS = [cell for cell in _REFERENCE_CELLS + _SMALL_CELLS if cell[4] is _BUY_ALL]
+
+
+@pytest.mark.parametrize("cells, decoded", [
+    (_DEGREE_GREEDY_CELLS, lambda t, b: t),
+    # and a long stream with a small budget: buy-all decodes 80 of 20,000 codes
+    (_BUY_ALL_CELLS + [(DIAMOND, 400, 20000, 80, _BUY_ALL)], min),
+], ids=["degree-greedy", "buy-all"])
+def test_degree_greedy_decodes_each_code_once(cells, decoded, monkeypatch):
+    # Degree-greedy reads the ends of its stars, its outside rows and its
+    # bought rows off one decode of the t codes (its one cell with h = n has
+    # b >= t); buy-all decodes only the min(b, t) rows it buys.
+    import budget_builder.strategies as strategies
+
+    sizes = []
+    real = strategies.decode
+    monkeypatch.setattr(strategies, "decode",
+                        lambda n, codes: sizes.append(codes.size) or real(n, codes))
+    for cell in cells:
+        for j in range(3):
+            seed = derive_seed(15, cell[1], cell[2], cell[3], j)
+            for early_stop in (True, False):
+                sizes.clear()
+                _trial(cell, seed, early_stop)
+                assert sum(sizes) == decoded(cell[2], cell[3]), (cell, j, early_stop, sizes)
+
+
 class _RogueBuys:
     """Buys every reveal, through `buys` or, wrapped, through `decide`. Given
     `rows`, `buys` yields the revealed pairs of those stream rows instead, in
