@@ -291,48 +291,30 @@ def _max_matching_edges(edges: list[tuple[int, int]], cap: int) -> int:
     return best
 
 
-def link_matching_size(g: BuilderGraph, v: int, cap: int) -> int:
-    """Maximum matching size in the link graph of v, capped at cap.
-
-    The link graph lives on N(v) and keeps the edges of g with both
-    endpoints inside N(v); a k-fan centered at v exists iff this matching
-    reaches k. Each neighbour's link edges come from one set intersection,
-    `adj[x] & adj[v]`, so this is the one place link edges are built from
-    adjacency (`FanTracker` keeps its own as the inserts add them, and
-    `fan_center_counts` groups the edge table's triangles). Only
-    `contains_fan` calls it: the batch check reads neither `closing` nor
-    the table, so it confirms a tracker independently, and on criterion 6's
-    graphs (n = 400) this call is about 5% of `contains_fan`'s time. The
-    edge order affects only how fast the exact search finishes, never its
-    result.
-    """
-    adj = g.adj
-    nbrs = adj[v]
-    edges = [(x, y) for x in nbrs for y in adj[x] & nbrs if y > x]
-    return _max_matching_edges(edges, cap)
-
-
 def contains_fan(g: BuilderGraph, k: int) -> bool:
     """True iff some vertex centers k triangles that pairwise share only it.
 
-    A k-fan's centre has degree at least 2k and at least k link edges (one
-    per triangle). One pass over the edges counts each vertex's link edges:
-    an edge uv whose ends share no neighbour lies in no triangle and is
-    skipped, and each common neighbour w of u and v gains the link edge uv.
-    Only the vertices that pass both filters reach the exact matching search.
+    That is, iff its link graph has a k-edge matching, so the centre has
+    degree at least 2k and at least k link edges. One pass over the edges
+    lists each vertex's link edges: an edge uv whose ends share no
+    neighbour lies in no triangle and is skipped, and each common neighbour
+    w of u and v gains the link edge uv. Only the vertices that pass both
+    filters reach the exact matching search.
     """
     if k < 1:
         raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
     adj = g.adj
-    links: dict[int, int] = {}
-    for u, v in g._edges:
+    links: dict[int, list[tuple[int, int]]] = {}
+    at = links.setdefault
+    for edge in g._edges:
+        u, v = edge
         nu, nv = adj[u], adj[v]
         if nu.isdisjoint(nv):
             continue
         for w in nu & nv:
-            links[w] = links.get(w, 0) + 1
-    return any(count >= k and len(adj[w]) >= 2 * k and link_matching_size(g, w, k) >= k
-               for w, count in links.items())
+            at(w, []).append(edge)
+    return any(len(edges) >= k and len(adj[w]) >= 2 * k and _max_matching_edges(edges, k) >= k
+               for w, edges in links.items())
 
 
 def _edge_table(g: BuilderGraph) -> tuple:

@@ -6,24 +6,20 @@ with an incremental target detector.
 
 The stream is one array of t pair codes (`pair_code`), drawn at the first
 reveal. `run_strategy` runs one step per yield of a purchase source, in
-stream order; a yield is a single row `(i, u, v)` (the stream index and
-the ends u < v of the row bought) or a block `(rows, us, vs)` of int64
-arrays holding one or more such rows. `_check_block` states the rules,
-the same for every bought row: integer rows and ends, the rows strictly
-increasing from past the last row bought to before t, and each pair the
-one its row's code decodes to (so u < v < n), else `OnlineRuleViolation`
-naming the revealed pair; no more rows than the budget left, else
-`BudgetContractViolation`. So every bought pair is the distinct pair
-revealed at its row. A block is checked whole, then its pairs go to
-`BuilderGraph.insert_until_triangle` as one iterator of (u, v) tuples,
-walked once across every stop: the insert returns each pair that closes
-a triangle, and the step reads that pair's row off the block's rows at
-its place in the block (the edge count less the count before the block,
-less one), so no row tuple is built. A single row meets the same checks
-in the step's one chained test. Both targets are unions of triangles, so
-the step asks the detector only about a buy that closes a triangle, as
-the inserts report, and stops at a hit under early stop, inside a block
-too.
+stream order; a yield is a block `(rows, us, vs)` of int64 arrays holding
+one or more bought rows: their stream indices and the ends u < v of each.
+`_check_block` states the rules, the same for every bought row: integer
+rows and ends, the rows strictly increasing from past the last row bought
+to before t, and each pair the one revealed at its row (so u < v < n),
+else `OnlineRuleViolation` naming the revealed pair; no more rows than the
+budget left, else `BudgetContractViolation`. So every bought pair is the
+distinct pair revealed at its row. A block is checked whole, then its
+pairs go to `BuilderGraph.insert_until_triangle` as one iterator, which
+returns at each pair that closes a triangle; the step reads that pair's
+row off its place in the block. Both targets are unions of triangles, so
+the step asks the detector only about such a buy, and stops at a hit
+under early stop, inside a block too. A yield that is not arrays, from a
+source outside this package, is read as a 1-row block.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
@@ -32,9 +28,9 @@ too.
   freeze, a candidate build, a round advance).
 - `_decided_buys` serves a wrapper that exposes only `decide`, `stats` and
   `name` (the benchmark's tracer, the tests' `PerReveal`, a test double):
-  it calls `next_edge` and `decide` on every reveal and yields single
-  rows. Every strategy `build_strategy` returns has `buys`, and its
-  `decide` reads the answer off that generator, through
+  it calls `next_edge` and `decide` on every reveal and yields each row
+  bought as a 1-row block. Every strategy `build_strategy` returns has
+  `buys`, and its `decide` reads the answer off that generator, through
   `strategies._bought_rows`, so both sources run the same purchase rule.
 
 The `buys` contract, which every builder in `strategies` keeps: yield the
@@ -256,14 +252,14 @@ class TrialRecord:
 
 
 def _decided_buys(state: ProcessState, strategy):
-    """One `next_edge` and one `decide` call per reveal, up to clock t; the
-    rows `decide` buys, as `buys` yields them."""
+    """One `next_edge` and one `decide` call per reveal, up to clock t; each
+    row `decide` buys, as a 1-row block (the rows of one (3, 1) array)."""
     t = state.config.t
     decide = strategy.decide
     while state.clock < t:
         e = next_edge(state)
         if decide(state, e):
-            yield state.clock - 1, e.u, e.v
+            yield np.array([[state.clock - 1], [e.u], [e.v]], np.int64)
 
 
 def _integral(a) -> bool:
@@ -277,9 +273,16 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
                  us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
     """Raise unless the block (rows, us, vs), one or more rows, keeps the
     rules of the module docstring, given the row bought `last` and the
-    budget `left`; each message names the first offending row. A single
-    row that fails the step's chained test comes here as a 1-row block."""
-    t = config.t
+    budget `left`. A block of int64 arrays passes one vectorised test, in
+    which `pair_code` is one-to-one as u < v < n is tested first. A block
+    that fails it is taken apart rule by rule, to name its first offending
+    row; integers of another dtype that keep every rule pass there."""
+    n, t = config.n, config.t
+    if (rows.dtype == us.dtype == vs.dtype == np.int64 and 0 < rows.size <= left
+            and last < rows[0] and rows[-1] < t and (rows[1:] > rows[:-1]).all()
+            and ((0 <= us) & (us < vs) & (vs < n)).all()
+            and (codes[rows] == pair_code(n, us, vs)).all()):
+        return
 
     def bought(j: int) -> str:
         return f"{name} bought edge ({us[j]}, {vs[j]}) at row {rows[j]}"
@@ -300,7 +303,7 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
             f"{name} bought edge ({us[left]}, {vs[left]}) at clock "
             f"{rows[left] + 1} with budget {config.b} exhausted"
         )
-    ru, rv = decode(config.n, codes[rows.astype(np.int64, copy=False)])
+    ru, rv = decode(n, codes[rows.astype(np.int64, copy=False)])
     bad = (us != ru) | (vs != rv)
     if bad.any():
         j = int(bad.argmax())
@@ -334,45 +337,30 @@ def run_strategy(
     if hasattr(strategy, "buys"):
         state.codes = draw_codes(config)
         purchases = strategy.buys(state)
-        code = state.codes.item
     else:
         purchases = _decided_buys(state, strategy)
-        code = lambda i: state.codes.item(i)  # drawn at the first `next_edge`
-    # Bound once per trial: the benchmark's tracer patches these before
-    # the trial starts, so it still sees every call. A yield is a block
-    # when its first item is exactly an ndarray, a test of ~10 ns per row.
-    insert_edge, after_insert = g.insert_edge, detector.after_insert
-    insert_until_triangle, ndarray = g.insert_until_triangle, np.ndarray
-    t, n, m = config.t, config.n, 2 * config.n - 1
+    # Bound once per trial: the benchmark's tracer wraps the detector
+    # before the trial starts, so it still sees every call.
+    after_insert, insert_until_triangle = detector.after_insert, g.insert_until_triangle
     left = config.b  # budget left; every insert below spends one edge
     last = -1  # the row bought last
     hit_time = None
-    for i, u, v in purchases:
-        if i.__class__ is ndarray:  # a block: checked whole, then inserted
-            _check_block(strategy.name, config, state.codes, i, u, v, last, left)
-            left -= i.size
-            last = int(i[-1])
-            base = g.edge_count  # the block's j-th pair is edge base + j
-            block = zip(u.tolist(), v.tolist())
-            while (pair := insert_until_triangle(block)) is not None:
-                if hit_time is None and after_insert(g, *pair):
-                    hit_time = i.item(g.edge_count - base - 1) + 1
-                    if early_stop:
-                        break
-        else:
-            # A block row's four checks in one chained test, `pair_code`
-            # inlined; a row that fails it is checked as a 1-row block.
-            if not (i.__class__ is u.__class__ is v.__class__ is int and last < i < t
-                    and left and 0 <= u < v < n and code(i) == u * (m - u) // 2 + v - u - 1):
-                _check_block(strategy.name, config, state.codes, np.array([i]),
-                             np.array([u]), np.array([v]), last, left)
-            left -= 1
-            last = i
-            if insert_edge(u, v) and hit_time is None and after_insert(g, u, v):
-                hit_time = i + 1
+    for rows, us, vs in purchases:
+        if rows.__class__ is not np.ndarray:  # a foreign source's single row
+            rows, us, vs = np.array([rows]), np.array([us]), np.array([vs])
+        _check_block(strategy.name, config, state.codes, rows, us, vs, last, left)
+        left -= rows.size
+        last = int(rows[-1])
+        base = g.edge_count  # the block's j-th pair is edge base + j
+        block = zip(us.tolist(), vs.tolist())
+        while (pair := insert_until_triangle(block)) is not None:
+            if hit_time is None and after_insert(g, *pair):
+                hit_time = rows.item(g.edge_count - base - 1) + 1
+                if early_stop:
+                    break
         if hit_time is not None and early_stop:
             break
-    state.clock = hit_time if hit_time is not None and early_stop else t
+    state.clock = hit_time if hit_time is not None and early_stop else config.t
     success = hit_time is not None
     if success != detector.confirm(g):
         raise DetectorMismatch(

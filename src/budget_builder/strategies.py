@@ -15,22 +15,24 @@ deleting it waits for a benchmark change, since the benchmark's tests
 count two substreams per trial.
 
 Every strategy settles its purchases in `buys(state)`, a generator that
-keeps the contract stated in the `process` docstring. A source whose buys
-read no graph state between them yields them as one block: degree-greedy's
-and the seed phase's. Every other phase reads the graph between buys, or
-buys too few rows for a block's checks to pay, and yields single rows.
-While `buys` is suspended at a seed-phase block, the seed builders'
-`stats()` net out its rows at or past `state.clock`; degree-greedy's
-skips all lie past its block, so it has nothing to net.
-At each phase start it does that phase's set-up (a freeze sharing the
-graph's sets, a candidate build, a round start), then runs one loop over
-that phase's rows that can buy or change a stat: seed-set edges found from
-their codes, edges inside the frozen neighborhoods from a vertex mask,
-candidate pairs from a sorted code array. Once the seed phase's cap or
-the budget is spent its per-seed counts are fixed, so the rows left in it
-are counted in one vectorised pass. The anchor's second phase is read
-span by span, each span twice as long as the one before, so an early stop
-a few buys into it decodes only the spans it reached.
+keeps the contract stated in the `process` docstring. No phase reads a
+graph state that its own buys change, so each phase settles its buys
+before any is inserted and yields them as one block of int64 arrays:
+degree-greedy's rows, each phase of the short builders, the anchor's
+first phase and each span of its second. While `buys` is suspended at a
+block, `stats()` nets out what the block's rows at or past `state.clock`
+counted, one rule in `_Base.stats` for every block; skips past a block's
+last row are counted after its yield, so there is nothing to net for
+them. At each phase start `buys` does that phase's set-up (a freeze
+sharing the graph's sets, a candidate build, a round start), then runs one
+loop over that phase's rows that can buy or change a stat: seed-set edges
+found from their codes, edges inside the anchor's neighbourhood from a
+vertex mask, edges a frozen seed may host from per-vertex host bits,
+candidate pairs from a sorted code array. Once the seed phase's cap or the
+budget is spent its per-seed counts are fixed, so the rows left in it are
+counted in one vectorised pass. The anchor's second phase is read span by
+span, each span twice as long as the one before, so an early stop a few
+buys into it decodes only the spans it reached.
 `_Base.decide` answers reveal by reveal from the same generator, read
 through `_bought_rows`, for a caller that asks on every reveal; the
 hand-written per-reveal rules that `buys` is checked against live in
@@ -43,6 +45,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -168,9 +171,12 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
 
 def _bought_rows(purchases):
     """Each stream index a purchase source buys, a block's one by one; the
-    source resumes only when the row after its yield's last is asked for."""
-    for i, _, _ in purchases:
-        yield from i.tolist() if i.__class__ is np.ndarray else (i,)
+    source resumes only when the row after its block's last is asked for."""
+    for rows, _, _ in purchases:
+        yield from rows.tolist()
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class _Base:
@@ -187,6 +193,7 @@ class _Base:
         self.p_bought = [0] * len(self.p_caps)
         self._settled = None  # `_bought_rows` of `buys`, once `decide` starts it
         self._row = -1  # the bought row reached last
+        self._open = None  # (state, phase, bought rows, cap-skipped rows) of the open block
 
     def decide(self, state: ProcessState, e: Edge) -> bool:
         """Whether `buys` buys reveal i = state.clock - 1, for a caller that
@@ -206,22 +213,38 @@ class _Base:
         return max(0, min(self.p_caps[i] - self.p_bought[i],
                           self.config.b - state.purchased.edge_count))
 
+    def _block(self, state: ProcessState, i: int, block, skipped=_NO_ROWS):
+        """Count and yield phase i's bought (rows, us, vs), held open while
+        `buys` is suspended at it; `skipped`: its rows that count a `cap_skip`."""
+        self.p_bought[i] += block[0].size
+        self._open = state, i, block[0], skipped
+        yield block
+        self._open = None
+
     def _buy_rows(self, state: ProcessState, i: int, found):
         """`buys` for a phase that buys each row of `found`, the (rows, us,
         vs) its caller selected, while its cap and the budget last: yield
-        the first ones, then count a `budget_skip` for each row left,
-        unless it was the cap that ran out."""
+        the first ones as one block, then count a `budget_skip` for each row
+        left, unless it was the cap that ran out."""
         rows, us, vs = found
         take = self._left(state, i)
-        bought = self.p_bought
-        for row in zip(rows[:take].tolist(), us[:take].tolist(), vs[:take].tolist()):
-            bought[i] += 1
-            yield row
-        if bought[i] < self.p_caps[i]:
+        if take and rows.size:
+            yield from self._block(state, i, (rows[:take], us[:take], vs[:take]))
+        if self.p_bought[i] < self.p_caps[i]:
             self.budget_skips += max(rows.size - take, 0)
 
+    def _unreached(self, rows: np.ndarray) -> int:
+        """How many of the open block's `rows` a stop has not reached."""
+        return int(np.count_nonzero(rows >= self._open[0].clock))
+
     def stats(self) -> dict:
-        return {"budget_skips": self.budget_skips, "phase_bought": tuple(self.p_bought)}
+        """A stop inside a block (`_open`) leaves out its rows at or past
+        `state.clock`, writing nothing back."""
+        bought = list(self.p_bought)
+        if self._open is not None:
+            _, i, rows, _ = self._open
+            bought[i] -= self._unreached(rows)
+        return {"budget_skips": self.budget_skips, "phase_bought": tuple(bought)}
 
 
 class DegreeGreedy(_Base):
@@ -244,7 +267,9 @@ class DegreeGreedy(_Base):
     It buys the first b - edge_count of the prefix rows and those rows. If
     that spends the budget, at row e, the graph is fixed: each later prefix
     row, and each later outside row with ready(i) <= e, counts a
-    `budget_skip`, all past the block, so a stop inside it nets nothing.
+    `budget_skip`, all past the block, and it has no phase caps, so a stop
+    inside it nets nothing. With no budget left at all, every prefix row
+    counts a `budget_skip` and nothing is decoded or joined.
 
     ready comes from one join, not a pass per centre. Sorted by the key
     x*h + w, the stars (w, x), x >= h, list each outside end's centres
@@ -266,6 +291,9 @@ class DegreeGreedy(_Base):
         left = self.config.b - state.purchased.edge_count
         prefix = codes < pair_code(n, h, h + 1)  # u < v: the rows meeting the prefix
         pre = np.flatnonzero(prefix)
+        if not left:
+            self.budget_skips += pre.size
+            return
         out = ready = pre[:0]  # the outside rows that may close a cherry, and ready
         if h < n:  # one decode of the stream; buy-all decodes only the rows it buys
             us, vs = decode(n, codes)
@@ -302,7 +330,7 @@ class DegreeGreedy(_Base):
         if bought.size:
             yield (bought, us[bought], vs[bought]) if h < n else (bought, *decode(n, codes[bought]))
         if cand.size >= left:  # the budget ran out at e
-            e = bought[-1] if left else -1
+            e = bought[-1]
             self.budget_skips += int(np.count_nonzero(pre > e)
                                      + np.count_nonzero((out > e) & (ready <= e)))
 
@@ -334,16 +362,14 @@ def _seed_edges(codes: np.ndarray, lo: int, hi: int, n: int, r: int):
     return _ends(codes, np.flatnonzero(codes[lo:hi] < pair_code(n, r, r + 1)) + lo, n)
 
 
-def _inside(codes: np.ndarray, lo: int, hi: int, n: int, vertices):
-    """(stream indices, us, vs) of the edges in [lo, hi) with both ends in
-    `vertices`, a collection of vertices."""
-    if len(vertices) < 2:  # too few vertices to host an edge, so decode nothing
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    member = np.zeros(n, dtype=bool)
-    member[list(vertices)] = True
+def _inside(codes: np.ndarray, lo: int, hi: int, n: int, labels: np.ndarray):
+    """(stream indices, us, vs) of the edges in [lo, hi) whose ends share a
+    set bit of `labels`, per vertex a bool (a member of one set) or host
+    bits (`_SeedPhaseBuilder._host_bits`)."""
+    if np.count_nonzero(labels) < 2:  # too few vertices to host an edge, so decode nothing
+        return _NO_ROWS, _NO_ROWS, _NO_ROWS
     us, vs = decode(n, codes[lo:hi])
-    keep = member[us] & member[vs]
+    keep = (labels[us] & labels[vs]).astype(bool)
     return np.flatnonzero(keep) + lo, us[keep], vs[keep]
 
 
@@ -373,20 +399,14 @@ class _SeedPhaseBuilder(_Base):
         # seed v -> seed-phase N(v), never the graph's shared empty frozenset; see _freeze
         self.frozen_nbrs: Optional[dict] = None
         self.touched: list[int] = []  # the seeds the seed phase's settled rows meet
-        self._open = None  # (state, bought rows, skipped rows) of the block yielded last
+        self._seed_ends = _NO_ROWS, _NO_ROWS  # (us, vs) of the seed phase's buys
 
     def stats(self) -> dict:
-        """At a stop inside a seed-phase block (`_open`), the block's rows
-        at or past `state.clock` are not counted; nothing is written back,
-        so a later call, or the loop resumed, sees the whole block."""
-        stats = {**super().stats(), "cap_skips": self.cap_skips, "seed_set_size": self.r}
+        """Netted as the base stats, cap-skipped rows included."""
+        skips = self.cap_skips
         if self._open is not None:
-            state, bought_rows, skipped_rows = self._open
-            clock = state.clock
-            stats["phase_bought"] = (self.p_bought[0] - int(np.count_nonzero(bought_rows >= clock)),
-                                     *self.p_bought[1:])
-            stats["cap_skips"] -= int(np.count_nonzero(skipped_rows >= clock))
-        return stats
+            skips -= self._unreached(self._open[3])
+        return {**super().stats(), "cap_skips": skips, "seed_set_size": self.r}
 
     def _seed_buys(self, state: ProcessState, hi: int):
         """`buys` for the seed phase over the first `hi` rows. The seed-set
@@ -420,7 +440,6 @@ class _SeedPhaseBuilder(_Base):
                     break
             done = j + 1
         inside = [j for j in skipped if j < end]
-        bought[0] += end - len(inside)
         self.cap_skips += len(inside)
         if end:
             block = rows[:end], us[:end], vs[:end]
@@ -428,9 +447,8 @@ class _SeedPhaseBuilder(_Base):
                 keep = np.ones(end, dtype=bool)
                 keep[inside] = False
                 block = tuple(a[keep] for a in block)
-            self._open = (state, block[0], rows[inside])
-            yield block
-            self._open = None
+            self._seed_ends = block[1:]
+            yield from self._block(state, 0, block, rows[inside])
         self.cap_skips += len(skipped) - len(inside)
         # Mark the seeds the settled rows meet (u < v makes u one); no other has an edge.
         seen = np.zeros(r, dtype=bool)
@@ -455,6 +473,18 @@ class _SeedPhaseBuilder(_Base):
         adj = state.purchased.adj
         self.frozen_nbrs = {w: adj[w] for w in self.touched if len(adj[w]) > 1}
 
+    def _host_bits(self, seeds) -> np.ndarray:
+        """Per vertex x, bit w % 63 for each seed w of `seeds` whose frozen
+        set holds x, off the seed phase's buys (every edge at the freeze):
+        the ends of a pair some w in `seeds` can host share a bit."""
+        bits = np.zeros(self.config.n, dtype=np.int64)
+        on = np.zeros(self.config.n, dtype=bool)
+        on[np.fromiter(seeds, np.int64, len(seeds))] = True
+        for x, w in (self._seed_ends, self._seed_ends[::-1]):
+            at = on[w]
+            np.bitwise_or.at(bits, x[at], 1 << w[at] % 63)
+        return bits
+
     def _unshare(self, adj, u: int, v: int) -> None:
         """Called before each buy (u, v) after the freeze: a frozen end that
         still shares its set with the graph gets a copy, before it grows."""
@@ -463,39 +493,33 @@ class _SeedPhaseBuilder(_Base):
                 self.frozen_nbrs[x] = set(adj[x])
 
     def _eligible(self, adj, u: int, v: int) -> list[int]:
-        """The seeds whose frozen neighbourhood holds u and v. Edges are never
-        removed, so each is a common neighbour of u and v in `adj`."""
+        """The seeds whose frozen neighbourhood holds u and v. For such a w,
+        u and v lie in frozen[w], inside adj[w] from the freeze on, so w is
+        a common neighbour already at the freeze: a block's rows not yet
+        inserted cannot change the answer (`_unshare` keeps frozen[w])."""
         frozen = self.frozen_nbrs
         return [w for w in adj[u] & adj[v]
                 if w in frozen and u in frozen[w] and v in frozen[w]]
 
     def _hosted_buys(self, state: ProcessState, i: int, inside):
-        """`buys` for hosted phase i over `inside`, the (rows, us, vs) of its
-        edges inside the frozen neighbourhoods: buy each edge with eligible
-        hosts while the phase cap lasts; once the budget is spent each such
-        row counts a `budget_skip`."""
-        bought, cap = self.p_bought, self.p_caps[i]
-        if bought[i] >= cap:
-            return
+        """`buys` for hosted phase i over `inside`, the (rows, us, vs) whose
+        ends share a host bit: buy each edge with eligible hosts while the
+        phase cap and the budget last, yielded as one block; after it,
+        unless the cap ran out, each later such row counts a `budget_skip`."""
         adj, hosts_of, place = state.purchased.adj, self._eligible, self._place
-        budget = self.config.b - state.purchased.edge_count
-        for row in zip(*(a.tolist() for a in inside)):
-            _, u, v = row
-            if adj[u].isdisjoint(adj[v]):
-                continue  # no common neighbour, so no host
-            hosts = hosts_of(adj, u, v)
-            if not hosts:
-                continue
-            if not budget:
-                self.budget_skips += 1
-                continue
-            bought[i] += 1
-            budget -= 1
+        # each edge with eligible hosts, asked after the buys before it were placed
+        hosted = ((j, u, v, hosts)
+                  for j, (u, v) in enumerate(zip(inside[1].tolist(), inside[2].tolist()))
+                  if not adj[u].isdisjoint(adj[v]) and (hosts := hosts_of(adj, u, v)))
+        picked = []
+        for j, u, v, hosts in islice(hosted, self._left(state, i)):
             place(hosts, u, v)
             self._unshare(adj, u, v)
-            yield row
-            if bought[i] >= cap:
-                return
+            picked.append(j)
+        if picked:
+            yield from self._block(state, i, tuple(a[picked] for a in inside))
+        if self.p_bought[i] < self.p_caps[i]:
+            self.budget_skips += sum(1 for _ in hosted)
 
 
 class DiamondShort(_SeedPhaseBuilder):
@@ -514,7 +538,7 @@ class DiamondShort(_SeedPhaseBuilder):
         super().__init__(config, params, rng)
         self.phase2_edges: list[tuple[int, int, int]] = []  # (seed, x, y)
         self.candidate_codes: Optional[np.ndarray] = None  # sorted pair codes
-        self.max_multiplicity = 0
+        self.host_counts: list[int] = []  # the hosts of each phase-2 buy
 
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
@@ -522,21 +546,20 @@ class DiamondShort(_SeedPhaseBuilder):
         if t <= T:
             return
         self._freeze(state)
-        inside = _inside(codes, T, min(2 * T, t), n, set().union(*self.frozen_nbrs.values()))
+        inside = _inside(codes, T, min(2 * T, t), n, self._host_bits(self.frozen_nbrs))
         yield from self._hosted_buys(state, 1, inside)
         if t <= 2 * T:
             return
         candidates = self._build_candidates(codes[:T])
-        rows = np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T
-        adj = state.purchased.adj
-        for row in self._buy_rows(state, 2, _ends(codes, rows, n)):
-            self._unshare(adj, row[1], row[2])
-            yield row
+        found = _ends(codes, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T, n)
+        take, adj = self._left(state, 2), state.purchased.adj
+        for u, v in zip(found[1][:take].tolist(), found[2][:take].tolist()):
+            self._unshare(adj, u, v)
+        yield from self._buy_rows(state, 2, found)
 
     def _place(self, hosts: list[int], u: int, v: int) -> None:
-        """Record a phase-2 buy under its smallest host, and the most hosts a buy had."""
-        if len(hosts) > self.max_multiplicity:
-            self.max_multiplicity = len(hosts)
+        """Record a phase-2 buy under its smallest host, and its host count."""
+        self.host_counts.append(len(hosts))
         self.phase2_edges.append((min(hosts), u, v))
 
     def _build_candidates(self, phase1_codes) -> np.ndarray:
@@ -558,11 +581,14 @@ class DiamondShort(_SeedPhaseBuilder):
         return codes
 
     def stats(self) -> dict:
+        """`max_multiplicity` is a max, not a count: the most hosts of the
+        phase-2 buys that the netted `phase_bought` counts."""
+        stats = super().stats()
         return {
-            **super().stats(),
+            **stats,
             "candidate_count": (-1 if self.candidate_codes is None
                                 else self.candidate_codes.size),
-            "max_multiplicity": self.max_multiplicity,
+            "max_multiplicity": max(self.host_counts[:stats["phase_bought"][1]], default=0),
         }
 
 
@@ -596,10 +622,12 @@ class AnchorNeighborhood(_Base):
             return
         # No phase-2 buy meets the anchor, so its set stays the frozen one.
         self.frozen = frozen = state.purchased.adj[0]
+        member = np.zeros(n, dtype=bool)
+        member[list(frozen)] = True
         lo, width = T, _FIRST_SPAN
         while lo < t and self.p_bought[1] < self.p_caps[1]:
             hi = min(lo + width, t)
-            yield from self._buy_rows(state, 1, _inside(codes, lo, hi, n, frozen))
+            yield from self._buy_rows(state, 1, _inside(codes, lo, hi, n, member))
             lo, width = hi, 2 * width
 
     def stats(self) -> dict:
@@ -680,8 +708,8 @@ class FanShort(_SeedPhaseBuilder):
             if lo >= t:
                 return
             self._start_round(rnd, state)
-            live = set().union(*map(self.frozen_nbrs.get, self.survivors))
-            yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n, live))
+            yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n,
+                                                             self._host_bits(self.survivors)))
 
     def stats(self) -> dict:
         return {**super().stats(), "survivor_history": tuple(self.survivor_history)}

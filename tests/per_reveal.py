@@ -14,7 +14,7 @@ run a reference through `conftest.PerReveal`, which hides `buys`, to take
 the per-reveal source. Its `stats()` is inherited too, and with `buys`
 never run it holds no open block, so it reports the counts as `decide`
 kept them, one reveal at a time: the figure a builder's `stats()` must
-give at every bought row, a row inside a seed-phase block included
+give at every bought row, a row inside a block included
 (`conftest.BuysChecker`).
 `reference_strategy(spec, config)` mirrors `build_strategy`. Not part of
 the installed package.

@@ -166,10 +166,9 @@ def test_containment_and_first_hit_match_networkx(name, pattern):
 
 @pytest.mark.parametrize("name", sorted(_CELLS))
 def test_closing_edges_are_the_last_edges_of_the_triangles(name):
-    # The purchased graph's `closing` list, kept by both insert paths (the
-    # short builders' seed blocks and the single rows), is the edges whose
-    # ends shared a neighbour when they were bought, in purchase order; so
-    # every networkx triangle's last-bought edge is in it.
+    # The purchased graph's `closing` list, kept by the block insert, is the
+    # edges whose ends shared a neighbour when they were bought, in purchase
+    # order; so every networkx triangle's last-bought edge is in it.
     g, G = _graph(name)
     replay, expected = nx.empty_graph(g.n), []
     for u, v in g.edges():

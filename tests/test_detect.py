@@ -25,7 +25,6 @@ from budget_builder.detect import (
     diamond_through_edge,
     fan,
     fan_center_counts,
-    link_matching_size,
     read_edge_list,
 )
 from budget_builder.errors import DuplicateEdgeError, UnsupportedPattern
@@ -134,15 +133,22 @@ def test_diamond_completing_matches_oracle_differencing(rng):
                 assert diamond_through_edge(g, u, v) == grown
 
 
+def _link_matching_size(g, v, cap):
+    """The capped maximum matching of v's link graph, the edges of g with
+    both ends in N(v), built from adjacency."""
+    nbrs = g.adj[v]
+    return _max_matching_edges([(x, y) for x in nbrs for y in g.adj[x] & nbrs if y > x], cap)
+
+
 def test_link_matching_on_two_fan_center():
     g = builder_from(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    assert link_matching_size(g, 0, 5) == 2
+    assert _link_matching_size(g, 0, 5) == 2
 
 
 def test_link_matching_on_k4_is_one():
     g = complete_graph(4)
     for v in range(4):
-        assert link_matching_size(g, v, 5) == 1
+        assert _link_matching_size(g, v, 5) == 1
 
 
 def test_link_matching_random_vs_oracle(rng):
@@ -153,7 +159,7 @@ def test_link_matching_random_vs_oracle(rng):
         link = [(u, v) for u, v in edges if u in nbrs and v in nbrs]
         oracle_val = brute_max_matching(SmallGraph(12, link)) if link else 0
         for cap in (1, 2, 3, 5):
-            assert link_matching_size(g, 0, cap) == min(oracle_val, cap)
+            assert _link_matching_size(g, 0, cap) == min(oracle_val, cap)
 
 
 def test_link_matching_on_a_star_link_stays_shallow():
@@ -162,7 +168,7 @@ def test_link_matching_on_a_star_link_stays_shallow():
     # that recursed once per edge would exceed Python's recursion limit.
     leaves = range(2, 2002)
     g = builder_from(2002, [(0, 1)] + [(0, x) for x in leaves] + [(1, x) for x in leaves])
-    assert link_matching_size(g, 0, 2) == 1
+    assert _link_matching_size(g, 0, 2) == 1
 
 
 def test_link_matching_on_hub_links_vs_oracle(rng):
@@ -174,7 +180,7 @@ def test_link_matching_on_hub_links_vs_oracle(rng):
         g = builder_from(n, [(0, x) for x in range(1, n)] + link)
         oracle_val = brute_max_matching(SmallGraph(n, link)) if link else 0
         for cap in (1, 2, 3, 5):
-            assert link_matching_size(g, 0, cap) == min(oracle_val, cap)
+            assert _link_matching_size(g, 0, cap) == min(oracle_val, cap)
 
 
 def test_matching_below_its_cap_stays_fast():
@@ -205,12 +211,15 @@ def test_contains_fan_on_a_book_needs_the_matching(monkeypatch):
     # filters, but every link edge at 0 meets 1 (and at 1 meets 0): three
     # triangles, no two of which share only the centre.
     book = builder_from(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    # The search recurses with cap 1, so the calls with cap 2 are the
+    # centres' link lists.
     calls = []
-    real = detect.link_matching_size
-    monkeypatch.setattr(detect, "link_matching_size",
-                        lambda g, v, cap: calls.append(v) or real(g, v, cap))
+    real = detect._max_matching_edges
+    monkeypatch.setattr(detect, "_max_matching_edges",
+                        lambda edges, cap: cap == 2 and calls.append(sorted(edges))
+                        or real(edges, cap))
     assert not contains_fan(book, 2)
-    assert sorted(calls) == [0, 1]
+    assert sorted(calls) == [[(0, 2), (0, 3), (0, 4)], [(1, 2), (1, 3), (1, 4)]]
     assert contains_fan(book, 1)
 
 

@@ -454,22 +454,46 @@ def test_fan_center_counts_follow_inserts_after_a_count(rng):
     assert grown > 20
 
 
-def test_fan_center_counts_build_no_link_graph_from_adjacency(monkeypatch, rng):
-    # Only `contains_fan` rebuilds link graphs from neighbour sets; the
-    # fan-centre counts group the edge table's triangles.
-    import budget_builder.detect as detect
+class _NoRebuild(set):
+    """An adjacency set that refuses to be read whole and counts its
+    intersections in `calls`, shared by all of one graph's sets."""
+
+    def __init__(self, nbrs, calls):
+        super().__init__(nbrs)
+        self.calls = calls
+
+    def __iter__(self):
+        raise AssertionError("a neighbour set was read whole")
+
+    def __and__(self, other):
+        self.calls.append(1)
+        return set.__and__(self, other)
+
+
+def test_fan_center_counts_build_no_link_graph_from_adjacency(rng):
+    # The fan-centre counts group the edge table's triangles, which the table
+    # reads off one intersection per triangle-closing edge; a link graph
+    # rebuilt from adjacency reads each centre's neighbour set whole, or
+    # intersects it with each neighbour's.
+    from budget_builder.detect import fan_center_counts
     from conftest import builder_from
 
-    def refuse(g, v, cap):
-        raise AssertionError("fan_center_counts rebuilt a link graph")
+    def counted(g):
+        calls = []
+        g.adj = [_NoRebuild(nbrs, calls) if nbrs else nbrs for nbrs in g.adj]
+        return calls
 
-    monkeypatch.setattr(detect, "link_matching_size", refuse)
     # Three triangles at the hub 0: it centres a 3-fan, each other vertex a 1-fan.
     friendship = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
-    assert detect.fan_center_counts(builder_from(7, friendship), 3) == [7, 1, 1]
+    g = builder_from(7, friendship)
+    calls = counted(g)
+    assert fan_center_counts(g, 3) == [7, 1, 1]
+    assert len(calls) == len(g.closing) == 3
     for n, edges in _fan_center_graphs(rng):
         g = builder_from(n, edges)
-        assert detect.fan_center_counts(g, 3) == _brute_fan_center_counts(n, edges, 3)
+        calls = counted(g)
+        assert fan_center_counts(g, 3) == _brute_fan_center_counts(n, edges, 3)
+        assert len(calls) <= len(g.closing), (n, edges)
 
 
 def test_probe_counts_zero_budget():

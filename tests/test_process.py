@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from budget_builder.detect import DIAMOND, detector_for, fan
+from budget_builder.detect import DIAMOND, BuilderGraph, detector_for, fan
 from budget_builder.errors import (
     BudgetContractViolation,
     ConfigurationError,
@@ -28,6 +28,8 @@ from budget_builder.process import (
 )
 from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
+    _FIRST_SPAN,
+    AnchorNeighborhood,
     StrategyKind,
     StrategyParams,
     StrategySpec,
@@ -496,9 +498,9 @@ def test_per_reveal_decide_buys_exactly_what_buys_yields(cells):
 
 
 class _Steps:
-    """Forwards `buys`, so the settled loop runs, and records the clock of
-    every row its step sees (one per single row, and one per row of a
-    block) and the rows of each block."""
+    """Forwards `buys`, so the settled loop runs, checks that each yield is
+    a block of three int64 arrays of one length, and records the clock of
+    every row its step sees and the rows of each block."""
 
     def __init__(self, inner):
         self.name = inner.name
@@ -510,11 +512,12 @@ class _Steps:
     def buys(self, state):
         codes, n = state.codes, state.config.n
         for bought in self.inner.buys(state):
-            rows, us, vs = map(np.atleast_1d, bought)
+            rows, us, vs = bought
+            assert all(a.__class__ is np.ndarray and a.dtype == np.int64 and a.shape == rows.shape
+                       for a in bought), bought
             assert [us.tolist(), vs.tolist()] == [x.tolist() for x in decode(n, codes[rows])], rows
             self.clocks += (rows + 1).tolist()
-            if isinstance(bought[0], np.ndarray):
-                self.blocks.append(rows.tolist())
+            self.blocks.append(rows.tolist())
             yield bought
 
 
@@ -537,11 +540,17 @@ def test_seed_phase_visits_end_at_its_cap(cell):
         assert visits == inner.p_bought[0] <= inner.p_caps[0], (cell, j)
 
 
-def _stops_inside_a_block(cell, trials):
+def _phase(strategy, row):
+    """The phase of stream row `row` under a phased builder: phase i holds
+    rows iT to (i + 1)T - 1, and the last phase runs to t."""
+    return min(row // max(strategy.T, 1), len(strategy.p_caps) - 1)
+
+
+def _stops_inside_a_block(cell, trials, phase=None):
     """How many of `trials` early-stopped trials of `cell` hit at a row
-    with more of its block after it; each one's settled record must equal
-    the builder's own `decide`'s, the per-reveal reference's and the
-    `BuysChecker` run's."""
+    with more of its block after it, a row of phase `phase` if one is
+    given; each one's settled record must equal the builder's own
+    `decide`'s, the per-reveal reference's and the `BuysChecker` run's."""
     inside = 0
     for j in range(trials):
         seed = derive_seed(16, cell[1], cell[2], cell[3], j)
@@ -552,7 +561,8 @@ def _stops_inside_a_block(cell, trials):
         assert (pickle.dumps(fast) == pickle.dumps(asked) == pickle.dumps(slow)
                 == pickle.dumps(checked)), j
         hit = fast.hit_time and fast.hit_time - 1
-        inside += any(hit in rows[:-1] for rows in steps.blocks)
+        inside += any(hit in rows[:-1] for rows in steps.blocks) and (
+            phase is None or _phase(steps.inner, hit) == phase)
     return inside
 
 
@@ -565,30 +575,104 @@ def test_a_stop_inside_a_seed_block_counts_only_the_rows_before_it(cell):
     assert _stops_inside_a_block(cell, 20) > 0
 
 
+# A hand-built diamond spec whose phase 2 buys one edge, a triangle at a
+# seed with a few more frozen neighbours, so no diamond is bought before
+# phase 3, which then buys several candidates in one block; its first buy
+# completes a diamond.
+_PHASE_3_CELL = _hand_cell(DIAMOND, 20, 190, 40, StrategyKind.DIAMOND_SHORT, 60,
+                           (12, 1, 40), 4, 6)
+_LONG_CELL = _REFERENCE_CELLS[1]
+
+
+@pytest.mark.parametrize("cell, phase, trials", [
+    (_LONG_CELL, 1, 5), (_C4_CELL, 1, 10), (_C6_CELL, 1, 10), (_PHASE_3_CELL, 2, 10),
+], ids=["anchor-span", "diamond-phase-2", "fan-round", "diamond-phase-3"])
+def test_a_stop_inside_each_kind_of_block_counts_only_the_rows_before_it(cell, phase, trials):
+    # A stop at a row of a later phase's block with more of the block after
+    # it: the block's rows past the hit are settled, and placed at their
+    # hosts, yet the record counts none of them, as the per-reveal
+    # reference does; `max_multiplicity` too reads only the diamond's
+    # phase-2 buys up to the hit.
+    assert _stops_inside_a_block(cell, trials, phase) > 0
+
+
+def test_a_stop_inside_the_anchor_star_block_counts_only_the_rows_before_it():
+    # The anchor's first phase buys a star, which closes no triangle, so no
+    # trial stops inside its block; a stop there is a `stats()` read at a
+    # clock inside it, as the per-reveal `decide` makes at each bought row.
+    target, n, t, b, overrides = _LONG_CELL
+    spec = select_strategy(target, n, t, b, overrides)
+    for j in range(3):
+        config = ProcessConfig(n, t, b, seed=derive_seed(16, n, t, b, j))
+        state = new_process(config)
+        state.codes = draw_codes(config)
+        strategy = build_strategy(spec, config)
+        rows, _, _ = next(strategy.buys(state))
+        assert 2 <= rows.size == strategy.p_bought[0] and rows[-1] < strategy.T, j
+        for bought, row in enumerate(rows.tolist(), 1):
+            state.clock = row + 1
+            assert strategy.stats()["phase_bought"] == (bought, 0), (j, row)
+
+
 # Ten seeds of cap 1 under a phase-0 cap above ten (13 for the diamond, 20
 # for fan(1)): the cap is never spent, so the seed phase reads all its rows.
 # At these seeds its buys run past the 32 seed-set rows it converts first,
-# so a block per converted run would make two.
+# so a block per converted run would make two. Then the long-stream cell,
+# whose anchor reads its second phase span by span.
 _PAST_32_SEED_ROWS = [
     ((target, 60, 300, 40, {"regime_override": "short", "seed_set_size": 10,
                             "per_vertex_cap": 1}), js)
     for target, js in ((DIAMOND, (16, 26)), (fan(1), (5, 6, 16, 21)))
-]
+] + [(_LONG_CELL, (0, 1, 2))]
 
 
-@pytest.mark.parametrize("cell, js", _PAST_32_SEED_ROWS, ids=["k4m-short", "tk-short"])
+def _span(strategy, row):
+    """(phase, span) of stream row `row`; in the anchor's second phase, the
+    span counts from 1, each twice as long as the one before, else it is 0."""
+    phase = _phase(strategy, row)
+    if phase and isinstance(strategy, AnchorNeighborhood):
+        return phase, ((row - strategy.T) // _FIRST_SPAN + 1).bit_length()
+    return phase, 0
+
+
+@pytest.mark.parametrize("cell, js", _PAST_32_SEED_ROWS,
+                         ids=["k4m-short", "tk-short", "k4m-long"])
 def test_the_seed_phase_yields_one_block(cell, js):
-    # The short builders' hosted phases yield single rows, so every block
-    # the step sees is the seed phase's; the records match the per-reveal
-    # reference and the `BuysChecker` run.
+    # Each phase yields at most one block, the anchor's second phase one
+    # per span, so the seed phase yields one; the records match the
+    # per-reveal reference and the `BuysChecker` run.
     for j in js:
         seed = derive_seed(11, cell[1], cell[2], cell[3], j)
         for early_stop in (True, False):
             fast, steps = _trial(cell, seed, early_stop, _Steps)
-            assert len(steps.blocks) <= 1, (j, early_stop)
+            spans = [(_span(steps.inner, rows[0]), _span(steps.inner, rows[-1]))
+                     for rows in steps.blocks]
+            assert all(first == last for first, last in spans), (j, early_stop, spans)
+            assert spans == sorted(set(spans)), (j, early_stop, spans)
             slow, _ = _trial(cell, seed, early_stop, PerReveal, reference_strategy)
             checked, _ = _trial(cell, seed, early_stop, BuysChecker, reference_strategy)
             assert pickle.dumps(fast) == pickle.dumps(slow) == pickle.dumps(checked), j
+
+
+def test_every_bought_row_goes_through_the_block_insert(monkeypatch):
+    # One purchase path: every builder's `buys` yields int64 blocks (`_Steps`
+    # checks each), the per-reveal source yields 1-row blocks, and the step
+    # inserts every bought row with `insert_until_triangle`, never with
+    # `insert_edge`.
+    def refuse(self, u, v):
+        raise AssertionError(f"insert_edge({u}, {v}) called in a trial")
+
+    monkeypatch.setattr(BuilderGraph, "insert_edge", refuse)
+    seen = set()
+    for cell in _REFERENCE_CELLS + _SMALL_CELLS + _DEGREE_GREEDY_CELLS:
+        for j in range(2):
+            seed = derive_seed(17, cell[1], cell[2], cell[3], j)
+            for early_stop in (True, False):
+                fast, _ = _trial(cell, seed, early_stop, _Steps)
+                asked, _ = _trial(cell, seed, early_stop, PerReveal)
+                assert pickle.dumps(fast) == pickle.dumps(asked), (cell, j, early_stop)
+                seen.add(fast.strategy)
+    assert seen == _ALL_KINDS | {"degree-greedy"}
 
 
 def test_a_stop_inside_the_buy_all_block_counts_no_skip():
@@ -614,14 +698,15 @@ _BUY_ALL_CELLS = [cell for cell in _REFERENCE_CELLS + _SMALL_CELLS if cell[4] is
 
 
 @pytest.mark.parametrize("cells, decoded", [
-    (_DEGREE_GREEDY_CELLS, lambda t, b: t),
+    (_DEGREE_GREEDY_CELLS, lambda t, b: t if b else 0),
     # and a long stream with a small budget: buy-all decodes 80 of 20,000 codes
     (_BUY_ALL_CELLS + [(DIAMOND, 400, 20000, 80, _BUY_ALL)], min),
 ], ids=["degree-greedy", "buy-all"])
 def test_degree_greedy_decodes_each_code_once(cells, decoded, monkeypatch):
     # Degree-greedy reads the ends of its stars, its outside rows and its
     # bought rows off one decode of the t codes (its one cell with h = n has
-    # b >= t); buy-all decodes only the min(b, t) rows it buys.
+    # b >= t), and with b = 0 it decodes none; buy-all decodes only the
+    # min(b, t) rows it buys.
     import budget_builder.strategies as strategies
 
     sizes = []
@@ -764,16 +849,17 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
      r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock([0, 1, 2], edit=_negative_start_at_row_0), OnlineRuleViolation,
      r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
-    # A single row that fails u < v < n is checked as a 1-row block, so it
-    # raises the same message, naming the pair revealed at its row.
+    # A foreign source's single row is read as a 1-row block, so one that
+    # fails u < v < n raises the same message, naming the pair revealed at
+    # its row.
     (_RogueBlock(None, _SINGLES, edit=_swap_row_1), OnlineRuleViolation,
      r"edge \((\d+), (\d+)\) at row 1, where \(\2, \1\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_end_at_n), OnlineRuleViolation,
      r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
      r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
-    # A single row whose row or an end is not an int fails the chained
-    # test; the block check refuses it before any other rule, naming it.
+    # A single row whose row or an end is not an int: the block check
+    # refuses it before any other rule, naming it.
     (_OneRow((0, 1.5, 3)), OnlineRuleViolation,
      r"edge \(1\.5, 3\) at row 0, not an integer row with integer ends"),
     (_OneRow((0, np.float64(1.0), 3)), OnlineRuleViolation,
