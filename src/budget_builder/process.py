@@ -159,7 +159,9 @@ def decode(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     floor(n - 1/2 - sqrt(m^2/4 - 2c)). `ProcessConfig` keeps n <= 2^25, so
     m^2 < 2^52: the sqrt's argument is an exact float and the sqrt is
     correctly rounded, which can leave u one too large, never too small;
-    `_settle` corrects it. Every caller decodes through here.
+    `_settle` corrects it. Every caller decodes through here but the
+    anchor's star (`strategies.AnchorNeighborhood`), whose pairs (0, v)
+    are read off their codes v - 1.
     """
     m = 2 * n - 1
     f = codes * -2.0
@@ -173,8 +175,9 @@ def draw_codes(config: ProcessConfig) -> np.ndarray:
     """The whole stream: one uniform ordered sample of t distinct pair codes.
 
     `choice(..., replace=False)` draws with Floyd's algorithm, or by a
-    partial shuffle of all C(n,2) codes once t exceeds C(n,2)/50; either
-    way memory stays O(t + n).
+    partial shuffle of all C(n,2) codes when C(n,2) > 10,000 and t exceeds
+    C(n,2)/50, so for n <= 141 it is Floyd's at any t (as in numpy 2.4.6).
+    Either way memory stays O(t + n).
     """
     rng = substream(config.seed, STREAM_EDGES)
     return rng.choice(config.num_pairs, size=config.t, replace=False)
@@ -273,15 +276,19 @@ def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.n
                  us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
     """Raise unless the block (rows, us, vs), one or more rows, keeps the
     rules of the module docstring, given the row bought `last` and the
-    budget `left`. A block of int64 arrays passes one vectorised test, in
-    which `pair_code` is one-to-one as u < v < n is tested first. A block
-    that fails it is taken apart rule by rule, to name its first offending
-    row; integers of another dtype that keep every rule pass there."""
-    n, t = config.n, config.t
-    if (rows.dtype == us.dtype == vs.dtype == np.int64 and 0 < rows.size <= left
-            and last < rows[0] and rows[-1] < t and (rows[1:] > rows[:-1]).all()
-            and ((0 <= us) & (us < vs) & (vs < n)).all()
-            and (codes[rows] == pair_code(n, us, vs)).all()):
+    budget `left`. A block of int64 arrays passes one vectorised test,
+    which reads the end rows as ints, tests the order within a block of
+    two or more rows, and ands 0 <= u < v < n with the code test in one
+    mask: `pair_code` is one-to-one where the range test holds, and a row
+    where it fails (whose code may overflow) fails the mask anyway. A
+    block that fails the test is taken apart rule by rule, to name its
+    first offending row; integers of another dtype that keep every rule
+    pass there."""
+    n, t, size = config.n, config.t, rows.size
+    if (rows.dtype == us.dtype == vs.dtype == np.int64 and 0 < size <= left
+            and last < rows.item(0) and rows.item(-1) < t
+            and (size == 1 or (rows[1:] > rows[:-1]).all())
+            and ((0 <= us) & (us < vs) & (vs < n) & (codes[rows] == pair_code(n, us, vs))).all()):
         return
 
     def bought(j: int) -> str:

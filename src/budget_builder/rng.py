@@ -15,21 +15,30 @@ import struct
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+MASK32 = (1 << 32) - 1
 
 # Stream ids for the per-trial substreams.
 STREAM_EDGES = 0
 STREAM_STRATEGY = 1
 
 
-def _entropy_word(part: int | float) -> int:
-    """Map a seed component to a uint64 word (floats by bit pattern)."""
-    if isinstance(part, float):
-        return struct.unpack("<Q", struct.pack("<d", part))[0]
-    return int(part) & MASK64
+def _entropy_words(parts) -> list[int]:
+    """The uint32 entropy words of the seed components: each as a uint64
+    word (floats by bit pattern), then its low 32 bits, and its high 32
+    bits if they are not zero. This is the array `SeedSequence` builds
+    from the tuple of those uint64 words, so a seed is the same either
+    way; handing it the array skips numpy's per-part coercion."""
+    words = []
+    for p in parts:
+        w = struct.unpack("<Q", struct.pack("<d", p))[0] if isinstance(p, float) else int(p) & MASK64
+        words.append(w & MASK32)
+        if w > MASK32:
+            words.append(w >> 32)
+    return words
 
 
 def seed_sequence(*parts: int | float) -> np.random.SeedSequence:
-    return np.random.SeedSequence(tuple(_entropy_word(p) for p in parts))
+    return np.random.SeedSequence(np.array(_entropy_words(parts), np.uint32))
 
 
 def substream(seed: int, stream_id: int) -> np.random.Generator:
@@ -38,5 +47,8 @@ def substream(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def derive_seed(master_seed: int, *parts: int | float) -> int:
-    """Collapse (master_seed, parts...) into a single replayable 64-bit seed."""
-    return int(seed_sequence(master_seed, *parts).generate_state(1, np.uint64)[0])
+    """Collapse (master_seed, parts...) into a single replayable 64-bit seed:
+    the first uint64 word of the sequence's state, joined from its two
+    uint32 words as numpy's `generate_state(1, np.uint64)` joins them."""
+    lo, hi = seed_sequence(master_seed, *parts).generate_state(2, np.uint32).tolist()
+    return lo | hi << 32

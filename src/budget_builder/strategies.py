@@ -26,11 +26,12 @@ last row are counted after its yield, so there is nothing to net for
 them. At each phase start `buys` does that phase's set-up (a freeze
 sharing the graph's sets, a candidate build, a round start), then runs one
 loop over that phase's rows that can buy or change a stat: seed-set edges
-found from their codes, edges inside the anchor's neighbourhood from a
-vertex mask, edges a frozen seed may host from per-vertex host bits,
-candidate pairs from a sorted code array. Once the seed phase's cap or the
-budget is spent its per-seed counts are fixed, so the rows left in it are
-counted in one vectorised pass. The anchor's second phase is read span by
+found from their codes, the anchor's star read off its codes, edges
+inside the anchor's neighbourhood from a vertex mask, edges a frozen seed
+may host from per-vertex host bits, candidate pairs from a sorted code
+array. Once the seed phase's cap or the budget is spent its per-seed
+counts are fixed, so the rows left in it are counted in one vectorised
+pass. The anchor's second phase is read span by
 span, each span twice as long as the one before, so an early stop a few
 buys into it decodes only the spans it reached.
 `_Base.decide` answers reveal by reveal from the same generator, read
@@ -616,8 +617,12 @@ class AnchorNeighborhood(_Base):
 
     def buys(self, state: ProcessState):
         codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
-        # The anchor is vertex 0, so its edges are those meeting {0}.
-        yield from self._buy_rows(state, 0, _seed_edges(codes, 0, min(T, t), n, 1))
+        # The anchor is vertex 0, and the pair (0, v) has code v - 1, so its
+        # edges are the codes below n - 1, and their ends need no decode.
+        rows = np.flatnonzero(codes[:T] < n - 1)
+        star = codes[rows]
+        star += 1
+        yield from self._buy_rows(state, 0, (rows, np.zeros_like(rows), star))
         if t <= T:
             return
         # No phase-2 buy meets the anchor, so its set stays the frozen one.

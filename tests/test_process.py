@@ -187,6 +187,48 @@ def test_stream_determinism_and_seed_sensitivity():
     assert reveal(5) != reveal(6)
 
 
+# One entropy part of each uint32-word shape: zero, one low word, a full low
+# word, a high word over a zero low word, all 64 bits (and -1, masked to
+# the same), and two floats, read by their bit patterns.
+_SEED_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 0.4, 1.25]
+_INT_PARTS = [p for p in _SEED_PARTS if isinstance(p, int)]
+_SWEEP_CELL_SEED = 11374881571523487628  # derive_seed(2026, 800, 1.25, 0.4)
+
+
+def test_seeds_and_first_codes_are_pinned():
+    # Recorded when `seed_sequence` still handed numpy the tuple of uint64
+    # words, for numpy to coerce to uint32 words itself: building the words
+    # here must give the same seeds and streams, on every numpy the package
+    # supports. The long-stream cell's t = 20,000 of C(400,2) = 79,800 codes
+    # is drawn by a partial shuffle, the (100, 60) cell's by Floyd's
+    # algorithm.
+    assert [derive_seed(p) for p in _INT_PARTS] == [
+        15793235383387715774, 7434755675892716031, 3028043900922232328,
+        5836529245451711556, 12591116029944179981, 12591116029944179981]
+    assert [derive_seed(2026, p) for p in _SEED_PARTS] == [
+        9479640617736930317, 11945904881327827335, 17222303135747888127,
+        275182770273494539, 16035640860887694224, 16035640860887694224,
+        9803077212982273749, 12938690359909370163]
+    assert derive_seed(2026, 800, 1.25, 0.4) == _SWEEP_CELL_SEED
+    seeds = _INT_PARTS + [_SWEEP_CELL_SEED]
+    assert [draw_codes(ProcessConfig(400, 20000, 80, s))[:8].tolist() for s in seeds] == [
+        [59150, 35627, 47963, 26926, 42102, 5396, 31097, 76436],
+        [66253, 65895, 75473, 60642, 56258, 60429, 65658, 12732],
+        [15759, 73645, 59249, 70548, 62124, 13853, 9019, 70528],
+        [64137, 52658, 78660, 14773, 39149, 75673, 41193, 6479],
+        [27033, 14925, 74973, 65950, 2866, 15660, 32642, 28394],
+        [27033, 14925, 74973, 65950, 2866, 15660, 32642, 28394],
+        [56295, 75514, 67891, 16372, 73024, 22327, 5104, 6956]]
+    assert [draw_codes(ProcessConfig(100, 60, 8, s))[:8].tolist() for s in seeds] == [
+        [1261, 4903, 432, 762, 2392, 557, 932, 1891],
+        [3950, 2712, 35, 3327, 1361, 1264, 657, 4031],
+        [2286, 4579, 4290, 4455, 4871, 3637, 1666, 4897],
+        [4437, 949, 3841, 2152, 2863, 4641, 2203, 1720],
+        [2814, 1866, 2897, 2216, 3540, 4024, 4788, 1836],
+        [2814, 1866, 2897, 2216, 3540, 4024, 4788, 1836],
+        [1564, 3635, 2495, 4936, 4590, 395, 2946, 1341]]
+
+
 def test_stream_uniformity_first_edge():
     # 10^5 fresh single-step processes at n=10: each of the 45 pairs appears
     # as e_1 within five sigma of its expectation.
@@ -720,6 +762,57 @@ def test_degree_greedy_decodes_each_code_once(cells, decoded, monkeypatch):
                 sizes.clear()
                 _trial(cell, seed, early_stop)
                 assert sum(sizes) == decoded(cell[2], cell[3]), (cell, j, early_stop, sizes)
+
+
+def _anchor_spans(T, t, stop):
+    """The [lo, hi) spans of the anchor's second phase, up to the one that
+    holds stream row `stop`."""
+    spans, lo, width = [], T, _FIRST_SPAN
+    while lo < t and lo <= stop:
+        hi = min(lo + width, t)
+        spans.append((lo, hi))
+        lo, width = hi, 2 * width
+    return spans
+
+
+@pytest.mark.parametrize("cell", [
+    _LONG_CELL,
+    # a 2-fan anchor whose ~10-vertex star leaves its second phase's cap
+    # unspent, so without early stop it reads every span, to t
+    _hand_cell(fan(2), 200, 6000, 60, StrategyKind.FAN_LONG, 1000, (30, 30), k=2),
+    # a star of at most one edge: no inside pair, so nothing to decode
+    _hand_cell(DIAMOND, 20, 100, 20, StrategyKind.DIAMOND_LONG, 40, (1, 10)),
+], ids=["long-stream", "tk-long-to-t", "one-edge-star"])
+def test_the_anchor_decodes_only_the_spans_it_reaches(cell, monkeypatch):
+    # The star's pairs (0, v) are read off their codes v - 1, so no code
+    # before T is decoded; the second phase decodes each span it reaches,
+    # up to the hit row under early stop, the row that spends its cap, or
+    # t, and none once the frozen neighbourhood has under two vertices.
+    import budget_builder.strategies as strategies
+
+    decoded = []
+    real = strategies.decode
+    monkeypatch.setattr(strategies, "decode",
+                        lambda n, codes: decoded.append(codes.tolist()) or real(n, codes))
+    target, n, t, b, _ = cell
+    spans_read = 0
+    for j in range(4):
+        seed = derive_seed(18, n, t, b, j)
+        codes = draw_codes(ProcessConfig(n, t, b, seed))
+        for early_stop in (True, False):
+            decoded.clear()
+            rec, steps = _trial(cell, seed, early_stop, _Steps)
+            inner = steps.inner
+            if early_stop and rec.success:
+                stop = rec.hit_time - 1
+            elif inner.p_bought[1] == inner.p_caps[1]:
+                stop = steps.blocks[-1][-1]
+            else:
+                stop = t - 1
+            spans = _anchor_spans(inner.T, t, stop) if len(inner.frozen or ()) >= 2 else []
+            assert decoded == [codes[lo:hi].tolist() for lo, hi in spans], (j, early_stop)
+            spans_read += len(spans)
+    assert spans_read >= (0 if cell[1] == 20 else 8), spans_read
 
 
 class _RogueBuys:
