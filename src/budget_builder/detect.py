@@ -19,14 +19,13 @@ short list.
 The batch checks (`contains_diamond`, `contains_fan`) and the fan tracker
 look only at edges whose ends share a neighbour: an edge in no triangle is
 in no diamond and no fan, and most purchased edges are in none. For the
-same reason `insert_edge` returns whether the new edge closes a triangle,
-`insert_until_triangle` inserts a checked block of (u, v) pairs up to the
-next such edge, and the trial step asks a tracker only about the edges
-that do. The batch checks stay whole-graph passes and never read
-`closing` or the edge table, so they confirm a tracker independently. The
-fan tracker keeps each centre's link edges as the asked inserts add them,
-so a check reads a kept list rather than rebuilding the link graph from
-neighbour sets.
+same reason the graph's one insert body, `insert_until_triangle`, inserts
+checked (u, v) pairs up to the next edge that closes a triangle, and the
+trial step asks a tracker only about those edges. The batch checks stay
+whole-graph passes and never read `closing` or the edge table, so they
+confirm a tracker independently. The fan tracker keeps each centre's link
+edges as the asked inserts add them, so a check reads a kept list rather
+than rebuilding the link graph from neighbour sets.
 
 The edge table holds the edge ends, degrees, the triangle list and the
 triangle sums, cached on the graph (not pickled) and rebuilt only once the
@@ -108,9 +107,9 @@ class BuilderGraph:
     test), plus the edges (pairs u < v) in insertion order for the scans,
     the triangle-closing ones among them (`closing`) and a cached edge table
     for the counts. A vertex without an edge reads the shared empty
-    frozenset `_NO_NBRS` until an insert (`insert_edge` or
-    `insert_until_triangle`, the only writers of `adj` and `closing`) gives
-    it its own set at its first edge: n vertices cost no n sets.
+    frozenset `_NO_NBRS` until the one insert body (`insert_until_triangle`,
+    the only writer of `adj` and `closing`) gives it its own set at its
+    first edge: n vertices cost no n sets.
 
     `closing` holds, in purchase order, each edge (u < v) whose insert
     reported that it closes a triangle, that is, whose ends already shared
@@ -142,41 +141,27 @@ class BuilderGraph:
         return len(self._edges)
 
     def insert_edge(self, u: int, v: int) -> bool:
-        """Add the edge uv. Returns whether u and v already shared a
-        neighbour, that is, whether the new edge closes a triangle: an edge
-        that closes none is in no diamond and no fan. One that closes a
-        triangle is appended to `closing`."""
+        """Check the edge uv, given either way round (a loop or an end
+        outside [0, n) raises `ValueError`, an edge present
+        `DuplicateEdgeError`), then add it through the one insert body.
+        Returns whether it closes a triangle, that is, whether u and v
+        already shared a neighbour."""
         if u > v:
             u, v = v, u
         if not 0 <= u < v < self.n:
             raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-        adj = self.adj
-        nu, nv = adj[u], adj[v]
-        if v in nu:
+        if v in self.adj[u]:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        self._edges.append((u, v))
-        closes = not nu.isdisjoint(nv)
-        if closes:
-            self.closing.append((u, v))
-        if nu is _NO_NBRS:
-            adj[u] = {v}
-        else:
-            nu.add(v)
-        if nv is _NO_NBRS:
-            adj[v] = {u}
-        else:
-            nv.add(u)
-        return closes
+        return self.insert_until_triangle(((u, v),)) is not None
 
     def insert_until_triangle(self, pairs):
-        """Insert the pairs (u, v) of the iterator `pairs`, each already
-        checked to be a pair 0 <= u < v < n not in the graph (the step's
-        pairs are the distinct ones revealed at their rows), up to and
-        including the first whose edge closes a triangle; return that pair,
-        or None once `pairs` is spent. A later call with the same iterator
-        goes on after it. Each pair tuple is appended to `_edges` as given;
-        the returned pair's edge is appended to `closing` as a new tuple, so
-        the two lists share no tuple, as with `insert_edge`: a shared tuple
+        """The one insert body: insert the pairs (u, v) of the iterator
+        `pairs`, each already checked to be a pair 0 <= u < v < n not in the
+        graph, up to and including the first whose edge closes a triangle;
+        return that pair, or None once `pairs` is spent. A later call with
+        the same iterator goes on after it. Each pair tuple is appended to
+        `_edges` as given; the returned pair's edge is appended to `closing`
+        as a new tuple, so the two lists share no tuple: a shared tuple
         would pickle as a memo reference, and the graph's pickle would
         differ. An edge with an end that has no neighbour yet closes
         nothing, so it is inserted untested."""
@@ -555,6 +540,7 @@ def read_edge_list(path) -> BuilderGraph:
             edges.add((u, v))
     label = {x: i for i, x in enumerate(sorted(set(chain.from_iterable(edges))))}
     g = BuilderGraph(len(label))
-    for u, v in edges:
-        g.insert_edge(label[u], label[v])
+    pairs = ((label[u], label[v]) for u, v in edges)  # checked above, and u < v
+    while g.insert_until_triangle(pairs) is not None:
+        pass
     return g

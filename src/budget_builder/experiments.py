@@ -120,6 +120,9 @@ def run_one_trial(
     early_stop: bool = True,
     keep_graph: bool = False,
 ) -> TrialRecord:
+    """One trial of `spec` on `config`; a diamond or fan spec must watch its own target."""
+    if spec.target not in (None, target):
+        raise ConfigurationError(f"a {spec.name} spec builds {spec.target}, not {target}")
     label, k = _target_label(target)
     strategy = build_strategy(spec, config)
     detector = detector_for(target)

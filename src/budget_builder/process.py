@@ -6,20 +6,20 @@ with an incremental target detector.
 
 The stream is one array of t pair codes (`pair_code`), drawn at the first
 reveal. `run_strategy` runs one step per yield of a purchase source, in
-stream order; a yield is a block `(rows, us, vs)` of int64 arrays holding
-one or more bought rows: their stream indices and the ends u < v of each.
-`_check_block` states the rules, the same for every bought row: integer
-rows and ends, the rows strictly increasing from past the last row bought
-to before t, and each pair the one revealed at its row (so u < v < n),
-else `OnlineRuleViolation` naming the revealed pair; no more rows than the
+stream order. There is one yield form, a block `(rows, us, vs)` of three
+equal-length 1-D int64 arrays in a tuple: the stream indices of one or
+more bought rows and the ends u < v of each. `_check_block` refuses any
+other yield first, then states the rules, the same for every bought row:
+the rows strictly increasing from past the last row bought to before t,
+and each pair the one revealed at its row (so u < v < n), else
+`OnlineRuleViolation` naming the revealed pair; no more rows than the
 budget left, else `BudgetContractViolation`. So every bought pair is the
 distinct pair revealed at its row. A block is checked whole, then its
-pairs go to `BuilderGraph.insert_until_triangle` as one iterator, which
-returns at each pair that closes a triangle; the step reads that pair's
-row off its place in the block. Both targets are unions of triangles, so
-the step asks the detector only about such a buy, and stops at a hit
-under early stop, inside a block too. A yield that is not arrays, from a
-source outside this package, is read as a 1-row block.
+pairs go to the graph's one insert body, `insert_until_triangle`, as one
+iterator, which returns at each pair that closes a triangle; the step
+reads that pair's row off its place in the block. Both targets are unions
+of triangles, so the step asks the detector only about such a buy, and
+stops at a hit under early stop, inside a block too.
 
 - A strategy with a `buys(state)` generator settles its purchases itself,
   from the drawn codes; every reveal it does not buy is skipped unread.
@@ -256,65 +256,63 @@ class TrialRecord:
 
 def _decided_buys(state: ProcessState, strategy):
     """One `next_edge` and one `decide` call per reveal, up to clock t; each
-    row `decide` buys, as a 1-row block (the rows of one (3, 1) array)."""
+    row `decide` buys, as a 1-row block."""
     t = state.config.t
     decide = strategy.decide
     while state.clock < t:
         e = next_edge(state)
         if decide(state, e):
-            yield np.array([[state.clock - 1], [e.u], [e.v]], np.int64)
+            yield tuple(np.array([[state.clock - 1], [e.u], [e.v]], np.int64))
 
 
-def _integral(a) -> bool:
-    """Whether `a` holds integers: an integer array, or Python ints that
-    overflow int64 (an object array)."""
-    a = np.asarray(a)
-    return a.dtype.kind in "iu" or a.dtype.kind == "O" and all(x.__class__ is int for x in a.flat)
+def _form(x) -> str:
+    """dtype[shape] of an array, else the type's name."""
+    return f"{x.dtype}{list(x.shape)}" if isinstance(x, np.ndarray) else type(x).__name__
 
 
-def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, rows: np.ndarray,
-                 us: np.ndarray, vs: np.ndarray, last: int, left: int) -> None:
-    """Raise unless the block (rows, us, vs), one or more rows, keeps the
-    rules of the module docstring, given the row bought `last` and the
-    budget `left`. A block of int64 arrays passes one vectorised test,
-    which reads the end rows as ints, tests the order within a block of
-    two or more rows, and ands 0 <= u < v < n with the code test in one
-    mask: `pair_code` is one-to-one where the range test holds, and a row
-    where it fails (whose code may overflow) fails the mask anyway. A
-    block that fails the test is taken apart rule by rule, to name its
-    first offending row; integers of another dtype that keep every rule
-    pass there."""
+def _check_block(name: str, config: ProcessConfig, codes: np.ndarray, block,
+                 last: int, left: int) -> tuple:
+    """Return the yield `block` as (rows, us, vs) if it is a block that
+    keeps the rules of the module docstring, given the row bought `last`
+    and the budget `left`; else raise, first refusing a yield not of the
+    one yield form by its parts' dtypes and shapes. A block passes one
+    vectorised test, which reads the end rows as ints, tests the order
+    within a block of two or more rows, and ands 0 <= u < v < n with the
+    code test in one mask: `pair_code` is one-to-one where the range test
+    holds, and a row where it fails (whose code may overflow) fails the
+    mask anyway. A block that fails the test is taken apart rule by rule,
+    to name its first offending row."""
+    rows, us, vs = block if block.__class__ is tuple and len(block) == 3 else (None,) * 3
+    if not (rows.__class__ is us.__class__ is vs.__class__ is np.ndarray
+            and rows.dtype == us.dtype == vs.dtype == np.int64
+            and rows.ndim == 1 and rows.shape == us.shape == vs.shape):
+        parts = f"({', '.join(map(_form, block))})" if isinstance(block, tuple) else _form(block)
+        raise OnlineRuleViolation(f"{name} yielded {parts}, not a block of three "
+                                  f"equal-length 1-D int64 arrays (rows, us, vs)")
     n, t, size = config.n, config.t, rows.size
-    if (rows.dtype == us.dtype == vs.dtype == np.int64 and 0 < size <= left
-            and last < rows.item(0) and rows.item(-1) < t
+    if (0 < size <= left and last < rows.item(0) and rows.item(-1) < t
             and (size == 1 or (rows[1:] > rows[:-1]).all())
             and ((0 <= us) & (us < vs) & (vs < n) & (codes[rows] == pair_code(n, us, vs))).all()):
-        return
+        return block
 
     def bought(j: int) -> str:
         return f"{name} bought edge ({us[j]}, {vs[j]}) at row {rows[j]}"
 
-    if not rows.size:
+    if not size:
         raise OnlineRuleViolation(f"{name} bought an empty block after row {last}")
-    if not all(map(_integral, (rows, us, vs))):
-        raise OnlineRuleViolation(f"{bought(0)}, not an integer row with integer ends")
-    if not np.can_cast(rows.dtype, np.int64):  # uint64, or ints past int64
-        rows = rows.astype(object)  # so they meet `last` as ints, not floats
     before = np.concatenate(([last], rows[:-1]))
     bad = (rows <= before) | (rows >= t)
     if bad.any():
         j = int(bad.argmax())
         raise OnlineRuleViolation(f"{bought(j)}, not after row {before[j]} and before t={t}")
-    if rows.size > left:
+    if size > left:
         raise BudgetContractViolation(
             f"{name} bought edge ({us[left]}, {vs[left]}) at clock "
             f"{rows[left] + 1} with budget {config.b} exhausted"
         )
-    ru, rv = decode(n, codes[rows.astype(np.int64, copy=False)])
-    bad = (us != ru) | (vs != rv)
-    if bad.any():
-        j = int(bad.argmax())
-        raise OnlineRuleViolation(f"{bought(j)}, where ({ru[j]}, {rv[j]}) was revealed")
+    ru, rv = decode(n, codes[rows])  # the mask failed, so some pair is not its row's
+    j = int(((us != ru) | (vs != rv)).argmax())
+    raise OnlineRuleViolation(f"{bought(j)}, where ({ru[j]}, {rv[j]}) was revealed")
 
 
 def run_strategy(
@@ -352,10 +350,8 @@ def run_strategy(
     left = config.b  # budget left; every insert below spends one edge
     last = -1  # the row bought last
     hit_time = None
-    for rows, us, vs in purchases:
-        if rows.__class__ is not np.ndarray:  # a foreign source's single row
-            rows, us, vs = np.array([rows]), np.array([us]), np.array([vs])
-        _check_block(strategy.name, config, state.codes, rows, us, vs, last, left)
+    for block in purchases:
+        rows, us, vs = _check_block(strategy.name, config, state.codes, block, last, left)
         left -= rows.size
         last = int(rows[-1])
         base = g.edge_count  # the block's j-th pair is edge base + j

@@ -86,6 +86,15 @@ class StrategySpec:
     def name(self) -> str:
         return self.kind.value
 
+    @property
+    def target(self) -> Optional[Pattern]:
+        """The target a diamond or fan kind builds; None for a baseline."""
+        if self.kind in (StrategyKind.DIAMOND_SHORT, StrategyKind.DIAMOND_LONG):
+            return Pattern("diamond")
+        if self.kind in (StrategyKind.FAN_SHORT, StrategyKind.FAN_LONG):
+            return Pattern("fan", self.params.k)
+        return None
+
 
 def _threshold_branches(target: Pattern) -> tuple:
     """The exponents (a, c) of each regime branch n^a / t^c of the budget
@@ -542,15 +551,11 @@ class DiamondShort(_SeedPhaseBuilder):
         self.host_counts: list[int] = []  # the hosts of each phase-2 buy
 
     def buys(self, state: ProcessState):
-        codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
-        yield from self._seed_buys(state, min(T, t))
-        if t <= T:
-            return
+        codes, n, T = state.codes, self.config.n, self.T
+        yield from self._seed_buys(state, T)
         self._freeze(state)
-        inside = _inside(codes, T, min(2 * T, t), n, self._host_bits(self.frozen_nbrs))
+        inside = _inside(codes, T, 2 * T, n, self._host_bits(self.frozen_nbrs))
         yield from self._hosted_buys(state, 1, inside)
-        if t <= 2 * T:
-            return
         candidates = self._build_candidates(codes[:T])
         found = _ends(codes, np.flatnonzero(_in_sorted(codes[2 * T:], candidates)) + 2 * T, n)
         take, adj = self._left(state, 2), state.purchased.adj
@@ -623,8 +628,6 @@ class AnchorNeighborhood(_Base):
         star = codes[rows]
         star += 1
         yield from self._buy_rows(state, 0, (rows, np.zeros_like(rows), star))
-        if t <= T:
-            return
         # No phase-2 buy meets the anchor, so its set stays the frozen one.
         self.frozen = frozen = state.purchased.adj[0]
         member = np.zeros(n, dtype=bool)
@@ -704,16 +707,13 @@ class FanShort(_SeedPhaseBuilder):
             self.gained.add(w)
 
     def buys(self, state: ProcessState):
-        codes, n, t, T = state.codes, self.config.n, self.config.t, self.T
+        codes, n, T = state.codes, self.config.n, self.T
         if T == 0:
             return  # every reveal falls after the last round
-        yield from self._seed_buys(state, min(T, t))
+        yield from self._seed_buys(state, T)
         for rnd in range(1, self.k + 1):
-            lo = rnd * T
-            if lo >= t:
-                return
             self._start_round(rnd, state)
-            yield from self._hosted_buys(state, rnd, _inside(codes, lo, min(lo + T, t), n,
+            yield from self._hosted_buys(state, rnd, _inside(codes, rnd * T, (rnd + 1) * T, n,
                                                              self._host_bits(self.survivors)))
 
     def stats(self) -> dict:
@@ -731,11 +731,24 @@ _BUILDERS = {
 
 
 def build_strategy(spec: StrategySpec, config: ProcessConfig):
-    """Fresh strategy instance for this trial. It is handed the trial's
+    """Fresh strategy instance for this trial, once the spec is checked
+    against the cell: a seed set of 1 to n vertices where the kind has one,
+    with a per-vertex cap of at least 1 unless its seed phase is empty
+    (T = 0, as `select_strategy` gives for t below the phase count), its
+    phases within t, and one budget per phase. It is handed the trial's
     strategy RNG substream, which no strategy reads (see the module
     docstring)."""
-    strategy = _BUILDERS[spec.kind](
-        config, spec.params, substream(config.seed, STREAM_STRATEGY)
-    )
+    p, kind, n, t = spec.params, spec.kind, config.n, config.t
+    if kind in (StrategyKind.DIAMOND_SHORT, StrategyKind.FAN_SHORT) and not (
+            1 <= p.seed_set_size <= n and (p.per_vertex_cap >= 1 or not p.phase_length)):
+        raise ConfigurationError(f"{spec.name} needs a seed set size in [1, n={n}] and a cap "
+                                 f">= 1, got {p.seed_set_size} and {p.per_vertex_cap}")
+    phases = {StrategyKind.DIAMOND_SHORT: 3, StrategyKind.FAN_SHORT: p.k + 1,
+              StrategyKind.DIAMOND_LONG: 2, StrategyKind.FAN_LONG: 2}.get(kind, 0)
+    if phases * p.phase_length > t or len(p.phase_budgets) != phases:
+        raise ConfigurationError(f"{spec.name} needs {phases} phase budgets and {phases} "
+                                 f"phases within t={t}, got {p.phase_budgets} and "
+                                 f"phases of T={p.phase_length}")
+    strategy = _BUILDERS[kind](config, p, substream(config.seed, STREAM_STRATEGY))
     strategy.name = spec.name
     return strategy

@@ -84,6 +84,58 @@ def test_insert_until_triangle_matches_insert_edge_row_by_row(rng):
         assert [a is _NO_NBRS for a in block.adj] == [a is _NO_NBRS for a in one.adj]
 
 
+def test_insert_edge_and_the_block_insert_build_one_graph(rng):
+    # Random edge orders on n <= 12, each edge given to `insert_edge` in a
+    # random orientation: one graph built per edge through `insert_edge`,
+    # one through `insert_until_triangle`, and plain neighbour sets as the
+    # reference. Each refused insert (a duplicate either way round, a loop,
+    # an end below 0 or at n) raises and changes nothing.
+    for _ in range(150):
+        n = int(rng.integers(2, 13))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        order = [pairs[i] for i in rng.permutation(len(pairs))[:int(rng.integers(len(pairs) + 1))]]
+        one, block = BuilderGraph(n), BuilderGraph(n)
+        nbrs = [set() for _ in range(n)]
+        flags, closes = [], []
+        for u, v in order:
+            flags.append(one.insert_edge(*((v, u) if rng.random() < 0.5 else (u, v))))
+            closes.append(not nbrs[u].isdisjoint(nbrs[v]))
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            for dup in ((u, v), (v, u)):
+                with pytest.raises(DuplicateEdgeError):
+                    one.insert_edge(*dup)
+            for bad in ((u, u), (-1, v), (u, n), (n, v)):
+                with pytest.raises(ValueError, match="bad edge"):
+                    one.insert_edge(*bad)
+        it = iter(order)
+        stops = list(iter(lambda: block.insert_until_triangle(it), None))
+        assert flags == closes
+        assert stops == block.closing == one.closing == [e for e, c in zip(order, closes) if c]
+        assert block._edges == one._edges == order
+        assert block.adj == one.adj == nbrs
+        assert pickle.dumps(block) == pickle.dumps(one)
+
+
+def test_read_edge_list_builds_the_graph_its_edges_build_one_by_one(rng, tmp_path):
+    # `read_edge_list` feeds its checked pairs to the block insert; the
+    # graph, pickle included, is the one `insert_edge` builds from the same
+    # distinct pairs in the same order, relabelled.
+    path = tmp_path / "g.txt"
+    for _ in range(30):
+        n = int(rng.integers(2, 13))
+        ids = sorted(rng.choice(10**6, n, replace=False).tolist())
+        lines = [(ids[u], ids[v]) if rng.random() < 0.5 else (ids[v], ids[u])
+                 for u, v in gnm_edges(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))]
+        path.write_text("".join(f"{a} {b}\n" for a, b in lines))
+        edges = set()
+        for a, b in lines:
+            edges.add((min(a, b), max(a, b)))
+        label = {x: i for i, x in enumerate(sorted({x for e in edges for x in e}))}
+        one = builder_from(len(label), [(label[a], label[b]) for a, b in edges])
+        assert pickle.dumps(read_edge_list(path)) == pickle.dumps(one)
+
+
 def test_contains_diamond_examples():
     assert contains_diamond(complete_graph(4))
     assert not contains_diamond(cycle_graph(5))

@@ -1,5 +1,6 @@
 import gc
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -405,12 +406,11 @@ _SMALL_CELLS = [
     _hand_cell(DIAMOND, 40, 780, 18, StrategyKind.DIAMOND_SHORT, 260, (30, 30, 30), 6, 5),
     _hand_cell(DIAMOND, 20, 190, 12, StrategyKind.DIAMOND_SHORT, 60, (12, 12, 12), 4, 6),
     _hand_cell(fan(2), 20, 190, 10, StrategyKind.FAN_SHORT, 60, (10, 10, 10), 4, 6, 2),
-    # Phase lengths past what select_strategy gives for t: phases that
-    # start at or after t return before they read a row.
-    _hand_cell(DIAMOND, 20, 50, 20, StrategyKind.DIAMOND_SHORT, 60, (6, 10, 20), 4, 6),
-    _hand_cell(DIAMOND, 20, 100, 20, StrategyKind.DIAMOND_SHORT, 60, (6, 10, 20), 4, 6),
-    _hand_cell(DIAMOND, 20, 50, 20, StrategyKind.DIAMOND_LONG, 60, (10, 10)),
-    _hand_cell(fan(2), 20, 100, 20, StrategyKind.FAN_SHORT, 60, (10, 5, 5), 4, 6, 2),
+    # Phases that fill t exactly, the most `build_strategy` accepts: the
+    # last phase ends at the stream's last row.
+    _hand_cell(DIAMOND, 20, 180, 20, StrategyKind.DIAMOND_SHORT, 60, (6, 10, 20), 4, 6),
+    _hand_cell(DIAMOND, 20, 120, 20, StrategyKind.DIAMOND_LONG, 60, (10, 10)),
+    _hand_cell(fan(2), 20, 180, 20, StrategyKind.FAN_SHORT, 60, (10, 5, 5), 4, 6, 2),
 ] + [
     # buy-all with b = 0, with b >= t, with a budget of 25 that a triangle
     # hit mostly beats, and with one that a diamond hit mostly does not.
@@ -815,10 +815,16 @@ def test_the_anchor_decodes_only_the_spans_it_reaches(cell, monkeypatch):
     assert spans_read >= (0 if cell[1] == 20 else 8), spans_read
 
 
+def _row(i, u, v):
+    """The 1-row block of row i bought with the pair (u, v)."""
+    return tuple(np.array([x], np.int64) for x in (i, u, v))
+
+
 class _RogueBuys:
     """Buys every reveal, through `buys` or, wrapped, through `decide`. Given
     `rows`, `buys` yields the revealed pairs of those stream rows instead, in
-    that order; a row at or past t gets the pair (0, 1)."""
+    that order; a row at or past t gets the pair (0, 1). Each row is a 1-row
+    block."""
 
     name = "rogue"
 
@@ -829,7 +835,7 @@ class _RogueBuys:
         t = state.config.t
         us, vs = (ends.tolist() for ends in decode(state.config.n, state.codes))
         for i in range(t) if self.rows is None else self.rows:
-            yield (i, us[i], vs[i]) if i < t else (i, 0, 1)
+            yield _row(i, us[i], vs[i]) if i < t else _row(i, 0, 1)
 
     def decide(self, state, e):
         return True
@@ -877,11 +883,11 @@ def test_a_row_out_of_stream_order_raises(rows, match):
 
 
 class _RogueBlock(_RogueBuys):
-    """Buys `singles`, pairs (i, j): row i, one by one, with the pair revealed
-    at row j; then, unless `rows` is None, the stream rows `rows` as one
-    block, each with its revealed pair (a row at or past t gets the pair of
-    row t - 1). `edit(us, vs)` may first change the revealed pairs, indexed
-    by stream row, in place."""
+    """Buys `singles`, pairs (i, j): row i, each as a 1-row block, with the
+    pair revealed at row j; then, unless `rows` is None, the stream rows
+    `rows` as one block, each with its revealed pair (a row at or past t
+    gets the pair of row t - 1). `edit(us, vs)` may first change the
+    revealed pairs, indexed by stream row, in place."""
 
     def __init__(self, rows, singles=(), edit=None):
         self.rows, self.singles, self.edit = rows, singles, edit
@@ -891,7 +897,7 @@ class _RogueBlock(_RogueBuys):
         if self.edit:
             self.edit(us, vs)
         for i, j in self.singles:
-            yield i, int(us[j]), int(vs[j])
+            yield _row(i, us[j], vs[j])
         if self.rows is not None:
             rows = np.array(self.rows, dtype=np.int64)
             at = np.minimum(rows, state.config.t - 1)
@@ -899,13 +905,26 @@ class _RogueBlock(_RogueBuys):
 
 
 class _OneRow(_RogueBuys):
-    """Buys the single row `row`, as given."""
+    """Yields the 1-row block of the values `row` (i, u, v), each array of
+    the dtype numpy infers for its value."""
 
     def __init__(self, row):
         self.row = row
 
     def buys(self, state):
-        yield self.row
+        yield tuple(np.array([x]) for x in self.row)
+
+
+class _Reshaped(_RogueBuys):
+    """Yields `reshape(rows, us, vs)` of the block of stream rows 0, 1, 2
+    and the pairs revealed there."""
+
+    def __init__(self, reshape):
+        self.reshape = reshape
+
+    def buys(self, state):
+        rows = np.arange(3, dtype=np.int64)
+        yield self.reshape(rows, *decode(state.config.n, state.codes[rows]))
 
 
 def _swap_row_1(us, vs):
@@ -927,6 +946,14 @@ def _negative_start_at_row_0(us, vs):
 _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pair
 
 
+def _form(parts, brackets="()"):
+    """The refusal of a yield that is not the one block form, its parts as
+    given (a regex)."""
+    lo, hi = (re.escape(c) for c in brackets) if brackets else ("", "")
+    return (rf"^rogue yielded {lo}{parts}{hi}, not a block of three equal-length 1-D "
+            r"int64 arrays \(rows, us, vs\)$")
+
+
 @pytest.mark.parametrize("rogue, error, match", [
     (_RogueBlock([0, 1, 2], edit=_other_pair_at_row_1), OnlineRuleViolation,
      r"at row 1, where \(\d+, \d+\) was revealed"),
@@ -942,50 +969,66 @@ _SINGLES = [(0, 0), (1, 1), (2, 2)]  # rows 0, 1, 2 one by one, each its own pai
      r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock([0, 1, 2], edit=_negative_start_at_row_0), OnlineRuleViolation,
      r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
-    # A foreign source's single row is read as a 1-row block, so one that
-    # fails u < v < n raises the same message, naming the pair revealed at
-    # its row.
+    # A 1-row block whose pair fails u < v < n raises the same message,
+    # naming the pair revealed at its row.
     (_RogueBlock(None, _SINGLES, edit=_swap_row_1), OnlineRuleViolation,
      r"edge \((\d+), (\d+)\) at row 1, where \(\2, \1\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_end_at_n), OnlineRuleViolation,
      r"edge \((\d+), 10\) at row 0, where \(\1, \d+\) was revealed"),
     (_RogueBlock(None, _SINGLES, edit=_negative_start_at_row_0), OnlineRuleViolation,
      r"edge \(-1, (\d+)\) at row 0, where \(\d+, \1\) was revealed"),
-    # A single row whose row or an end is not an int: the block check
-    # refuses it before any other rule, naming it.
-    (_OneRow((0, 1.5, 3)), OnlineRuleViolation,
-     r"edge \(1\.5, 3\) at row 0, not an integer row with integer ends"),
+    # A 1-row block of another dtype (a float, numpy float or bool end, a
+    # float row, a row past int64 either way, an object array, or one at
+    # 2^63, a uint64 array) is not the one yield form: refused before any
+    # rule, named by its parts.
+    (_OneRow((0, 1.5, 3)), OnlineRuleViolation, _form(r"int64\[1\], float64\[1\], int64\[1\]")),
     (_OneRow((0, np.float64(1.0), 3)), OnlineRuleViolation,
-     r"edge \(1\.0, 3\) at row 0, not an integer row with integer ends"),
-    (_OneRow((0, 1, 3.0)), OnlineRuleViolation,
-     r"edge \(1, 3\.0\) at row 0, not an integer row with integer ends"),
-    (_OneRow((0.5, 1, 3)), OnlineRuleViolation,
-     r"edge \(1, 3\) at row 0\.5, not an integer row with integer ends"),
-    (_OneRow((0, True, 3)), OnlineRuleViolation,
-     r"edge \(True, 3\) at row 0, not an integer row with integer ends"),
-    # A single row past int64, either way, or at 2^63 (a uint64 once in an
-    # array) is an integer row out of order, named as such.
-    (_OneRow((2**70, 1, 3)), OnlineRuleViolation,
-     rf"edge \(1, 3\) at row {2**70}, not after row -1 and before t=20$"),
-    (_OneRow((-2**70, 1, 3)), OnlineRuleViolation,
-     rf"edge \(1, 3\) at row -{2**70}, not after row -1 and before t=20$"),
-    (_OneRow((2**63, 1, 3)), OnlineRuleViolation,
-     rf"edge \(1, 3\) at row {2**63}, not after row -1 and before t=20$"),
-    # Two single rows leave a budget of 1 of b = 3, so the block's second
+     _form(r"int64\[1\], float64\[1\], int64\[1\]")),
+    (_OneRow((0, 1, 3.0)), OnlineRuleViolation, _form(r"int64\[1\], int64\[1\], float64\[1\]")),
+    (_OneRow((0.5, 1, 3)), OnlineRuleViolation, _form(r"float64\[1\], int64\[1\], int64\[1\]")),
+    (_OneRow((0, True, 3)), OnlineRuleViolation, _form(r"int64\[1\], bool\[1\], int64\[1\]")),
+    (_OneRow((2**70, 1, 3)), OnlineRuleViolation, _form(r"object\[1\], int64\[1\], int64\[1\]")),
+    (_OneRow((-2**70, 1, 3)), OnlineRuleViolation, _form(r"object\[1\], int64\[1\], int64\[1\]")),
+    (_OneRow((2**63, 1, 3)), OnlineRuleViolation, _form(r"uint64\[1\], int64\[1\], int64\[1\]")),
+    # Two 1-row blocks leave a budget of 1 of b = 3, so the block's second
     # row, at clock 4, is the first past it, as per reveal (the test above).
     (_RogueBlock([2, 3, 4], [(0, 0), (1, 1)]), BudgetContractViolation,
      "at clock 4 with budget 3 exhausted"),
-    # A single row is pair-checked like a block row: row 0 buying the pair
+    # A 1-row block is pair-checked like any block: row 0 buying the pair
     # revealed at row 2 names the pair revealed at row 0.
     (_RogueBlock([1, 2], [(0, 2)]), OnlineRuleViolation,
      r"edge \(\d+, \d+\) at row 0, where \(\d+, \d+\) was revealed"),
     (_RogueBlock([]), OnlineRuleViolation, "bought an empty block after row -1"),
+    # Rows 0, 1, 2 bought with their own pairs, in any other form: a tuple
+    # of ints (one row), arrays of another dtype, 2-D arrays, the rows
+    # stacked in one array, ends longer or shorter than the rows, 0-d rows,
+    # two arrays, a list.
+    (_Reshaped(lambda r, u, v: (int(r[0]), int(u[0]), int(v[0]))), OnlineRuleViolation,
+     _form("int, int, int")),
+    *((_Reshaped(lambda r, u, v, dtype=dtype: (r.astype(dtype), u, v)), OnlineRuleViolation,
+       _form(rf"{name}\[3\], int64\[3\], int64\[3\]"))
+      for dtype, name in ((float, "float64"), (bool, "bool"), (np.uint64, "uint64"),
+                          (object, "object"), (np.int32, "int32"))),
+    (_Reshaped(lambda r, u, v: (r[None], u[None], v[None])), OnlineRuleViolation,
+     _form(r"int64\[1, 3\], int64\[1, 3\], int64\[1, 3\]")),
+    (_Reshaped(lambda r, u, v: np.stack((r, u, v))), OnlineRuleViolation,
+     _form(r"int64\[3, 3\]", "")),
+    (_Reshaped(lambda r, u, v: (r[:2], u, v)), OnlineRuleViolation,
+     _form(r"int64\[2\], int64\[3\], int64\[3\]")),
+    (_Reshaped(lambda r, u, v: (r, u[:2], v[:2])), OnlineRuleViolation,
+     _form(r"int64\[3\], int64\[2\], int64\[2\]")),
+    (_Reshaped(lambda r, u, v: (r[:1].reshape(()), u[:1], v[:1])), OnlineRuleViolation,
+     _form(r"int64\[\], int64\[1\], int64\[1\]")),
+    (_Reshaped(lambda r, u, v: (r, u)), OnlineRuleViolation, _form(r"int64\[3\], int64\[3\]")),
+    (_Reshaped(lambda r, u, v: [r, u, v]), OnlineRuleViolation, _form("list", "")),
 ], ids=["other-pair", "repeated", "decreasing", "at-the-last", "before-the-last",
         "row-t", "u-not-below-v", "v-at-n", "u-negative", "single-u-not-below-v",
         "single-v-at-n", "single-u-negative", "single-float-u", "single-numpy-float-u",
         "single-float-v", "single-float-row", "single-true-u", "single-row-past-int64",
         "single-row-below-int64", "single-row-at-2-63", "over-budget",
-        "bought-as-a-single-row", "empty"])
+        "bought-as-a-single-row", "empty", "tuple-of-ints", "float-block", "bool-block",
+        "uint64-block", "object-block", "int32-block", "2-d-block", "stacked-array",
+        "ends-longer", "ends-shorter", "0-d-rows", "two-arrays", "list"])
 def test_a_block_that_breaks_the_contract_raises(rogue, error, match):
     # Only the over-budget case has a short budget; elsewhere b = t, so only
     # the rule under test can raise.

@@ -176,10 +176,10 @@ def test_the_block_check_accepts_what_the_reference_accepts(block):
     # An accepted block passes the one vectorised test: the rule-by-rule
     # pass, which decodes, is never entered.
     config, codes, rows, us, vs, last, left = block
-    args = ("x", config, codes, rows, us, vs, last, left)
+    args = ("x", config, codes, (rows, us, vs), last, left)
     if _reference_accepts(*block):
         with mock.patch.object(process, "decode", side_effect=AssertionError("decoded")):
-            process._check_block(*args)
+            assert process._check_block(*args) is args[3]
     else:
         error, message = _reference_refusal(*block)
         with pytest.raises(error) as info:

@@ -17,7 +17,7 @@ from budget_builder.detect import (
     fan,
 )
 from budget_builder.errors import ConfigurationError, UnsupportedPattern
-from budget_builder.experiments import cell_from_exponents
+from budget_builder.experiments import cell_from_exponents, run_one_trial
 from budget_builder.process import ProcessConfig, pair_code, run_strategy
 from budget_builder.rng import derive_seed
 from budget_builder.strategies import (
@@ -86,7 +86,39 @@ _SET = {"regime_override": "short", "seed_set_size": 17, "per_vertex_cap": 5}
 ], ids=["k4m-T0", "fan2-T0", "fan3-T0", "r-clamped", "r-window", "k4m-set", "fan2-set",
         "fan1-split", "fan2-split", "fan3-split"])
 def test_short_regime_recipe(target, n, t, b, overrides, kind, params):
-    assert select_strategy(target, n, t, b, overrides) == StrategySpec(kind, params)
+    spec = select_strategy(target, n, t, b, overrides)
+    assert spec == StrategySpec(kind, params)
+    # and the checks on a spec accept it on its own cell
+    run_one_trial(target, ProcessConfig(n, t, b, seed=0), spec)
+
+
+_C7_SPEC = select_strategy(DIAMOND, 800, 5942, 1000)  # r = n = 800, T = 1980
+
+
+@pytest.mark.parametrize("target, cell, spec, match", [
+    (DIAMOND, (400, 5942, 1000), _C7_SPEC,
+     r"^k4m-short needs a seed set size in \[1, n=400\] and a cap >= 1, got 800 and 8$"),
+    (DIAMOND, (800, 2000, 1000), _C7_SPEC,
+     r"^k4m-short needs 3 phase budgets and 3 phases within t=2000, got \(333, 500, 1000\) "
+     r"and phases of T=1980$"),
+    (fan(2), (800, 5942, 1000), _C7_SPEC, "^a k4m-short spec builds diamond, not fan2$"),
+    (DIAMOND, (20, 50, 10), StrategySpec(StrategyKind.DIAMOND_SHORT),
+     r"^k4m-short needs a seed set size in \[1, n=20\] and a cap >= 1, got 0 and 0$"),
+    (DIAMOND, (20, 50, 10), StrategySpec(_K4M, StrategyParams(10, 4, 0, (3, 5, 10))),
+     "got 4 and 0$"),
+    (DIAMOND, (20, 50, 10), StrategySpec(StrategyKind.DIAMOND_LONG, StrategyParams(25, 0, 0,
+                                                                                 (5, 5, 5))),
+     r"^k4m-long needs 2 phase budgets and 2 phases within t=50, got \(5, 5, 5\)"),
+    (DIAMOND, (20, 50, 10), StrategySpec(StrategyKind.BUY_ALL, StrategyParams(phase_budgets=(5,))),
+     r"^buy-all needs 0 phase budgets"),
+    (fan(2), (20, 50, 10), select_strategy(fan(3), 20, 50, 10, {"regime_override": "long"}),
+     "^a tk-long spec builds fan3, not fan2$"),
+], ids=["r-past-n", "phases-past-t", "other-target", "hand-built-r-0", "cap-0",
+        "budget-count", "baseline-budgets", "other-fan"])
+def test_a_spec_is_checked_against_its_cell(target, cell, spec, match):
+    with pytest.raises(ConfigurationError, match=match) as info:
+        run_one_trial(target, ProcessConfig(*cell, seed=0), spec)
+    assert "\n" not in str(info.value)
 
 
 def test_select_fan_long_regime():
