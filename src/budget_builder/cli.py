@@ -13,7 +13,7 @@ from .detect import DIAMOND, TRIANGLE, C4, PAW, Pattern, contains_pattern, fan, 
 from .errors import BudgetBuilderError, ConfigurationError, ContractViolation
 from .experiments import (
     PROBE_COLUMNS,
-    PROBE_SPECS,
+    PROBE_ADVERSARIES,
     SWEEP_COLUMNS,
     TRIALS_COLUMNS,
     cell_from_exponents,
@@ -28,6 +28,7 @@ from .experiments import (
     write_trials_csv,
 )
 from .process import ProcessConfig
+from .rng import check_seed
 from .strategies import StrategyKind, select_strategy
 
 
@@ -71,14 +72,13 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _parse_seed(text: str) -> int:
-    """A seed in [0, 2^64), the range the RNG keys on: masked into it, any
-    other seed would replay another's stream."""
+    """A seed as `rng.check_seed` takes it, from a flag, a config line or BB_SEED."""
     try:
-        if 0 <= (seed := int(text)) < 2**64:
-            return seed
+        return check_seed(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    raise argparse.ArgumentTypeError(f"a seed must lie in [0, 2^64), got {seed}")
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 _TRUE = ("1", "true", "yes", "on")
@@ -160,7 +160,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--n-list", type=_parse_n_list, required=True)
     for name in ("--x-min", "--x-max", "--x-step", "--y-min", "--y-max", "--y-step"):
         sweep.add_argument(name, type=float, required=True)
-    probe.add_argument("--adversary", choices=sorted(PROBE_SPECS),
+    probe.add_argument("--adversary", choices=PROBE_ADVERSARIES,
                        default="degree-greedy")
     probe.add_argument("--t-exp", type=float, required=True)
     probe.add_argument("--b-exp", type=float, required=True)
@@ -172,8 +172,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--config", default=None)
     for p in (sweep, probe):
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--no-early-stop", action="store_true")
     for p in (run, sweep):
-        p.add_argument("--no-early-stop", action="store_true")
         p.add_argument("--r-override", type=int, default=None)
         p.add_argument("--per-vertex-cap", type=int, default=None)
         p.add_argument("--regime", choices=("short", "long"), default=None)
@@ -203,11 +203,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    return {
-        "seed_set_size": args.r_override,
-        "per_vertex_cap": args.per_vertex_cap,
-        "regime_override": args.regime,
-    }
+    """`select_strategy`'s keyword overrides, None where a flag is unset."""
+    return {"regime_override": args.regime, "seed_set_size": args.r_override,
+            "per_vertex_cap": args.per_vertex_cap}
 
 
 def _cmd_run(args) -> int:
@@ -215,14 +213,13 @@ def _cmd_run(args) -> int:
         check_csv_out(args.out, TRIALS_COLUMNS, args.seed)
     target = _parse_target(args.target, args.k)
     base = ProcessConfig(n=args.n, t=args.t, b=args.b, seed=args.seed)
-    spec = select_strategy(target, args.n, args.t, args.b, _overrides_from(args))
+    spec = select_strategy(target, args.n, args.t, args.b, **_overrides_from(args))
     # Only k4m-short records the multiplicity --diagnostics prints.
     if args.diagnostics and spec.kind is not StrategyKind.DIAMOND_SHORT:
         raise ConfigurationError(
             f"--diagnostics applies only to the k4m-short strategy, not {spec.name}")
-    records = run_trial_batch(
-        target, base, spec, args.trials, early_stop=not args.no_early_stop
-    )
+    records = run_trial_batch(target, base, spec, args.trials,
+                              early_stop=not args.no_early_stop)
     estimate = estimate_from_counts(sum(r.success for r in records), args.trials)
     if args.out:
         write_trials_csv(args.out, records, args.seed)
@@ -249,16 +246,8 @@ def _cmd_sweep(args) -> int:
             grids.append(grid_values(lo, hi, step))
         except ConfigurationError as exc:
             raise ConfigurationError(f"--{axis}-min/--{axis}-max/--{axis}-step: {exc}") from exc
-    points = sweep_grid(
-        target,
-        args.n_list,
-        *grids,
-        args.trials,
-        args.seed,
-        jobs=args.jobs,
-        early_stop=not args.no_early_stop,
-        overrides=_overrides_from(args),
-    )
+    points = sweep_grid(target, args.n_list, *grids, args.trials, args.seed,
+                        jobs=args.jobs, **_overrides_from(args))
     if args.out:
         write_sweep_csv(args.out, target, points, args.seed)
     print(f"sweep: {len(points)} cells, {args.trials} trials each")

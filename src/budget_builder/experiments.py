@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import __version__
 from .detect import (
@@ -28,7 +28,7 @@ from .detect import (
 )
 from .errors import ConfigurationError, CrossoverNotEstimable
 from .process import ProcessConfig, TrialRecord, run_strategy
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .strategies import (
     StrategyKind,
     StrategySpec,
@@ -149,6 +149,7 @@ def run_trial_batch(
     """Independent trials with seeds derived as (master_seed, index)."""
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
+    check_seed(base.seed)
     return [
         run_one_trial(
             target, replace(base, seed=derive_seed(base.seed, i)), spec,
@@ -190,17 +191,11 @@ def cell_from_exponents(n: int, x: float, y: float) -> tuple[int, int]:
 
 
 def _sweep_cell(args) -> PhasePoint:
-    (target, x, y, base, spec, trials, early_stop) = args
-    records = run_trial_batch(target, base, spec, trials, early_stop=early_stop)
-    return PhasePoint(
-        n=base.n,
-        x=x,
-        y=y,
-        t=base.t,
-        b=base.b,
-        estimate=estimate_from_counts(sum(r.success for r in records), trials),
-        y_star_pred=predicted_log_threshold(target, x),
-    )
+    (target, x, y, base, spec, trials) = args
+    records = run_trial_batch(target, base, spec, trials)
+    return PhasePoint(base.n, x, y, base.t, base.b,
+                      estimate_from_counts(sum(r.success for r in records), trials),
+                      predicted_log_threshold(target, x))
 
 
 def sweep_grid(
@@ -212,18 +207,20 @@ def sweep_grid(
     master_seed: int,
     *,
     jobs: int = 1,
-    early_stop: bool = True,
-    overrides: Optional[dict] = None,
+    **overrides,
 ) -> list[PhasePoint]:
     """Success-probability estimates over the (log_n t, log_n b) grid.
 
     Cells are embarrassingly parallel; output order is (n, x, y) regardless
-    of worker count. Every cell's config is built and its strategy selected
-    before any trial runs, so a bad cell or an override out of range for one
-    n fails first.
+    of worker count. `overrides` are `select_strategy`'s keyword overrides.
+    Every cell's config is built and its strategy selected before any trial
+    runs, so a bad seed or cell, or an override out of range for one n,
+    fails first. Trials stop at their first hit: a sweep keeps only the
+    success counts, which that does not change.
     """
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
+    check_seed(master_seed)
     size = len(n_list) * len(x_grid) * len(y_grid)
     if size > MAX_CELLS:
         raise ConfigurationError(f"{size} cells exceed the {MAX_CELLS} a sweep may hold")
@@ -241,8 +238,8 @@ def sweep_grid(
                 # Nested split (master, n, x, y) -> cell, (cell, i) -> trial:
                 # a single-cell sweep is a trial batch from the cell seed.
                 base = ProcessConfig(n, t, b, derive_seed(master_seed, n, x, y))
-                spec = select_strategy(target, n, t, b, overrides)
-                cells.append((target, x, y, base, spec, trials, early_stop))
+                spec = select_strategy(target, n, t, b, **overrides)
+                cells.append((target, x, y, base, spec, trials))
     return _map_jobs(_sweep_cell, cells, jobs)
 
 
@@ -310,26 +307,17 @@ def estimate_crossover(points: Sequence[PhasePoint], x: float) -> float:
 
 # -- counting probes ---------------------------------------------------------
 
-PROBE_SPECS = {
-    "degree-greedy": StrategyKind.DEGREE_GREEDY,
-    "buy-all": StrategyKind.BUY_ALL,
-}
+PROBE_ADVERSARIES = (StrategyKind.BUY_ALL.value, StrategyKind.DEGREE_GREEDY.value)
 
 
 def _probe_trial(args) -> ProbeRecord:
     cfg, adversary = args
     n, t, b = cfg.n, cfg.t, cfg.b
-    spec = StrategySpec(PROBE_SPECS[adversary])
-    strategy = build_strategy(spec, cfg)
-    # Detection stays off: probes consume the full (t, b) process.
-    record = run_strategy(
-        cfg,
-        strategy,
-        NullTracker(),
-        target_label="probe",
-        early_stop=False,
-        keep_graph=True,
-    )
+    strategy = build_strategy(StrategySpec(StrategyKind(adversary)), cfg)
+    # Detection stays off, and a NullTracker never hits: probes consume the
+    # full (t, b) process.
+    record = run_strategy(cfg, strategy, NullTracker(), target_label="probe",
+                          keep_graph=True)
     graph = record.purchased
     fans = fan_center_counts(graph, 3)
     return ProbeRecord(
@@ -361,12 +349,13 @@ def probe_counts(
 ) -> list[ProbeRecord]:
     """Run the counting adversary and record pattern counts per trial; every
     trial's config is built, and so checked, before the first trial runs."""
-    if adversary not in PROBE_SPECS:
+    if adversary not in PROBE_ADVERSARIES:
         raise ConfigurationError(
-            f"adversary must be one of {sorted(PROBE_SPECS)}, got {adversary!r}"
+            f"adversary must be one of {list(PROBE_ADVERSARIES)}, got {adversary!r}"
         )
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
+    check_seed(master_seed)
     items = [
         (ProcessConfig(n, t, b, derive_seed(master_seed, n, i)), adversary)
         for i in range(trials)

@@ -67,7 +67,7 @@ from .errors import (
     OnlineRuleViolation,
     StreamExhausted,
 )
-from .rng import STREAM_EDGES, substream
+from .rng import STREAM_EDGES, check_seed, substream
 
 
 class Edge(NamedTuple):
@@ -337,6 +337,7 @@ def run_strategy(
     which reads every edge. A strategy with `buys` settles its own
     purchases, any other is asked on every reveal; the step is the same.
     """
+    check_seed(config.seed)
     state = new_process(config)
     g = state.purchased
     if hasattr(strategy, "buys"):

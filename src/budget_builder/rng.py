@@ -10,9 +10,12 @@ benchmark's tests count two substreams per trial).
 
 from __future__ import annotations
 
+import numbers
 import struct
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -20,6 +23,14 @@ MASK32 = (1 << 32) - 1
 # Stream ids for the per-trial substreams.
 STREAM_EDGES = 0
 STREAM_STRATEGY = 1
+
+
+def check_seed(seed):
+    """A seed is an integer in [0, 2^64), the range the RNG keys on: masked
+    into it, any other would replay another seed's stream."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed <= MASK64:
+        raise ConfigurationError(f"a seed must lie in [0, 2^64), got {seed!r}")
+    return seed
 
 
 def _entropy_words(parts) -> list[int]:

@@ -9,10 +9,7 @@ degree-greedy with every vertex in its prefix.
 
 Decisions depend only on the revealed prefix and the strategy's own
 state; every strategy refuses to buy once the global budget is spent
-(degrading to skips that are counted in its stats). `build_strategy`
-still draws a strategy RNG substream per trial, which no strategy reads;
-deleting it waits for a benchmark change, since the benchmark's tests
-count two substreams per trial.
+(degrading to skips that are counted in its stats).
 
 Every strategy settles its purchases in `buys(state)`, a generator that
 keeps the contract stated in the `process` docstring. No phase reads a
@@ -46,6 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -79,14 +77,37 @@ class StrategyParams:
 
 @dataclass(frozen=True)
 class StrategySpec:
+    """A builder kind and its knobs, checked when built, so no invalid spec
+    exists (`replace` builds, and checks, a new one): T >= 0 and one budget
+    >= 0 per phase of its kind (3, k + 1, 2 or 0), k >= 1 for a fan kind,
+    and a seed set size r >= 1 and a per-vertex cap >= 1 for a seed-set
+    kind. The rules that depend on the cell are `build_strategy`'s."""
+
     kind: StrategyKind
     params: StrategyParams = StrategyParams()
+
+    def __post_init__(self) -> None:
+        p, kind = self.params, self.kind
+        if kind in (StrategyKind.FAN_SHORT, StrategyKind.FAN_LONG) and p.k < 1:
+            raise ConfigurationError(f"{self.name} needs k >= 1, got {p.k}")
+        phases = {StrategyKind.DIAMOND_SHORT: 3, StrategyKind.FAN_SHORT: p.k + 1,
+                  StrategyKind.DIAMOND_LONG: 2, StrategyKind.FAN_LONG: 2}.get(kind, 0)
+        if p.phase_length < 0 or min(p.phase_budgets, default=0) < 0:
+            raise ConfigurationError(f"{self.name} needs T >= 0 and budgets >= 0, got "
+                                     f"T={p.phase_length} and {p.phase_budgets}")
+        if len(p.phase_budgets) != phases:
+            raise ConfigurationError(f"{self.name} needs {phases} phase budgets, "
+                                     f"got {p.phase_budgets}")
+        if kind in (StrategyKind.DIAMOND_SHORT, StrategyKind.FAN_SHORT) and (
+                p.seed_set_size < 1 or p.per_vertex_cap < 1):
+            raise ConfigurationError(f"{self.name} needs a seed set size and a per-vertex cap "
+                                     f">= 1, got {p.seed_set_size} and {p.per_vertex_cap}")
 
     @property
     def name(self) -> str:
         return self.kind.value
 
-    @property
+    @cached_property
     def target(self) -> Optional[Pattern]:
         """The target a diamond or fan kind builds; None for a baseline."""
         if self.kind in (StrategyKind.DIAMOND_SHORT, StrategyKind.DIAMOND_LONG):
@@ -120,44 +141,33 @@ def _geomean_seed_set(lo_log: float, hi_log: float, n: int) -> int:
     return max(int(round(math.exp(mid))), 1)
 
 
-_OVERRIDE_KEYS = ("regime_override", "seed_set_size", "per_vertex_cap")
-
-
-def select_strategy(target: Pattern, n: int, t: int, b: int,
-                    overrides: Optional[dict] = None) -> StrategySpec:
+def select_strategy(target: Pattern, n: int, t: int, b: int, *,
+                    regime_override: Optional[str] = None,
+                    seed_set_size: Optional[int] = None,
+                    per_vertex_cap: Optional[int] = None) -> StrategySpec:
     """Pick the regime-appropriate strategy and populate its parameters.
 
     The targets are DIAMOND and fan(k). The short variant runs while
     t <= n ** float(x), where x is the exponent at which the branches of
     b* meet (7/5 for the diamond, 4/3 for a fan), the long one after.
-    `overrides` may set `regime_override` ("short" or "long") and, in the
-    short regime only, `seed_set_size` and `per_vertex_cap`; None is unset.
+    `regime_override` ("short" or "long") forces a regime; `seed_set_size`
+    and `per_vertex_cap` set the short regime's r and cap, and are refused
+    where the long regime is selected. None is unset. The spec checks its
+    own rules, and a short spec is fitted to the cell as `build_strategy`
+    fits it, so a bad override fails here, before any trial.
     """
-    if target.tag not in ("diamond", "fan"):
-        raise UnsupportedPattern(f"no strategy for target {target}")
-    if target.num_vertices > n:
-        raise ConfigurationError(
-            f"target {target} needs {target.num_vertices} vertices, n={n}"
-        )
-    overrides = overrides or {}
-    for key in overrides:
-        if key not in _OVERRIDE_KEYS:
-            raise ConfigurationError(f"unknown strategy override {key!r} "
-                                     f"(known: {', '.join(_OVERRIDE_KEYS)})")
-    regime, r_set, cap_set = (overrides.get(key) for key in _OVERRIDE_KEYS)
-    if regime not in (None, "short", "long"):
-        raise ConfigurationError(f"regime override must be 'short' or 'long', "
-                                 f"got {regime!r}")
-    if r_set is not None and not 1 <= r_set <= n:
-        raise ConfigurationError(f"seed set size must lie in [1, n={n}], got {r_set}")
-    if cap_set is not None and cap_set < 1:
-        raise ConfigurationError(f"per-vertex cap must be >= 1, got {cap_set}")
-    diamond, k = target.tag == "diamond", target.k
     (a, c), (a_long, c_long) = _threshold_branches(target)
-    if regime == "long" or (regime is None and t > n ** float((a - a_long) / (c - c_long))):
+    if target.num_vertices > n:
+        raise ConfigurationError(f"target {target} needs {target.num_vertices} vertices, n={n}")
+    if regime_override not in (None, "short", "long"):
+        raise ConfigurationError(f"regime override must be 'short' or 'long', "
+                                 f"got {regime_override!r}")
+    diamond, k = target.tag == "diamond", target.k
+    if regime_override == "long" or (
+            regime_override is None and t > n ** float((a - a_long) / (c - c_long))):
         kind = StrategyKind.DIAMOND_LONG if diamond else StrategyKind.FAN_LONG
-        for key in _OVERRIDE_KEYS[1:]:  # the long builder has no seed set
-            if overrides.get(key) is not None:
+        for key, value in (("seed_set_size", seed_set_size), ("per_vertex_cap", per_vertex_cap)):
+            if value is not None:  # the long builder has no seed set
                 raise ConfigurationError(f"the {key} override applies only to the "
                                          f"short regime, not to {kind.value}")
         return StrategySpec(kind, StrategyParams(phase_length=t // 2, k=k,
@@ -169,14 +179,18 @@ def select_strategy(target: Pattern, n: int, t: int, b: int,
         budgets = (k * b // (k + 1),) + (b // (k + 1),) * k
     phase_length = t // phases
     # The window runs from n^(a+1) / T^(c+1), off the short branch, to bn/t.
-    # A set override is at least 1, so `or` keeps it. A seed is capped at the
-    # degree bound 3T/n; the fan's formal T/2kn never exceeds it.
-    lo_log = (a + 1) * math.log(n) - (c + 1) * math.log(max(phase_length, 1))
-    r = r_set or _geomean_seed_set(lo_log, math.log(max(b * n / t, 1.0)), n)
-    return StrategySpec(kind, StrategyParams(
-        phase_length=phase_length, seed_set_size=r,
-        per_vertex_cap=cap_set or math.ceil(3 * phase_length / n),
-        phase_budgets=budgets, k=k))
+    # A seed is capped at the degree bound 3T/n, and at 1 while T = 0, where
+    # no builder reads it; the fan's formal T/2kn never exceeds it.
+    if seed_set_size is None:
+        lo_log = (a + 1) * math.log(n) - (c + 1) * math.log(max(phase_length, 1))
+        seed_set_size = _geomean_seed_set(lo_log, math.log(max(b * n / t, 1.0)), n)
+    if per_vertex_cap is None:
+        per_vertex_cap = max(math.ceil(3 * phase_length / n), 1)
+    spec = StrategySpec(kind, StrategyParams(
+        phase_length=phase_length, seed_set_size=seed_set_size,
+        per_vertex_cap=per_vertex_cap, phase_budgets=budgets, k=k))
+    _check_fit(spec, n, t)
+    return spec
 
 
 def _bought_rows(purchases):
@@ -730,25 +744,21 @@ _BUILDERS = {
 }
 
 
+def _check_fit(spec: StrategySpec, n: int, t: int) -> None:
+    """Refuse a spec that does not fit the cell; the spec checked the rest when built."""
+    p = spec.params
+    if p.seed_set_size > n or len(p.phase_budgets) * p.phase_length > t:
+        raise ConfigurationError(f"{spec.name} needs a seed set of at most n={n} vertices and "
+                                 f"its {len(p.phase_budgets)} phases within t={t}, got "
+                                 f"{p.seed_set_size} and phases of T={p.phase_length}")
+
+
 def build_strategy(spec: StrategySpec, config: ProcessConfig):
-    """Fresh strategy instance for this trial, once the spec is checked
-    against the cell: a seed set of 1 to n vertices where the kind has one,
-    with a per-vertex cap of at least 1 unless its seed phase is empty
-    (T = 0, as `select_strategy` gives for t below the phase count), its
-    phases within t, and one budget per phase. It is handed the trial's
-    strategy RNG substream, which no strategy reads (see the module
-    docstring)."""
-    p, kind, n, t = spec.params, spec.kind, config.n, config.t
-    if kind in (StrategyKind.DIAMOND_SHORT, StrategyKind.FAN_SHORT) and not (
-            1 <= p.seed_set_size <= n and (p.per_vertex_cap >= 1 or not p.phase_length)):
-        raise ConfigurationError(f"{spec.name} needs a seed set size in [1, n={n}] and a cap "
-                                 f">= 1, got {p.seed_set_size} and {p.per_vertex_cap}")
-    phases = {StrategyKind.DIAMOND_SHORT: 3, StrategyKind.FAN_SHORT: p.k + 1,
-              StrategyKind.DIAMOND_LONG: 2, StrategyKind.FAN_LONG: 2}.get(kind, 0)
-    if phases * p.phase_length > t or len(p.phase_budgets) != phases:
-        raise ConfigurationError(f"{spec.name} needs {phases} phase budgets and {phases} "
-                                 f"phases within t={t}, got {p.phase_budgets} and "
-                                 f"phases of T={p.phase_length}")
-    strategy = _BUILDERS[kind](config, p, substream(config.seed, STREAM_STRATEGY))
+    """Fresh strategy instance for this trial, once the spec is fitted to
+    the cell (`_check_fit`). It is handed the trial's strategy RNG
+    substream, which no strategy reads (see the `rng` docstring)."""
+    _check_fit(spec, config.n, config.t)
+    strategy = _BUILDERS[spec.kind](config, spec.params,
+                                    substream(config.seed, STREAM_STRATEGY))
     strategy.name = spec.name
     return strategy

@@ -354,6 +354,21 @@ def test_n_past_the_decoder_range_exits_2(argv, capsys):
     assert err.startswith("error: need n <= 2^25") and err.count("\n") == 1
 
 
+def test_a_no_early_stop_config_line_serves_run_and_sweep(tmp_path):
+    # run reads it (early stop changes edges_bought on this cell); sweep,
+    # which has no such flag, skips it as another verb's key.
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("no-early-stop = true\n")
+    run = ["run", "--target", "k4m", "--n", "30", "--t", "100", "--b", "100",
+           "--trials", "5", "--seed", "11"]
+    out = {name: tmp_path / f"{name}.csv" for name in ("file", "flag", "early")}
+    assert parse_and_dispatch(run + ["--config", str(cfg), "--out", str(out["file"])]) == 0
+    assert parse_and_dispatch(run + ["--no-early-stop", "--out", str(out["flag"])]) == 0
+    assert parse_and_dispatch(run + ["--out", str(out["early"])]) == 0
+    assert out["file"].read_text() == out["flag"].read_text() != out["early"].read_text()
+    assert parse_and_dispatch(_SWEEP_N40 + ["--jobs", "1", "--config", str(cfg)]) == 0
+
+
 _FILES = {
     "bad.cfg": b"seed = abc\n",
     "float-n.cfg": b"n = 40.0\n",
@@ -375,6 +390,8 @@ _FILES = {
         _RUN_N50 + ["--seed", "1", "--r-override", "100"],
         _RUN_N50 + ["--seed", "1", "--r-override", "-3"],
         _RUN_N50 + ["--seed", "1", "--per-vertex-cap", "0"],
+        _RUN_N50 + ["--seed", "1", "--r-override", "0"],
+        _SWEEP_N40 + ["--jobs", "1", "--per-vertex-cap", "0"],
         _SWEEP_N40 + ["--jobs", "0"],
         _PROBE_N40 + ["--jobs", "0"],
         _RUN_N50 + ["--config", "{tmp}/bad.cfg"],
@@ -415,6 +432,7 @@ _FILES = {
         _SWEEP_N40 + ["--trials", "0"],
         _PROBE_N40 + ["--trials", "0"],
         _SWEEP_N40 + ["--x-step", "0"],
+        _SWEEP_N40 + ["--no-early-stop"],  # a sweep's success counts do not depend on it
         ["detect", "--graph", "{tmp}/loop.txt", "--pattern", "k4m"],
     ],
 )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from budget_builder import experiments
+from budget_builder import experiments, process
 from budget_builder.detect import C4, DIAMOND, fan
 from budget_builder.errors import ConfigurationError, CrossoverNotEstimable, UnsupportedPattern
 from budget_builder.experiments import (
@@ -248,7 +248,7 @@ def test_sweep_grid_checks_every_override_before_any_trial(monkeypatch):
     # A seed set of 60 fits n = 200 but not n = 50, whose cells come last.
     with pytest.raises(ConfigurationError, match="n=50"):
         sweep_grid(DIAMOND, [200, 50], [1.2], [0.8], 3, 8,
-                   overrides={"seed_set_size": 60})
+                   seed_set_size=60)
 
 
 def test_sweep_grid_refuses_seed_overrides_in_long_cells_before_any_trial(monkeypatch):
@@ -260,7 +260,7 @@ def test_sweep_grid_refuses_seed_overrides_in_long_cells_before_any_trial(monkey
     # k4m-long, which has none.
     with pytest.raises(ConfigurationError, match="seed_set_size override .* k4m-long"):
         sweep_grid(DIAMOND, [200], [1.3, 1.5], [0.8], 3, 8,
-                   overrides={"seed_set_size": 10})
+                   seed_set_size=10)
 
 
 def test_sweep_grid_checks_every_target_size_before_any_trial(monkeypatch):
@@ -290,6 +290,35 @@ def test_probe_counts_checks_the_cell_before_any_trial(monkeypatch):
     monkeypatch.setattr(experiments, "_probe_trial", no_trials)
     with pytest.raises(ConfigurationError, match="n >= 2"):
         probe_counts(1, 1, 1, "degree-greedy", 2, 8, jobs=2)
+
+
+_SEED_ENTRY_POINTS = {
+    "run_one_trial": lambda seed: experiments.run_one_trial(
+        DIAMOND, ProcessConfig(20, 40, 10, seed), StrategySpec(StrategyKind.BUY_ALL)),
+    "run_trial_batch": lambda seed: run_trial_batch(
+        DIAMOND, ProcessConfig(20, 40, 10, seed), StrategySpec(StrategyKind.BUY_ALL), 2),
+    "sweep_grid": lambda seed: sweep_grid(DIAMOND, [20], [1.2], [0.5], 2, seed),
+    "probe_counts": lambda seed: probe_counts(20, 40, 10, "degree-greedy", 2, seed),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SEED_ENTRY_POINTS))
+def test_every_seed_entry_point_takes_only_64_bit_integer_seeds(entry, monkeypatch):
+    # Masked to 64 bits, -1 and 2^64 would replay the streams of 2^64 - 1
+    # and 0 under their own names, and 1.5 would be read by its bit pattern.
+    run = _SEED_ENTRY_POINTS[entry]
+    for seed in (0, 2**64 - 1):
+        run(seed)
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before its seed was refused")
+
+    monkeypatch.setattr(process, "new_process", no_trial)
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^a seed must lie in \[0, 2\^64\), got {seed}$") as info:
+            run(seed)
+        assert "\n" not in str(info.value)
 
 
 def test_grid_values_inclusive():

@@ -307,7 +307,7 @@ def test_budget_safety_across_strategies():
         config = ProcessConfig(n=n, t=t, b=b, seed=int(rng.integers(2**40)))
         runs = [(DIAMOND, StrategySpec(StrategyKind.BUY_ALL)),
                 (DIAMOND, StrategySpec(StrategyKind.DEGREE_GREEDY))]
-        runs += [(target, select_strategy(target, n, t, b, {"regime_override": regime}))
+        runs += [(target, select_strategy(target, n, t, b, regime_override=regime))
                  for target in (DIAMOND, fan(2)) for regime in ("short", "long")]
         for target, spec in runs:
             rec = run_strategy(config, build_strategy(spec, config),
@@ -458,7 +458,7 @@ def _trial(cell, seed, early_stop, wrap=lambda s: s, make=build_strategy):
     StrategySpec."""
     target, n, t, b, strategy = cell
     spec = (strategy if isinstance(strategy, StrategySpec)
-            else select_strategy(target, n, t, b, strategy))
+            else select_strategy(target, n, t, b, **strategy))
     config = ProcessConfig(n, t, b, seed=seed)
     inner = make(spec, config)
     assert hasattr(inner, "buys"), spec.name
@@ -643,7 +643,7 @@ def test_a_stop_inside_the_anchor_star_block_counts_only_the_rows_before_it():
     # trial stops inside its block; a stop there is a `stats()` read at a
     # clock inside it, as the per-reveal `decide` makes at each bought row.
     target, n, t, b, overrides = _LONG_CELL
-    spec = select_strategy(target, n, t, b, overrides)
+    spec = select_strategy(target, n, t, b, **overrides)
     for j in range(3):
         config = ProcessConfig(n, t, b, seed=derive_seed(16, n, t, b, j))
         state = new_process(config)
@@ -1090,7 +1090,7 @@ def test_the_detector_is_asked_only_about_buys_that_close_a_triangle(cell):
 
 def test_event_driven_trial_memory_is_linear_in_t_and_n():
     # The per-reveal twin of this bound is test_stream_memory_is_linear_in_t_and_n.
-    spec = select_strategy(DIAMOND, 5000, 1000, 40, {"regime_override": "long"})
+    spec = select_strategy(DIAMOND, 5000, 1000, 40, regime_override="long")
     config = ProcessConfig(n=5000, t=1000, b=40, seed=4)
     tracemalloc.start()
     try:

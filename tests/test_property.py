@@ -65,7 +65,7 @@ def _trials(draw, kind):
         if regime == "short":
             overrides["seed_set_size"] = draw(st.none() | st.integers(1, n))
             overrides["per_vertex_cap"] = draw(st.none() | st.integers(1, 12))
-        spec = select_strategy(target, n, t, b, overrides)
+        spec = select_strategy(target, n, t, b, **overrides)
         assert spec.kind is kind
     return target, config, spec, draw(st.booleans())
 

@@ -1,6 +1,7 @@
 import pickle
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,25 +69,26 @@ _SET = {"regime_override": "short", "seed_set_size": 17, "per_vertex_cap": 5}
 
 
 @pytest.mark.parametrize("target, n, t, b, overrides, kind, params", [
-    # T = 0: the cap is ceil(0) = 0 for both builders, and no builder reads it.
-    (DIAMOND, 400, 2, 90, None, _K4M, StrategyParams(0, 400, 0, (30, 45, 90))),
-    (fan(2), 400, 2, 90, None, _TK, StrategyParams(0, 400, 0, (60, 30, 30), 2)),
-    (fan(3), 400, 3, 90, None, _TK, StrategyParams(0, 400, 0, (67, 22, 22, 22), 3)),
+    # T = 0: the cap is ceil(0) = 0 raised to 1 for both builders, and no
+    # builder reads it.
+    (DIAMOND, 400, 2, 90, {}, _K4M, StrategyParams(0, 400, 1, (30, 45, 90))),
+    (fan(2), 400, 2, 90, {}, _TK, StrategyParams(0, 400, 1, (60, 30, 30), 2)),
+    (fan(3), 400, 3, 90, {}, _TK, StrategyParams(0, 400, 1, (67, 22, 22, 22), 3)),
     # r clamped to n, and r from the window (the criterion-7 cell x=1.35, y=1.2).
-    (DIAMOND, 400, 2000, 2560, None, _K4M, StrategyParams(666, 400, 5, (853, 1280, 2560))),
-    (DIAMOND, 800, 8302, 3046, None, _K4M, StrategyParams(2767, 616, 11, (1015, 1523, 3046))),
+    (DIAMOND, 400, 2000, 2560, {}, _K4M, StrategyParams(666, 400, 5, (853, 1280, 2560))),
+    (DIAMOND, 800, 8302, 3046, {}, _K4M, StrategyParams(2767, 616, 11, (1015, 1523, 3046))),
     # Set overrides are kept, here on cells the long regime would take.
     (DIAMOND, 400, 20000, 80, _SET, _K4M, StrategyParams(6666, 17, 5, (26, 40, 80))),
     (fan(2), 400, 20000, 80, _SET, _TK, StrategyParams(6666, 17, 5, (53, 26, 26), 2)),
     # The fan's split: k b / (k + 1) for the seed phase, b / (k + 1) per round.
-    (fan(1), 400, 2000, 512, None, _TK, StrategyParams(1000, 51, 8, (256, 256), 1)),
-    (fan(2), 400, 2000, 512, None, _TK, StrategyParams(666, 400, 5, (341, 170, 170), 2)),
-    (fan(3), 400, 2000, 512, None, _TK,
+    (fan(1), 400, 2000, 512, {}, _TK, StrategyParams(1000, 51, 8, (256, 256), 1)),
+    (fan(2), 400, 2000, 512, {}, _TK, StrategyParams(666, 400, 5, (341, 170, 170), 2)),
+    (fan(3), 400, 2000, 512, {}, _TK,
      StrategyParams(500, 400, 4, (384, 128, 128, 128), 3)),
 ], ids=["k4m-T0", "fan2-T0", "fan3-T0", "r-clamped", "r-window", "k4m-set", "fan2-set",
         "fan1-split", "fan2-split", "fan3-split"])
 def test_short_regime_recipe(target, n, t, b, overrides, kind, params):
-    spec = select_strategy(target, n, t, b, overrides)
+    spec = select_strategy(target, n, t, b, **overrides)
     assert spec == StrategySpec(kind, params)
     # and the checks on a spec accept it on its own cell
     run_one_trial(target, ProcessConfig(n, t, b, seed=0), spec)
@@ -95,29 +97,58 @@ def test_short_regime_recipe(target, n, t, b, overrides, kind, params):
 _C7_SPEC = select_strategy(DIAMOND, 800, 5942, 1000)  # r = n = 800, T = 1980
 
 
-@pytest.mark.parametrize("target, cell, spec, match", [
-    (DIAMOND, (400, 5942, 1000), _C7_SPEC,
-     r"^k4m-short needs a seed set size in \[1, n=400\] and a cap >= 1, got 800 and 8$"),
-    (DIAMOND, (800, 2000, 1000), _C7_SPEC,
-     r"^k4m-short needs 3 phase budgets and 3 phases within t=2000, got \(333, 500, 1000\) "
-     r"and phases of T=1980$"),
-    (fan(2), (800, 5942, 1000), _C7_SPEC, "^a k4m-short spec builds diamond, not fan2$"),
-    (DIAMOND, (20, 50, 10), StrategySpec(StrategyKind.DIAMOND_SHORT),
-     r"^k4m-short needs a seed set size in \[1, n=20\] and a cap >= 1, got 0 and 0$"),
-    (DIAMOND, (20, 50, 10), StrategySpec(_K4M, StrategyParams(10, 4, 0, (3, 5, 10))),
+def _changed(**changes):
+    """The criterion-7 spec with `changes` to its params, built by `replace`."""
+    return lambda: replace(_C7_SPEC, params=replace(_C7_SPEC.params, **changes))
+
+
+# (target, cell, spec maker, message). The first group is refused when the
+# spec is built, whatever the cell (None): no such spec exists. The second
+# is built, then refused by the trial on the cell it does not fit.
+@pytest.mark.parametrize("target, cell, make, match", [
+    (None, None, lambda: StrategySpec(_TK, StrategyParams(10, 4, 2, (5,), 0)),
+     "^tk-short needs k >= 1, got 0$"),
+    (None, None, lambda: StrategySpec(StrategyKind.FAN_LONG, StrategyParams(25, 0, 0, (5, 5))),
+     "^tk-long needs k >= 1, got 0$"),
+    (None, None, lambda: StrategySpec(_K4M, StrategyParams(10, 0, 2, (3, 5, 10))),
+     "^k4m-short needs a seed set size and a per-vertex cap >= 1, got 0 and 2$"),
+    (None, None, _changed(seed_set_size=0), "got 0 and 8$"),
+    (None, None, lambda: StrategySpec(_K4M, StrategyParams(10, 4, 0, (3, 5, 10))),
      "got 4 and 0$"),
-    (DIAMOND, (20, 50, 10), StrategySpec(StrategyKind.DIAMOND_LONG, StrategyParams(25, 0, 0,
-                                                                                 (5, 5, 5))),
-     r"^k4m-long needs 2 phase budgets and 2 phases within t=50, got \(5, 5, 5\)"),
-    (DIAMOND, (20, 50, 10), StrategySpec(StrategyKind.BUY_ALL, StrategyParams(phase_budgets=(5,))),
-     r"^buy-all needs 0 phase budgets"),
-    (fan(2), (20, 50, 10), select_strategy(fan(3), 20, 50, 10, {"regime_override": "long"}),
+    (None, None, _changed(per_vertex_cap=0), "got 800 and 0$"),
+    (None, None, lambda: StrategySpec(StrategyKind.DIAMOND_LONG,
+                                      StrategyParams(25, 0, 0, (5, 5, 5))),
+     r"^k4m-long needs 2 phase budgets, got \(5, 5, 5\)$"),
+    (None, None, _changed(phase_budgets=(2, 2)), r"^k4m-short needs 3 phase budgets"),
+    (None, None, lambda: StrategySpec(_K4M), r"^k4m-short needs 3 phase budgets, got \(\)$"),
+    (None, None, lambda: StrategySpec(StrategyKind.BUY_ALL, StrategyParams(phase_budgets=(5,))),
+     r"^buy-all needs 0 phase budgets, got \(5,\)$"),
+    (None, None, lambda: replace(StrategySpec(StrategyKind.DEGREE_GREEDY),
+                                 params=StrategyParams(phase_budgets=(5,))),
+     "^degree-greedy needs 0 phase budgets"),
+    (None, None, _changed(phase_length=-1),
+     r"^k4m-short needs T >= 0 and budgets >= 0, got T=-1 and \(333, 500, 1000\)$"),
+    (None, None, _changed(phase_budgets=(333, -1, 1000)), "got T=1980 and"),
+    (DIAMOND, (400, 5942, 1000), lambda: _C7_SPEC,
+     r"^k4m-short needs a seed set of at most n=400 vertices and its 3 phases within "
+     r"t=5942, got 800 and phases of T=1980$"),
+    (DIAMOND, (800, 2000, 1000), lambda: _C7_SPEC,
+     r"^k4m-short needs .* its 3 phases within t=2000, got 800 and phases of T=1980$"),
+    (fan(2), (800, 5942, 1000), lambda: _C7_SPEC, "^a k4m-short spec builds diamond, not fan2$"),
+    (fan(2), (20, 50, 10), lambda: select_strategy(fan(3), 20, 50, 10, regime_override="long"),
      "^a tk-long spec builds fan3, not fan2$"),
-], ids=["r-past-n", "phases-past-t", "other-target", "hand-built-r-0", "cap-0",
-        "budget-count", "baseline-budgets", "other-fan"])
-def test_a_spec_is_checked_against_its_cell(target, cell, spec, match):
-    with pytest.raises(ConfigurationError, match=match) as info:
-        run_one_trial(target, ProcessConfig(*cell, seed=0), spec)
+], ids=["k-0-short", "k-0-long", "hand-built-r-0", "replaced-r-0", "cap-0", "replaced-cap-0",
+        "budget-count", "replaced-budget-count", "default-params", "baseline-budgets",
+        "replaced-baseline-budgets", "negative-T", "negative-budget",
+        "r-past-n", "phases-past-t", "other-target", "other-fan"])
+def test_a_spec_is_checked_against_its_cell(target, cell, make, match):
+    if cell is None:
+        with pytest.raises(ConfigurationError, match=match) as info:
+            make()
+    else:
+        spec = make()
+        with pytest.raises(ConfigurationError, match=match) as info:
+            run_one_trial(target, ProcessConfig(*cell, seed=0), spec)
     assert "\n" not in str(info.value)
 
 
@@ -134,8 +165,8 @@ def test_select_rejects_triangle_target_and_unknown_overrides():
         detector_for(TRIANGLE)
     # A typo, and a field outside the three overrides, are refused by name.
     for key in ("seed_set_sise", "k"):
-        with pytest.raises(ConfigurationError, match=f"'{key}'"):
-            select_strategy(fan(2), 400, 2000, 64, {key: 3})
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            select_strategy(fan(2), 400, 2000, 64, **{key: 3})
     # A target with more vertices than n is refused before any trial.
     with pytest.raises(ConfigurationError, match="fan3 needs 7 vertices, n=5"):
         select_strategy(fan(3), 5, 6, 5)
@@ -149,18 +180,18 @@ def test_select_rejects_unsupported_target():
 
 
 def test_regime_override():
-    spec = select_strategy(DIAMOND, 400, 2000, 256, {"regime_override": "long"})
+    spec = select_strategy(DIAMOND, 400, 2000, 256, regime_override="long")
     assert spec.kind is StrategyKind.DIAMOND_LONG
 
 
 def test_regime_override_is_short_or_long():
     # Without an override this cell is k4m-long; "Long" must not read as short.
     with pytest.raises(ConfigurationError, match="'Long'"):
-        select_strategy(DIAMOND, 400, 20000, 80, {"regime_override": "Long"})
+        select_strategy(DIAMOND, 400, 20000, 80, regime_override="Long")
 
 
 def test_seed_set_override():
-    spec = select_strategy(DIAMOND, 400, 2000, 256, {"seed_set_size": 17})
+    spec = select_strategy(DIAMOND, 400, 2000, 256, seed_set_size=17)
     assert spec.params.seed_set_size == 17
 
 
@@ -172,7 +203,7 @@ def test_seed_set_override():
 def test_seed_overrides_are_refused_by_the_long_regime(key, target, t, regime, name):
     # The long builders have no seed set, so neither value would be read.
     with pytest.raises(ConfigurationError, match=f"the {key} override .* not to {name}$"):
-        select_strategy(target, 400, t, 80, {"regime_override": regime, key: 3})
+        select_strategy(target, 400, t, 80, regime_override=regime, **{key: 3})
 
 
 # Each builder's phase_stats keys beyond budget_skips and phase_bought.
@@ -189,7 +220,7 @@ _OWN_STATS = {
 @pytest.mark.parametrize("target, spec", [
     (DIAMOND, StrategySpec(StrategyKind.BUY_ALL)),
     (DIAMOND, StrategySpec(StrategyKind.DEGREE_GREEDY)),
-    *((target, select_strategy(target, 60, 300, 40, {"regime_override": regime}))
+    *((target, select_strategy(target, 60, 300, 40, regime_override=regime))
       for target in (DIAMOND, fan(2), fan(3)) for regime in ("short", "long")),
 ], ids=lambda v: v.name if isinstance(v, StrategySpec) else str(v))
 def test_phase_stats_share_one_schema(target, spec):
@@ -210,7 +241,7 @@ def test_phase_stats_share_one_schema(target, spec):
 
 
 def _k4m_short(config, **over):
-    spec = select_strategy(DIAMOND, config.n, config.t, config.b, over or None)
+    spec = select_strategy(DIAMOND, config.n, config.t, config.b, **over)
     assert spec.kind is StrategyKind.DIAMOND_SHORT
     return build_strategy(spec, config)
 
@@ -406,7 +437,7 @@ def test_an_early_stop_selects_only_the_spans_it_reached(monkeypatch):
 
 
 def _fan_short(config, k, **over):
-    spec = select_strategy(fan(k), config.n, config.t, config.b, over or None)
+    spec = select_strategy(fan(k), config.n, config.t, config.b, **over)
     assert spec.kind is StrategyKind.FAN_SHORT
     return build_strategy(spec, config)
 
