@@ -10,7 +10,7 @@ import os
 import sys
 
 from .detect import DIAMOND, TRIANGLE, C4, PAW, Pattern, contains_pattern, fan, read_edge_list
-from .errors import BudgetBuilderError, ConfigurationError, ContractViolation
+from .errors import BudgetBuilderError, ConfigurationError, ContractViolation, UnsupportedPattern
 from .experiments import (
     PROBE_COLUMNS,
     PROBE_ADVERSARIES,
@@ -37,9 +37,9 @@ def _parse_target(name: str, k: int | None) -> Pattern:
         if k is not None:
             raise ConfigurationError("--k applies only to --target tk")
         return DIAMOND
-    if k is None or k < 1:
+    if k is None:
         raise ConfigurationError("--target tk requires --k >= 1")
-    return fan(k)
+    return fan(k)  # k < 1 raises UnsupportedPattern, exit 2 as well
 
 
 _DETECT_PATTERNS = {"k4m": DIAMOND, "triangle": TRIANGLE, "c4": C4, "k3plus": PAW}
@@ -50,12 +50,11 @@ def _parse_detect_pattern(text: str) -> Pattern:
         return _DETECT_PATTERNS[text]
     if text.startswith("tk:"):
         try:
-            k = int(text.split(":", 1)[1])
+            return fan(int(text.split(":", 1)[1]))
         except ValueError:
             raise argparse.ArgumentTypeError(f"tk:K needs integer K, got {text!r}")
-        if k < 1:
-            raise argparse.ArgumentTypeError(f"tk:K needs K >= 1, got {k}")
-        return fan(k)
+        except UnsupportedPattern as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     raise argparse.ArgumentTypeError(
         f"expected k4m, tk:K, triangle, c4 or k3plus, got {text!r}"
     )

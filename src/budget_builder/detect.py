@@ -50,15 +50,17 @@ from .errors import DuplicateEdgeError, UnsupportedPattern
 
 @dataclass(frozen=True, order=True)
 class Pattern:
-    """A target or probe pattern; k is only meaningful for fans."""
+    """A target or probe pattern; k is only meaningful for fans, which refuse k < 1 when built."""
 
     tag: str
     k: int = 0
 
+    def __post_init__(self) -> None:
+        if self.tag == "fan" and self.k < 1:
+            raise UnsupportedPattern(f"fan size must be >= 1, got {self.k}")
+
     def __str__(self) -> str:
-        if self.tag == "fan":
-            return f"fan{self.k}"
-        return self.tag
+        return f"{self.tag}{self.k or ''}"
 
     @property
     def num_vertices(self) -> int:
@@ -94,8 +96,7 @@ PAW = Pattern("paw")
 
 
 def fan(k: int) -> Pattern:
-    if k < 1:
-        raise UnsupportedPattern(f"fan size must be >= 1, got {k}")
+    """The k-fan target: k triangles sharing one vertex; `Pattern` refuses k < 1."""
     return Pattern("fan", k)
 
 

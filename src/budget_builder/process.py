@@ -67,7 +67,7 @@ from .errors import (
     OnlineRuleViolation,
     StreamExhausted,
 )
-from .rng import STREAM_EDGES, check_seed, substream
+from .rng import STREAM_EDGES, check_seed, is_int, substream
 
 
 class Edge(NamedTuple):
@@ -80,8 +80,8 @@ MAX_N = 2**25  # `decode`'s closed form is exact while (2n - 1)^2 < 2^52
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """One cell (n, t, b) of the model and a trial seed; checked when built,
-    so no invalid config exists (`replace` builds, and checks, a new one)."""
+    """One cell (n, t, b) of integers, not bools, and a trial seed that passes
+    `check_seed`; checked when built (`replace` too), so no invalid one exists."""
 
     n: int
     t: int
@@ -93,18 +93,17 @@ class ProcessConfig:
         return self.n * (self.n - 1) // 2
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"need n >= 2, got n={self.n}")
+        check_seed(self.seed)
+        if not is_int(self.n) or self.n < 2:
+            raise ConfigurationError(f"need an integer n >= 2, got n={self.n}")
         if self.n > MAX_N:
-            raise ConfigurationError(
-                f"need n <= 2^25 = {MAX_N}, the pair-code decoder's range, got n={self.n}"
-            )
-        if not 1 <= self.t <= self.num_pairs:
-            raise ConfigurationError(
-                f"need 1 <= t <= C(n,2) = {self.num_pairs}, got t={self.t}"
-            )
-        if self.b < 0:
-            raise ConfigurationError(f"need b >= 0, got b={self.b}")
+            raise ConfigurationError(f"need n <= 2^25 = {MAX_N}, the pair-code decoder's "
+                                     f"range, got n={self.n}")
+        if not is_int(self.t) or not 1 <= self.t <= self.num_pairs:
+            raise ConfigurationError(f"need an integer 1 <= t <= C(n,2) = {self.num_pairs}, "
+                                     f"got t={self.t}")
+        if not is_int(self.b) or self.b < 0:
+            raise ConfigurationError(f"need an integer b >= 0, got b={self.b}")
 
 
 @dataclass
@@ -337,7 +336,6 @@ def run_strategy(
     which reads every edge. A strategy with `buys` settles its own
     purchases, any other is asked on every reveal; the step is the same.
     """
-    check_seed(config.seed)
     state = new_process(config)
     g = state.purchased
     if hasattr(strategy, "buys"):

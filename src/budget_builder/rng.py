@@ -25,10 +25,15 @@ STREAM_EDGES = 0
 STREAM_STRATEGY = 1
 
 
+def is_int(x) -> bool:
+    """An integer that is not a bool; an exact int skips the slower ABC test."""
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
 def check_seed(seed):
-    """A seed is an integer in [0, 2^64), the range the RNG keys on: masked
-    into it, any other would replay another seed's stream."""
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed <= MASK64:
+    """A seed is an integer, not a bool, in [0, 2^64), the range the RNG keys
+    on: masked into it, any other would replay another seed's stream."""
+    if not (is_int(seed) and 0 <= seed <= MASK64):
         raise ConfigurationError(f"a seed must lie in [0, 2^64), got {seed!r}")
     return seed
 
@@ -58,8 +63,8 @@ def substream(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def derive_seed(master_seed: int, *parts: int | float) -> int:
-    """Collapse (master_seed, parts...) into a single replayable 64-bit seed:
-    the first uint64 word of the sequence's state, joined from its two
-    uint32 words as numpy's `generate_state(1, np.uint64)` joins them."""
-    lo, hi = seed_sequence(master_seed, *parts).generate_state(2, np.uint32).tolist()
+    """(master_seed, parts...), the master seed checked by `check_seed`, as one
+    replayable 64-bit seed: the first uint64 word of the sequence's state,
+    joined from its uint32 words as numpy's `generate_state(1, np.uint64)` does."""
+    lo, hi = seed_sequence(check_seed(master_seed), *parts).generate_state(2, np.uint32).tolist()
     return lo | hi << 32

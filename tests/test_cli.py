@@ -428,6 +428,7 @@ _FILES = {
         _RUN_N50 + ["--seed", "1", "--config", "{tmp}/no-such.cfg"],
         ["detect", "--graph", "{tmp}/triangle.txt", "--pattern", "tk:x"],
         ["detect", "--graph", "{tmp}/triangle.txt", "--pattern", "tk:0"],
+        ["sweep", "--target", "tk", "--k", "0", *_SWEEP_N40[3:]],  # refused by `Pattern`
         _SWEEP_N40 + ["--y-min", "0.6"],  # above --y-max 0.4
         _SWEEP_N40 + ["--trials", "0"],
         _PROBE_N40 + ["--trials", "0"],

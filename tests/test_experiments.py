@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from budget_builder import experiments, process
-from budget_builder.detect import C4, DIAMOND, fan
+from budget_builder.detect import C4, DIAMOND, Pattern, fan
 from budget_builder.errors import ConfigurationError, CrossoverNotEstimable, UnsupportedPattern
 from budget_builder.experiments import (
     PhasePoint,
@@ -36,6 +36,12 @@ def test_wilson_interval_basic_properties():
         assert 0.0 <= lo <= p <= hi <= 1.0
     with pytest.raises(ConfigurationError):
         wilson_interval(1, 0)
+    # Counts outside [0, trials] would crash in the square root.
+    for successes in (5, -1):
+        with pytest.raises(ConfigurationError, match=rf"^need 0 <= .*, got {successes} of 3$"):
+            wilson_interval(successes, 3)
+    assert wilson_interval(0, 3) == (0.0, 0.5615060804490177)
+    assert wilson_interval(3, 3) == (0.43849391955098227, 1.0)
 
 
 def test_wilson_interval_stays_off_the_boundary():
@@ -292,7 +298,24 @@ def test_probe_counts_checks_the_cell_before_any_trial(monkeypatch):
         probe_counts(1, 1, 1, "degree-greedy", 2, 8, jobs=2)
 
 
+def test_patterns_are_checked_when_built():
+    # A 0-fan has no edges, so select_strategy would read an empty edge list.
+    for k in (0, -1):
+        with pytest.raises(UnsupportedPattern, match=rf"^fan size must be >= 1, got {k}$"):
+            select_strategy(Pattern("fan", k), 40, 100, 10)
+    # Other tags build, and each operation refuses the ones it lacks; a
+    # non-fan's k is part of its name.
+    assert [str(p) for p in (Pattern("probe"), Pattern("matching", 2), fan(2), DIAMOND)] == [
+        "probe", "matching2", "fan2", "diamond"]
+    odd = Pattern("diamond", 3)
+    with pytest.raises(ConfigurationError, match="^a k4m-short spec builds diamond, not diamond3$"):
+        experiments.run_one_trial(odd, ProcessConfig(40, 100, 10, 1),
+                                  select_strategy(odd, 40, 100, 10))
+
+
 _SEED_ENTRY_POINTS = {
+    "ProcessConfig": lambda seed: ProcessConfig(20, 40, 10, seed),
+    "derive_seed": lambda seed: derive_seed(seed, 0),
     "run_one_trial": lambda seed: experiments.run_one_trial(
         DIAMOND, ProcessConfig(20, 40, 10, seed), StrategySpec(StrategyKind.BUY_ALL)),
     "run_trial_batch": lambda seed: run_trial_batch(
@@ -305,16 +328,18 @@ _SEED_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", list(_SEED_ENTRY_POINTS))
 def test_every_seed_entry_point_takes_only_64_bit_integer_seeds(entry, monkeypatch):
     # Masked to 64 bits, -1 and 2^64 would replay the streams of 2^64 - 1
-    # and 0 under their own names, and 1.5 would be read by its bit pattern.
+    # and 0 under their own names, 1.5 would be read by its bit pattern, and
+    # True would run as seed 1 with True in its seed column. numpy integers
+    # are integers.
     run = _SEED_ENTRY_POINTS[entry]
-    for seed in (0, 2**64 - 1):
+    for seed in (0, 2**64 - 1, np.int64(5), np.uint64(2**64 - 1)):
         run(seed)
 
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran before its seed was refused")
 
     monkeypatch.setattr(process, "new_process", no_trial)
-    for seed in (-1, 2**64, 1.5):
+    for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ConfigurationError,
                            match=rf"^a seed must lie in \[0, 2\^64\), got {seed}$") as info:
             run(seed)

@@ -66,6 +66,23 @@ def test_new_process_rejects_tiny_n_and_negative_budget():
         ProcessConfig(n=4, t=3, b=-1, seed=1)
 
 
+@pytest.mark.parametrize("field, value", [("n", 40.0), ("t", 100.0), ("b", 10.5), ("b", True)])
+def test_config_refuses_a_non_integer_field(field, value):
+    # A float would crash deep in the trial, and b=True would run with True
+    # in the b column of trials.csv; a bool is not an integer here.
+    cell = {"n": 40, "t": 100, "b": 10, "seed": 1, field: value}
+    message = rf"^need an integer .*, got {field}={value}$"
+    with pytest.raises(ConfigurationError, match=message):
+        ProcessConfig(**cell)
+
+
+def test_config_takes_numpy_integers():
+    spec = StrategySpec(StrategyKind.BUY_ALL)
+    as_ints = run_trial_batch(DIAMOND, ProcessConfig(40, 100, 10, 7), spec, 3)
+    as_numpy = ProcessConfig(np.int64(40), np.int64(100), np.int64(10), np.uint64(7))
+    assert run_trial_batch(DIAMOND, as_numpy, spec, 3) == as_ints
+
+
 def test_degenerate_budget_is_valid():
     state = new_process(ProcessConfig(n=2, t=1, b=0, seed=9))
     assert next_edge(state) == Edge(0, 1)
@@ -189,10 +206,11 @@ def test_stream_determinism_and_seed_sensitivity():
 
 
 # One entropy part of each uint32-word shape: zero, one low word, a full low
-# word, a high word over a zero low word, all 64 bits (and -1, masked to
-# the same), and two floats, read by their bit patterns.
+# word, a high word over a zero low word, all 64 bits (and, as a part but
+# not as a seed, -1, masked to the same), and two floats, read by their bit
+# patterns.
 _SEED_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 0.4, 1.25]
-_INT_PARTS = [p for p in _SEED_PARTS if isinstance(p, int)]
+_SEEDS = [p for p in _SEED_PARTS if isinstance(p, int) and p >= 0]
 _SWEEP_CELL_SEED = 11374881571523487628  # derive_seed(2026, 800, 1.25, 0.4)
 
 
@@ -203,21 +221,20 @@ def test_seeds_and_first_codes_are_pinned():
     # supports. The long-stream cell's t = 20,000 of C(400,2) = 79,800 codes
     # is drawn by a partial shuffle, the (100, 60) cell's by Floyd's
     # algorithm.
-    assert [derive_seed(p) for p in _INT_PARTS] == [
+    assert [derive_seed(p) for p in _SEEDS] == [
         15793235383387715774, 7434755675892716031, 3028043900922232328,
-        5836529245451711556, 12591116029944179981, 12591116029944179981]
+        5836529245451711556, 12591116029944179981]
     assert [derive_seed(2026, p) for p in _SEED_PARTS] == [
         9479640617736930317, 11945904881327827335, 17222303135747888127,
         275182770273494539, 16035640860887694224, 16035640860887694224,
         9803077212982273749, 12938690359909370163]
     assert derive_seed(2026, 800, 1.25, 0.4) == _SWEEP_CELL_SEED
-    seeds = _INT_PARTS + [_SWEEP_CELL_SEED]
+    seeds = _SEEDS + [_SWEEP_CELL_SEED]
     assert [draw_codes(ProcessConfig(400, 20000, 80, s))[:8].tolist() for s in seeds] == [
         [59150, 35627, 47963, 26926, 42102, 5396, 31097, 76436],
         [66253, 65895, 75473, 60642, 56258, 60429, 65658, 12732],
         [15759, 73645, 59249, 70548, 62124, 13853, 9019, 70528],
         [64137, 52658, 78660, 14773, 39149, 75673, 41193, 6479],
-        [27033, 14925, 74973, 65950, 2866, 15660, 32642, 28394],
         [27033, 14925, 74973, 65950, 2866, 15660, 32642, 28394],
         [56295, 75514, 67891, 16372, 73024, 22327, 5104, 6956]]
     assert [draw_codes(ProcessConfig(100, 60, 8, s))[:8].tolist() for s in seeds] == [
@@ -225,7 +242,6 @@ def test_seeds_and_first_codes_are_pinned():
         [3950, 2712, 35, 3327, 1361, 1264, 657, 4031],
         [2286, 4579, 4290, 4455, 4871, 3637, 1666, 4897],
         [4437, 949, 3841, 2152, 2863, 4641, 2203, 1720],
-        [2814, 1866, 2897, 2216, 3540, 4024, 4788, 1836],
         [2814, 1866, 2897, 2216, 3540, 4024, 4788, 1836],
         [1564, 3635, 2495, 4936, 4590, 395, 2946, 1341]]
 
